@@ -647,12 +647,13 @@ let json_of_rows rows =
             \"cache\": %b, \"wall_s\": %.6f, \"cn\": %d, \"st\": %d, \
             \"cache_hits\": %d, \"cache_bytes\": %d, \"pieces\": %d, \
             \"degraded_pieces\": %d, \"peak_mb\": %.1f%s, \"phases\": \
-            {\"build_s\": %.6f, \"division_s\": %.6f, \"solve_s\": %.6f, \
-            \"merge_s\": %.6f}}"
+            {\"build_s\": %.6f, \"extract_s\": %.6f, \"division_s\": %.6f, \
+            \"solve_s\": %.6f, \"merge_s\": %.6f}}"
            r.p_circuit r.p_algorithm r.p_k r.p_jobs r.p_cache r.p_wall_s
            r.p_cn r.p_st r.p_cache_hits r.p_cache_bytes r.p_pieces
            r.p_degraded r.p_peak_mb extras r.p_build_s
-           r.p_phases.D.division_s r.p_phases.D.solve_s r.p_phases.D.merge_s))
+           r.p_phases.D.extract_s r.p_phases.D.division_s
+           r.p_phases.D.solve_s r.p_phases.D.merge_s))
     rows;
   Buffer.add_string b "\n  ]";
   Buffer.contents b
@@ -709,8 +710,12 @@ let git_commit () =
    the synthetic 120k layout (~1% of features edited; the incremental
    coloring must match the cold run bit-for-bit — fatal otherwise),
    and [bench compare] gains [--mem-threshold PCT], gating per-row
-   "peak_mb" past an absolute 16 MB floor. *)
-let results_schema_version = 9
+   "peak_mb" past an absolute 16 MB floor.
+   Schema v10: "phases" gains "extract_s" — coordinator time spent
+   cutting pieces out of their parent graph (top-level components and
+   every division stage), split out of "division_s"; [bench compare]
+   gates it like the other phases when both documents carry it. *)
+let results_schema_version = 10
 
 let json_of_kernels rows =
   let b = Buffer.create 1024 in
@@ -831,11 +836,11 @@ let parallel () =
   in
   let pp_shard_row label (r : D.report) =
     Format.printf
-      "%-8s cn#=%-4d st#=%-4d wall=%.3fs peak=%.0fMB [div=%.2fs \
+      "%-8s cn#=%-4d st#=%-4d wall=%.3fs peak=%.0fMB [ext=%.2fs div=%.2fs \
        solve=%.2fs merge=%.2fs]@."
       label r.D.cost.C.conflicts r.D.cost.C.stitches r.D.elapsed_s
-      (peak_mb ()) r.D.phases.D.division_s r.D.phases.D.solve_s
-      r.D.phases.D.merge_s
+      (peak_mb ()) r.D.phases.D.extract_s r.D.phases.D.division_s
+      r.D.phases.D.solve_s r.D.phases.D.merge_s
   in
   let r_sh =
     D.decompose_sharded ~params:(shard_params 8) ~min_s:80 D.Linear layout
@@ -1059,10 +1064,10 @@ let parallel () =
           in
           Format.printf
             "%-8s %-13s jobs=%d cache=%-5b cn#=%-4d st#=%-4d wall=%.3fs \
-             speedup=%.2fx [div=%.2fs solve=%.2fs merge=%.2fs]%s@."
+             speedup=%.2fx [ext=%.2fs div=%.2fs solve=%.2fs merge=%.2fs]%s@."
             name (D.algorithm_name algo) jobs cache cn st r.D.elapsed_s
-            speedup r.D.phases.D.division_s r.D.phases.D.solve_s
-            r.D.phases.D.merge_s
+            speedup r.D.phases.D.extract_s r.D.phases.D.division_s
+            r.D.phases.D.solve_s r.D.phases.D.merge_s
             (if cache then
                Printf.sprintf " cache=%d/%d (%.0f%%)" hits routed
                  (100. *. float_of_int hits
@@ -1260,7 +1265,7 @@ let compare_results ~threshold ~mem_threshold a_path b_path =
             match (get ra, get rb) with
             | Some va, Some vb -> check ~unit:"s" ~floor:0.01 key ph va vb
             | _ -> ())
-          [ "build_s"; "division_s"; "solve_s"; "merge_s" ];
+          [ "build_s"; "extract_s"; "division_s"; "solve_s"; "merge_s" ];
         (* Memory is gated only on request (--mem-threshold): peak_mb
            is a process high-water mark, so only rows early in a run
            carry their own peak — the 16 MB absolute floor keeps

@@ -231,6 +231,15 @@ let resolve_min_s ~k ~min_s =
     if k >= 5 then Mpl_layout.Layout.pentuple_min_s tech
     else Mpl_layout.Layout.quadruple_min_s tech
 
+(* The report's phase split (coordinator extraction / division / merge,
+   solver time summed over domains), shared by decompose -v and
+   redecompose -v. *)
+let print_phases (p : Mpl.Decomposer.phases) =
+  Format.eprintf
+    "phases: extract=%.3fs division=%.3fs solve=%.3fs merge=%.3fs@."
+    p.Mpl.Decomposer.extract_s p.Mpl.Decomposer.division_s
+    p.Mpl.Decomposer.solve_s p.Mpl.Decomposer.merge_s
+
 (* Per-mask usage table from report.balance: feature/vertex/area tallies
    in mask order, shared by decompose -v and redecompose -v. *)
 let print_balance = function
@@ -322,7 +331,10 @@ let decompose_cmd =
       end
     in
     Format.printf "%a@." Mpl.Decomposer.pp_report report;
-    if verbose then print_balance report.Mpl.Decomposer.balance;
+    if verbose then begin
+      print_phases report.Mpl.Decomposer.phases;
+      print_balance report.Mpl.Decomposer.balance
+    end;
     let res = report.Mpl.Decomposer.resilience in
     if inject <> None || res.Mpl.Decomposer.degraded > 0 then
       Format.printf
@@ -432,7 +444,10 @@ let redecompose_cmd =
           e.Mpl.Decomposer.reused_components e.Mpl.Decomposer.dirty_components
           e.Mpl.Decomposer.dirty_features
       | None -> ());
-      if verbose then print_balance report.Mpl.Decomposer.balance;
+      if verbose then begin
+        print_phases report.Mpl.Decomposer.phases;
+        print_balance report.Mpl.Decomposer.balance
+      end;
       (match save_layout with
       | Some path ->
         Mpl_layout.Layout_io.save edited path;

@@ -277,10 +277,22 @@ let union_graph t =
 let conflict_graph t =
   Ugraph.of_csr ~n:t.n ~off:t.conflict.off ~nbr:t.conflict.nbr
 
-let subgraph t vs =
+(* Extraction through a forward map [fwd] (length [t.n]) that is all -1
+   between calls: write [vs]'s local indices, restrict the three
+   relations, then reset only [vs]'s entries. Each call costs
+   O(|vs| + E(vs)), so a family of sets pays for the O(n) map once. *)
+let extract_with t fwd vs =
   let m = Array.length vs in
-  let fwd = Array.make t.n (-1) in
-  Array.iteri (fun i v -> fwd.(v) <- i) vs;
+  for i = 0 to m - 1 do
+    let v = vs.(i) in
+    if fwd.(v) <> -1 then begin
+      for j = 0 to i - 1 do
+        fwd.(vs.(j)) <- -1
+      done;
+      invalid_arg "Decomp_graph.subgraphs: duplicate vertex"
+    end;
+    fwd.(v) <- i
+  done;
   let restrict (a : adj) =
     let off = Array.make (m + 1) 0 in
     for i = 0 to m - 1 do
@@ -320,7 +332,15 @@ let subgraph t vs =
       union_memo = None;
     }
   in
+  Array.iter (fun v -> fwd.(v) <- -1) vs;
   (sub, Array.copy vs)
+
+let extractor t =
+  let fwd = Array.make t.n (-1) in
+  extract_with t fwd
+
+let subgraphs t vss = Array.map (extractor t) vss
+let subgraph t vs = extractor t vs
 
 let pp ppf t =
   let ce = List.length (conflict_edges t) in

@@ -90,7 +90,26 @@ val union_graph : t -> Mpl_graph.Ugraph.t
 val conflict_graph : t -> Mpl_graph.Ugraph.t
 
 val subgraph : t -> int array -> t * int array
-(** [subgraph g vs] is the induced graph on [vs] (no duplicates),
-    relabeled [0..], and the map back to the original vertex ids. *)
+(** [subgraph g vs] is the induced graph on [vs], relabeled [0..] in
+    [vs] order, and the map back to the original vertex ids (a copy of
+    [vs]). The one-set case of {!subgraphs}.
+
+    @raise Invalid_argument if [vs] repeats a vertex. *)
+
+val subgraphs : t -> int array array -> (t * int array) array
+(** [subgraphs g vss] is [Array.map (subgraph g) vss], computed through
+    one shared forward map: O(n + Σ(|vs| + E(vs))) instead of
+    O(n) per set. Sets may overlap each other (biconnected blocks share
+    articulation vertices); a single set may not repeat a vertex.
+
+    @raise Invalid_argument if some set repeats a vertex. *)
+
+val extractor : t -> int array -> t * int array
+(** [extractor g] allocates the shared forward map once and returns a
+    function computing [subgraph g vs], one set per call, at
+    O(|vs| + E(vs)) each — for loops that must drop each piece before
+    extracting the next. The map is restored after every call, also
+    when a duplicate vertex raises. Not safe to call from two domains
+    at once. *)
 
 val pp : Format.formatter -> t -> unit

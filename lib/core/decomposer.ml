@@ -157,14 +157,20 @@ let prov_snapshot prov ~fault =
   Mutex.unlock prov.p_lock;
   r
 
-(* Wall-clock breakdown of one assignment. [division_s] and [merge_s]
-   are coordinator-thread time (structural analysis / reassembly, with
-   any solver work the coordinator picked up while helping the pool
-   subtracted out); [solve_s] is total solver time summed over every
-   domain, so it can exceed the elapsed wall when jobs > 1. *)
-type phases = { division_s : float; solve_s : float; merge_s : float }
+(* Wall-clock breakdown of one assignment. [extract_s], [division_s]
+   and [merge_s] are coordinator-thread time (piece extraction /
+   structural analysis / reassembly, with any solver work the
+   coordinator picked up while helping the pool subtracted out);
+   [solve_s] is total solver time summed over every domain, so it can
+   exceed the elapsed wall when jobs > 1. *)
+type phases = {
+  extract_s : float;
+  division_s : float;
+  solve_s : float;
+  merge_s : float;
+}
 
-let no_phases = { division_s = 0.; solve_s = 0.; merge_s = 0. }
+let no_phases = { extract_s = 0.; division_s = 0.; solve_s = 0.; merge_s = 0. }
 
 (* Per-mask usage tallies — the observational first slice of the
    balanced-masks roadmap item. Purely derived from the final coloring;
@@ -483,7 +489,9 @@ let make_solver ~obs ~params ~budget ~deadline_over ~timed_out ~fault ~prov
    domain; [rc_caller_ns] (written by the coordinating thread only — no
    lock needed) lets the engine paths subtract solver work the
    coordinator picked up while helping the pool out of their
-   division/merge walls. *)
+   division/merge walls. [rc_extract_s] totals the coordinator wall
+   spent extracting pieces ({!Division.extract}), top-level components
+   and every division stage alike. *)
 type run_ctx = {
   rc_salt : string;
   rc_stats : Division.stats;
@@ -492,6 +500,7 @@ type run_ctx = {
   rc_prov : prov;
   rc_solve_ns : int Atomic.t;
   rc_caller_ns : float ref;
+  rc_extract_s : float ref;
   rc_solver : Decomp_graph.t -> int array;
 }
 
@@ -585,7 +594,18 @@ let make_run_ctx ?ext_warm ~obs ~params algorithm =
     rc_prov = prov;
     rc_solve_ns = solve_ns;
     rc_caller_ns = caller_ns;
+    rc_extract_s = ref 0.;
     rc_solver = solver;
+  }
+
+(* A run's phases: the coordinator [division_s] / [merge_s] its caller
+   measured, extraction and solver totals from the run context. *)
+let run_phases (rc : run_ctx) ~division_s ~merge_s =
+  {
+    extract_s = !(rc.rc_extract_s);
+    division_s;
+    solve_s = float_of_int (Atomic.get rc.rc_solve_ns) /. 1e9;
+    merge_s;
   }
 
 (* Streaming parallel/cached assignment: split off the independent
@@ -606,9 +626,12 @@ let make_run_ctx ?ext_warm ~obs ~params algorithm =
    old pipeline serialized (division is cheap but the leaf solves
    behind one big component used to be invisible to the pool until the
    whole component's recursion finished on a single worker). *)
-let engine_assign ~obs ~params ~stats ~solver ~fault ~prov ~caller_ns
-    ~ext_pool ~shared_cache ~salt ~on_component (g : Decomp_graph.t) =
+let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
+    ~on_component (g : Decomp_graph.t) =
   let jobs = max 1 params.jobs in
+  let stats = rc.rc_stats and solver = rc.rc_solver and fault = rc.rc_fault in
+  let prov = rc.rc_prov and salt = rc.rc_salt in
+  let caller_ns = rc.rc_caller_ns and extract_s = rc.rc_extract_s in
   (* Coordinator-side cancellation checkpoints: one atomic read per
      leaf emission / component push / component force. When the token
      trips, the assignment unwinds with [Pool.Cancelled] — queued
@@ -626,7 +649,7 @@ let engine_assign ~obs ~params ~stats ~solver ~fault ~prov ~caller_ns
           Mpl_graph.Connectivity.components (Decomp_graph.union_graph g))
     else [| Array.init g.Decomp_graph.n (fun v -> v) |]
   in
-  let pieces = Array.map (Decomp_graph.subgraph g) comps in
+  let pieces = Division.extract ~obs ~extract_s g comps in
   (* Component cache: the caller's shared cross-request table when one
      was provided (the serving daemon passes its own), a private
      per-run table otherwise. Reuse from either is cost-exact: the salt
@@ -744,8 +767,8 @@ let engine_assign ~obs ~params ~stats ~solver ~fault ~prov ~caller_ns
       let plant (piece, _back) =
         let local = Division.fresh_stats () in
         let join =
-          Division.plan ~obs ~stages:params.stages ~stats:local ~k:params.k
-            ~alpha:params.alpha ~emit:emit_leaf piece
+          Division.plan ~obs ~stages:params.stages ~stats:local ~extract_s
+            ~k:params.k ~alpha:params.alpha ~emit:emit_leaf piece
         in
         fun () -> (join (), local)
       in
@@ -759,6 +782,7 @@ let engine_assign ~obs ~params ~stats ~solver ~fault ~prov ~caller_ns
              [ ("pieces", Mpl_obs.Sink.Int (Array.length pieces)) ])
       @@ fun () ->
       let t0 = Mpl_util.Timer.now_ns () and c0 = !caller_ns in
+      let x0 = !extract_s in
       let cells =
         Array.map
           (fun p ->
@@ -768,6 +792,7 @@ let engine_assign ~obs ~params ~stats ~solver ~fault ~prov ~caller_ns
       in
       flush ();
       let t1 = Mpl_util.Timer.now_ns () and c1 = !caller_ns in
+      let x1 = !extract_s in
       (* Cells are forced in push (= component index) order, so the
          [on_component] stream is deterministic regardless of which
          worker finished which piece first — the serving layer relies
@@ -799,19 +824,17 @@ let engine_assign ~obs ~params ~stats ~solver ~fault ~prov ~caller_ns
           stats.Division.cuts <- stats.Division.cuts + local.Division.cuts)
         results;
       let s ns = Int64.to_float ns /. 1e9 in
-      let division_s = max 0. (s (Int64.sub t1 t0) -. (c1 -. c0)) in
+      let division_s =
+        max 0. (s (Int64.sub t1 t0) -. (c1 -. c0) -. (x1 -. x0))
+      in
       let merge_s = max 0. (s (Int64.sub t2 t1) -. (c2 -. c1)) in
       let cstats = Option.map Mpl_engine.Cache.stats cache in
-      (colors, estats, cstats, division_s, merge_s))
+      (colors, estats, cstats, run_phases rc ~division_s ~merge_s))
 
 let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
     algorithm g =
   let obs = match obs with Some o -> o | None -> make_obs params in
   let rc = make_run_ctx ~obs ~params algorithm in
-  let salt = rc.rc_salt and stats = rc.rc_stats in
-  let fault = rc.rc_fault and prov = rc.rc_prov in
-  let timed_out = rc.rc_timed_out and solver = rc.rc_solver in
-  let solve_ns = rc.rc_solve_ns and caller_ns = rc.rc_caller_ns in
   let engine_stats = ref None in
   let cache_stats = ref None in
   let phases = ref no_phases in
@@ -843,34 +866,29 @@ let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
           if not use_engine then begin
             let a0 = Mpl_util.Timer.now_ns () in
             let colors =
-              Division.assign ~obs ~stages:params.stages ~stats ~k:params.k
-                ~alpha:params.alpha ~solver g
+              Division.assign ~obs ~stages:params.stages ~stats:rc.rc_stats
+                ~extract_s:rc.rc_extract_s ~k:params.k ~alpha:params.alpha
+                ~solver:rc.rc_solver g
             in
             let wall =
               Int64.to_float (Int64.sub (Mpl_util.Timer.now_ns ()) a0) /. 1e9
             in
-            let solve_s = float_of_int (Atomic.get solve_ns) /. 1e9 in
+            let p = run_phases rc ~division_s:0. ~merge_s:0. in
             phases :=
               {
-                division_s = max 0. (wall -. solve_s);
-                solve_s;
-                merge_s = 0.;
+                p with
+                division_s = max 0. (wall -. p.solve_s -. p.extract_s);
               };
             colors
           end
           else begin
-            let colors, estats, cstats, division_s, merge_s =
-              engine_assign ~obs ~params ~stats ~solver ~fault ~prov
-                ~caller_ns ~ext_pool:pool ~shared_cache ~salt ~on_component g
+            let colors, estats, cstats, p =
+              engine_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
+                ~on_component g
             in
             engine_stats := Some estats;
             cache_stats := cstats;
-            phases :=
-              {
-                division_s;
-                solve_s = float_of_int (Atomic.get solve_ns) /. 1e9;
-                merge_s;
-              };
+            phases := p;
             colors
           end
         in
@@ -904,12 +922,12 @@ let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
     cost;
     colors;
     elapsed_s;
-    timed_out = Atomic.get timed_out;
-    division = stats;
+    timed_out = Atomic.get rc.rc_timed_out;
+    division = rc.rc_stats;
     phases = !phases;
     engine = !engine_stats;
     cache = !cache_stats;
-    resilience = prov_snapshot prov ~fault;
+    resilience = prov_snapshot rc.rc_prov ~fault:rc.rc_fault;
     metrics;
     balance = Some (compute_balance ~k:params.k g colors);
     eco = None;
@@ -1079,8 +1097,9 @@ let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       let plant (p : Shard.piece) =
         let local = Division.fresh_stats () in
         let join =
-          Division.plan ~obs ~stages:params.stages ~stats:local ~k:params.k
-            ~alpha:params.alpha ~emit:emit_leaf p.Shard.graph
+          Division.plan ~obs ~stages:params.stages ~stats:local
+            ~extract_s:rc.rc_extract_s ~k:params.k ~alpha:params.alpha
+            ~emit:emit_leaf p.Shard.graph
         in
         fun () -> (join (), local)
       in
@@ -1094,6 +1113,7 @@ let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
              [ ("windows", Mpl_obs.Sink.Int (Array.length sh.Shard.windows)) ])
       @@ fun () ->
       let t0 = Mpl_util.Timer.now_ns () and c0 = !(rc.rc_caller_ns) in
+      let x0 = !(rc.rc_extract_s) in
       let acc = Shard.fresh_acc sh in
       let inflight = Queue.create () in
       let done_rev = ref [] in
@@ -1131,8 +1151,8 @@ let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       Array.iter
         (fun w ->
           List.iter push_piece
-            (Shard.scan_window ~obs ?max_stitches_per_feature ~acc ~min_s ~hp
-               layout w))
+            (Shard.scan_window ~obs ~extract_s:rc.rc_extract_s
+               ?max_stitches_per_feature ~acc ~min_s ~hp layout w))
         sh.Shard.windows;
       let border = Shard.border_pieces ~obs acc ~min_s ~hp in
       Mpl_obs.Metrics.add
@@ -1165,10 +1185,11 @@ let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
         (List.rev !done_rev);
       merge_ns := Int64.add !merge_ns (Int64.sub (Mpl_util.Timer.now_ns ()) m0);
       let t1 = Mpl_util.Timer.now_ns () and c1 = !(rc.rc_caller_ns) in
+      let x1 = !(rc.rc_extract_s) in
       let s ns = Int64.to_float ns /. 1e9 in
       let merge_s = max 0. (s !merge_ns -. !merge_caller) in
       let division_s =
-        max 0. (s (Int64.sub t1 t0) -. (c1 -. c0) -. merge_s)
+        max 0. (s (Int64.sub t1 t0) -. (c1 -. c0) -. merge_s -. (x1 -. x0))
       in
       let cost =
         {
@@ -1178,7 +1199,7 @@ let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
         }
       in
       let cstats = Option.map Mpl_engine.Cache.stats cache in
-      (colors, cost, estats, cstats, division_s, merge_s))
+      (colors, cost, estats, cstats, run_phases rc ~division_s ~merge_s))
 
 let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
     ?on_component ?max_stitches_per_feature ~min_s algorithm layout =
@@ -1206,9 +1227,7 @@ let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
             (sharded_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
                ~on_component ?max_stitches_per_feature ~min_s layout))
   in
-  let colors, cost, estats, cstats, division_s, merge_s =
-    Option.get !result
-  in
+  let colors, cost, estats, cstats, phases = Option.get !result in
   assert (Coloring.is_complete colors);
   assert (Coloring.check_range ~k:params.k colors);
   let metrics =
@@ -1224,12 +1243,7 @@ let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
     elapsed_s;
     timed_out = Atomic.get rc.rc_timed_out;
     division = rc.rc_stats;
-    phases =
-      {
-        division_s;
-        solve_s = float_of_int (Atomic.get rc.rc_solve_ns) /. 1e9;
-        merge_s;
-      };
+    phases;
     engine = Some estats;
     cache = cstats;
     resilience = prov_snapshot rc.rc_prov ~fault:rc.rc_fault;
@@ -1267,8 +1281,9 @@ let pp_report ppf r =
    Component colorings are stored in (feature, segment) order restricted
    to each component's ascending vertex list — exactly the order
    [Decomp_graph.subgraph] extracts, so reuse is a pure blit. *)
-let snapshot ?(params = default_params) ~min_s algorithm
-    (g : Decomp_graph.t) (layout : Mpl_layout.Layout.t) (report : report) =
+let snapshot ?(params = default_params) ?(obs = Mpl_obs.Obs.null) ~min_s
+    algorithm (g : Decomp_graph.t) (layout : Mpl_layout.Layout.t)
+    (report : report) =
   let nf = Array.length layout.Mpl_layout.Layout.features in
   let seg_counts = Array.make nf 0 in
   Array.iter
@@ -1278,8 +1293,7 @@ let snapshot ?(params = default_params) ~min_s algorithm
     Mpl_graph.Connectivity.components (Decomp_graph.union_graph g)
   in
   let colors = report.colors in
-  let comp_of vs =
-    let piece, _back = Decomp_graph.subgraph g vs in
+  let comp_of (piece, vs) =
     let pc = Array.map (fun v -> colors.(v)) vs in
     let cost = Coloring.evaluate ~alpha:params.alpha piece pc in
     (* vertices are feature-major, so one scan dedups feature ids *)
@@ -1306,7 +1320,7 @@ let snapshot ?(params = default_params) ~min_s algorithm
     min_s;
     salt = params_salt ~params algorithm;
     seg_counts;
-    comps = Array.map comp_of comps;
+    comps = Array.map comp_of (Division.extract ~obs g comps);
   }
 
 (* The core of [redecompose], after all validation has passed. Runs
@@ -1423,6 +1437,7 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
      matches seed SDP solves of near-isomorphic comps). The previous
      dirty sub-layout rebuilds those components bit-identically for the
      same reason [g_d] does. --- *)
+  let seed_extract_s = ref 0. in
   let engine_cache, ext_warm =
     if not (params.cache || params.cache_warm) then (shared_cache, None)
     else begin
@@ -1459,8 +1474,7 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
           Mpl_graph.Connectivity.components (Decomp_graph.union_graph g_old)
         in
         Array.iter
-          (fun vs ->
-            let piece, _back = Decomp_graph.subgraph g_old vs in
+          (fun ((piece : Decomp_graph.t), vs) ->
             let ci =
               comp_of_feature.(old_dirty.(g_old.Decomp_graph.feature.(vs.(0))))
             in
@@ -1483,7 +1497,7 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
                 Option.iter
                   (fun wch -> Mpl_engine.Cache.store wch s (c.Eco.colors, ()))
                   wc)
-          comps_old
+          (Division.extract ~obs ~extract_s:seed_extract_s g_old comps_old)
       end;
       (ec, wc)
     end
@@ -1521,15 +1535,15 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
   (* --- solve only the dirty graph through the standard engine path,
      streaming dirty components remapped to edited-layout vertex ids --- *)
   let rc = make_run_ctx ?ext_warm ~obs ~params algorithm in
+  rc.rc_extract_s := !seed_extract_s;
   let on_component =
     Option.map
       (fun f i back pc -> f i (Array.map (fun v -> vmap.(v)) back) pc)
       on_component
   in
-  let colors_d, estats, cstats, division_s, merge_s =
-    engine_assign ~obs ~params ~stats:rc.rc_stats ~solver:rc.rc_solver
-      ~fault:rc.rc_fault ~prov:rc.rc_prov ~caller_ns:rc.rc_caller_ns
-      ~ext_pool:pool ~shared_cache:engine_cache ~salt ~on_component g_d
+  let colors_d, estats, cstats, phases =
+    engine_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache:engine_cache
+      ~on_component g_d
   in
   let comps_d =
     Mpl_graph.Connectivity.components (Decomp_graph.union_graph g_d)
@@ -1589,8 +1603,7 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
     prev.Eco.comps;
   let dirty_comps =
     Array.map
-      (fun vs ->
-        let piece, _back = Decomp_graph.subgraph g_d vs in
+      (fun (piece, vs) ->
         let pc = Array.map (fun v -> colors_d.(v)) vs in
         let cc = Coloring.evaluate ~alpha:params.alpha piece pc in
         let feats = ref [] in
@@ -1608,7 +1621,7 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
           stitches = cc.Coloring.stitches;
           scaled = cc.Coloring.scaled;
         })
-      comps_d
+      (Division.extract ~obs ~extract_s:rc.rc_extract_s g_d comps_d)
   in
   let comps =
     Array.append (Array.of_list (List.rev !clean_comps)) dirty_comps
@@ -1646,12 +1659,8 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
       elapsed_s = Mpl_util.Timer.elapsed_s t0;
       timed_out = Atomic.get rc.rc_timed_out;
       division = rc.rc_stats;
-      phases =
-        {
-          division_s;
-          solve_s = float_of_int (Atomic.get rc.rc_solve_ns) /. 1e9;
-          merge_s;
-        };
+      (* extraction also covers the cache seeding and session capture *)
+      phases = { phases with extract_s = !(rc.rc_extract_s) };
       engine = Some estats;
       cache = cstats;
       resilience = prov_snapshot rc.rc_prov ~fault:rc.rc_fault;

@@ -157,10 +157,16 @@ type resilience = {
 val no_resilience : resilience
 
 type phases = {
+  extract_s : float;
+      (** coordinator wall spent cutting pieces out of their parent
+          graph ({!Division.extract}): the top-level component split
+          plus every division stage's pieces, one O(n + E) pass per
+          batch; for {!redecompose} also the cache seeding and session
+          capture *)
   division_s : float;
       (** coordinator wall spent on structural division (component
-          scan, peel, biconnected, GH trees, subgraph extraction),
-          solver work excluded *)
+          scan, peel, biconnected, GH trees), extraction and solver
+          work excluded *)
   solve_s : float;
       (** leaf-solver wall summed over every domain — can exceed the
           elapsed wall when [jobs > 1] *)
@@ -313,6 +319,7 @@ val decompose_sharded :
 
 val snapshot :
   ?params:params ->
+  ?obs:Mpl_obs.Obs.t ->
   min_s:int ->
   algorithm ->
   Decomp_graph.t ->
@@ -325,7 +332,8 @@ val snapshot :
     coloring (in the component's ascending vertex order — exactly what
     {!Decomp_graph.subgraph} extracts) and cost. [params], [min_s],
     [algorithm], [g] and [layout] must be the ones the report came
-    from. *)
+    from. The components are extracted in one {!Division.extract}
+    batch, under a [division.extract] span when [obs] traces. *)
 
 val redecompose :
   ?params:params ->

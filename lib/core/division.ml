@@ -108,6 +108,27 @@ let best_rotation ~k ~alpha colors_a colors_b crossing_conflict crossing_stitch 
   done;
   !best_r
 
+(* Piece extraction under a [division.extract] span. With [extract_s]
+   (a phase accumulator) the coordinator wall is added to it; without
+   one, and with a null sink, the path reads no clock. *)
+let timed_extract ~obs ?extract_s ~pieces ~n f =
+  Mpl_obs.Obs.span obs "division.extract"
+    ~args:[ ("pieces", Mpl_obs.Sink.Int pieces); ("n", Mpl_obs.Sink.Int n) ]
+  @@ fun () ->
+  match extract_s with
+  | None -> f ()
+  | Some acc ->
+    let t0 = Mpl_util.Timer.now_ns () in
+    let r = f () in
+    acc :=
+      !acc
+      +. (Int64.to_float (Int64.sub (Mpl_util.Timer.now_ns ()) t0) /. 1e9);
+    r
+
+let extract ?(obs = Mpl_obs.Obs.null) ?extract_s (g : Decomp_graph.t) vss =
+  timed_extract ~obs ?extract_s ~pieces:(Array.length vss)
+    ~n:g.Decomp_graph.n (fun () -> Decomp_graph.subgraphs g vss)
+
 (* The division pipeline is a two-phase producer. [plan ~emit g] runs
    ALL structural analysis up front — component scan, peel fixpoint,
    block decomposition, GH trees, cut recovery, crossing-edge collection
@@ -124,7 +145,7 @@ let best_rotation ~k ~alpha colors_a colors_b crossing_conflict crossing_stitch 
    recursion — regardless of when or where the emitted thunks actually
    run. *)
 let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
-    ?(bounded_cuts = true) ~k ~alpha ~emit (g : Decomp_graph.t) =
+    ?(bounded_cuts = true) ?extract_s ~k ~alpha ~emit (g : Decomp_graph.t) =
   if k < 2 then invalid_arg "Division.plan: k < 2";
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   (* Metric handles resolve to no-ops on a null registry. The stage
@@ -165,10 +186,8 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
       if Array.length comps > 1 then begin
         let parts =
           Array.map
-            (fun comp ->
-              let piece, back = Decomp_graph.subgraph sub comp in
-              (connected piece, back))
-            comps
+            (fun (piece, back) -> (connected piece, back))
+            (extract ~obs ?extract_s sub comps)
         in
         fun () ->
           let colors = Array.make sub.Decomp_graph.n (-1) in
@@ -200,7 +219,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
         in
         let core_th =
           if Array.length core > 0 then begin
-            let piece, back = Decomp_graph.subgraph sub core in
+            let piece, back = (extract ~obs ?extract_s sub [| core |]).(0) in
             Some (conquer piece, back)
           end
           else None
@@ -245,8 +264,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
             while not (Queue.is_empty queue) do
               let bi = Queue.pop queue in
               let verts = bl.(bi) in
-              let piece, back = Decomp_graph.subgraph sub verts in
-              order := (connected piece, back) :: !order;
+              order := verts :: !order;
               Array.iter
                 (fun v ->
                   List.iter
@@ -260,10 +278,14 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
             done
           end
         done;
-        let order = List.rev !order in
+        let order =
+          Array.map
+            (fun (piece, back) -> (connected piece, back))
+            (extract ~obs ?extract_s sub (Array.of_list (List.rev !order)))
+        in
         fun () ->
           let colors = Array.make sub.Decomp_graph.n (-1) in
-          List.iter
+          Array.iter
             (fun (th, back) ->
               let pc = th () in
               (* Align with the already-colored shared vertex, if any. *)
@@ -335,8 +357,8 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
                (List.init sub.Decomp_graph.n (fun v -> v)))
         in
         let va = part true and vb = part false in
-        let piece_a, back_a = Decomp_graph.subgraph sub va in
-        let piece_b, back_b = Decomp_graph.subgraph sub vb in
+        let ab = extract ~obs ?extract_s sub [| va; vb |] in
+        let piece_a, back_a = ab.(0) and piece_b, back_b = ab.(1) in
         let th_a = conquer piece_a in
         let th_b = conquer piece_b in
         (* Collect crossing edges expressed in local (A-global, B-local)
@@ -378,7 +400,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
    the allocation-friendly shape; the engine path pays [plan]'s
    retention cost only where division genuinely overlaps solving. *)
 let assign ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
-    ?(bounded_cuts = true) ~k ~alpha ~solver (g : Decomp_graph.t) =
+    ?(bounded_cuts = true) ?extract_s ~k ~alpha ~solver (g : Decomp_graph.t) =
   if k < 2 then invalid_arg "Division.assign: k < 2";
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   let m = obs.Mpl_obs.Obs.metrics in
@@ -403,6 +425,14 @@ let assign ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
            (Array.length colors) sub.Decomp_graph.n);
     colors
   in
+  (* One piece per call through one shared forward map, so each piece
+     can die as soon as it is colored. *)
+  let extractor (sub : Decomp_graph.t) =
+    let ex = Decomp_graph.extractor sub in
+    fun vs ->
+      timed_extract ~obs ?extract_s ~pieces:1 ~n:sub.Decomp_graph.n (fun () ->
+          ex vs)
+  in
   let rec conquer sub =
     if stages.use_components then begin
       let comps =
@@ -411,9 +441,10 @@ let assign ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
       in
       if Array.length comps > 1 then begin
         let colors = Array.make sub.Decomp_graph.n (-1) in
+        let extract_piece = extractor sub in
         Array.iter
           (fun comp ->
-            let piece, back = Decomp_graph.subgraph sub comp in
+            let piece, back = extract_piece comp in
             let pc = connected piece in
             Array.iteri (fun i v -> colors.(v) <- pc.(i)) back)
           comps;
@@ -440,7 +471,7 @@ let assign ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
         in
         let colors = Array.make sub.Decomp_graph.n (-1) in
         if Array.length core > 0 then begin
-          let piece, back = Decomp_graph.subgraph sub core in
+          let piece, back = (extract ~obs ?extract_s sub [| core |]).(0) in
           let pc = conquer piece in
           Array.iteri (fun i v -> colors.(v) <- pc.(i)) back
         end;
@@ -465,6 +496,7 @@ let assign ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
           bl;
         let visited = Array.make (Array.length bl) false in
         let queue = Queue.create () in
+        let extract_piece = extractor sub in
         for start = 0 to Array.length bl - 1 do
           if not visited.(start) then begin
             visited.(start) <- true;
@@ -472,7 +504,7 @@ let assign ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
             while not (Queue.is_empty queue) do
               let bi = Queue.pop queue in
               let verts = bl.(bi) in
-              let piece, back = Decomp_graph.subgraph sub verts in
+              let piece, back = extract_piece verts in
               let pc = conquer piece in
               let rotation = ref 0 in
               Array.iteri
@@ -546,8 +578,8 @@ let assign ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
                (List.init sub.Decomp_graph.n (fun v -> v)))
         in
         let va = part true and vb = part false in
-        let piece_a, back_a = Decomp_graph.subgraph sub va in
-        let piece_b, back_b = Decomp_graph.subgraph sub vb in
+        let ab = extract ~obs ?extract_s sub [| va; vb |] in
+        let piece_a, back_a = ab.(0) and piece_b, back_b = ab.(1) in
         let ca = conquer piece_a and cb = conquer piece_b in
         let colors = Array.make sub.Decomp_graph.n (-1) in
         Array.iteri (fun i v -> colors.(v) <- ca.(i)) back_a;

@@ -46,6 +46,7 @@ val plan :
   ?stages:stages ->
   ?stats:stats ->
   ?bounded_cuts:bool ->
+  ?extract_s:float ref ->
   k:int ->
   alpha:float ->
   emit:(Decomp_graph.t -> unit -> int array) ->
@@ -72,6 +73,7 @@ val assign :
   ?stages:stages ->
   ?stats:stats ->
   ?bounded_cuts:bool ->
+  ?extract_s:float ref ->
   k:int ->
   alpha:float ->
   solver:(Decomp_graph.t -> int array) ->
@@ -96,7 +98,26 @@ val assign :
     and the registry accumulates [division.pieces], [division.peeled],
     [division.bicon_splits], [division.gh_cuts],
     [division.maxflow_calls], [division.bounded_exits] counters plus a
-    [division.piece_size] histogram of leaf sizes. *)
+    [division.piece_size] histogram of leaf sizes.
+
+    Every piece is cut out of its parent with {!Decomp_graph.subgraphs}
+    (or its one-set forms) under a [division.extract] span with
+    [pieces] and [n] (parent size) args, so a stage pays O(n + E) for
+    extraction however many pieces it sheds. Where a stage sheds
+    several pieces, this eager form still extracts them one at a time
+    through one shared forward map, so each piece can die as soon as it
+    is colored. With [extract_s], the coordinator wall spent extracting
+    is added to it; without, extraction reads no clock. *)
+
+val extract :
+  ?obs:Mpl_obs.Obs.t ->
+  ?extract_s:float ref ->
+  Decomp_graph.t ->
+  int array array ->
+  (Decomp_graph.t * int array) array
+(** [extract g vss] is {!Decomp_graph.subgraphs}[ g vss] under one
+    [division.extract] span, adding its wall to [extract_s] when given —
+    the form every batched extraction in the decomposer goes through. *)
 
 val fresh_stats : unit -> stats
 

@@ -119,8 +119,8 @@ let offsets acc =
   done;
   (off, !total)
 
-let scan_window ?(obs = Mpl_obs.Obs.null) ?max_stitches_per_feature ~acc
-    ~min_s ~hp (layout : Layout.t) w =
+let scan_window ?(obs = Mpl_obs.Obs.null) ?extract_s ?max_stitches_per_feature
+    ~acc ~min_s ~hp (layout : Layout.t) w =
   let members = w.members in
   let nm = Array.length members in
   Mpl_obs.Obs.span obs "shard.window"
@@ -174,16 +174,7 @@ let scan_window ?(obs = Mpl_obs.Obs.null) ?max_stitches_per_feature ~acc
           else all_core := false)
         comp;
       if !any_core then begin
-        if !all_core then begin
-          let graph, back = Decomp_graph.subgraph g comp in
-          let back_feature =
-            Array.map (fun v -> members.(nodes.(v).Stitch.feature)) back
-          in
-          let back_seg =
-            Array.map (fun v -> v - fstart.(nodes.(v).Stitch.feature)) back
-          in
-          interior := { graph; back_feature; back_seg } :: !interior
-        end
+        if !all_core then interior := comp :: !interior
         else begin
           (* Border-straddling: defer. Record each core feature's
              canonical segment shapes once, in its owner window. *)
@@ -203,7 +194,17 @@ let scan_window ?(obs = Mpl_obs.Obs.null) ?max_stitches_per_feature ~acc
         end
       end)
     comps;
-  List.rev !interior
+  (* Only the all-core components are extracted, in one batch. *)
+  Division.extract ~obs ?extract_s g (Array.of_list (List.rev !interior))
+  |> Array.to_list
+  |> List.map (fun (graph, back) ->
+         let back_feature =
+           Array.map (fun v -> members.(nodes.(v).Stitch.feature)) back
+         in
+         let back_seg =
+           Array.map (fun v -> v - fstart.(nodes.(v).Stitch.feature)) back
+         in
+         { graph; back_feature; back_seg })
 
 let border_pieces ?(obs = Mpl_obs.Obs.null) acc ~min_s ~hp =
   let nf = Array.length acc.border in

@@ -86,6 +86,7 @@ val fresh_acc : plan -> acc
 
 val scan_window :
   ?obs:Mpl_obs.Obs.t ->
+  ?extract_s:float ref ->
   ?max_stitches_per_feature:int ->
   acc:acc ->
   min_s:int ->
@@ -99,7 +100,9 @@ val scan_window :
     closed) in deterministic component order. Core features of
     border-straddling components are marked in [acc] with their
     canonical segment shapes; components with no core feature belong to
-    another window and are dropped. *)
+    another window and are dropped. The interior components are cut out
+    of the window graph in one {!Division.extract} batch (O(window)
+    however many there are); [extract_s] accumulates its wall. *)
 
 val border_pieces : ?obs:Mpl_obs.Obs.t -> acc -> min_s:int -> hp:int -> piece list
 (** After every window has been scanned: the globally merged

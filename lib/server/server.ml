@@ -853,8 +853,8 @@ let run_request t cio (rp : Proto.request) (tm : req_timing) body =
              the edit does not touch. *)
           if t.config.sessions > 0 then
             session_store t
-              (Mpl.Decomposer.snapshot ~params ~min_s rp.Proto.algo g layout
-                 report);
+              (Mpl.Decomposer.snapshot ~params ~obs:req_obs ~min_s
+                 rp.Proto.algo g layout report);
           (report, [])
         end)
 

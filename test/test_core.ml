@@ -80,6 +80,187 @@ let test_subgraph () =
   Alcotest.(check int) "sub stitches" 1 (List.length (G.stitch_edges sub));
   Alcotest.(check (array int)) "back" [| 1; 2; 3 |] back
 
+(* [subgraphs] against a naive, test-local restriction: a hash map
+   from kept vertex to local index, each neighbor run filtered through
+   it and sorted. Returns every field [subgraph] promises, so parity is
+   checked field by field. *)
+let subgraph_reference (g : G.t) vs =
+  let m = Array.length vs in
+  let pos = Hashtbl.create (max m 1) in
+  Array.iteri (fun i v -> Hashtbl.replace pos v i) vs;
+  let restrict (a : G.adj) =
+    let runs =
+      Array.map
+        (fun v ->
+          let out = ref [] in
+          G.iter a v (fun w ->
+              match Hashtbl.find_opt pos w with
+              | Some j -> out := j :: !out
+              | None -> ());
+          List.sort compare !out)
+        vs
+    in
+    let off = Array.make (m + 1) 0 in
+    Array.iteri (fun i r -> off.(i + 1) <- off.(i) + List.length r) runs;
+    (off, Array.of_list (List.concat (Array.to_list runs)))
+  in
+  ( m,
+    restrict g.G.conflict,
+    restrict g.G.stitch,
+    restrict g.G.friendly,
+    Array.map (fun v -> g.G.feature.(v)) vs,
+    Array.map (fun v -> g.G.varea.(v)) vs,
+    Array.copy vs )
+
+let subgraph_fields ((sub : G.t), back) =
+  let rel (a : G.adj) = (a.G.off, a.G.nbr) in
+  ( sub.G.n,
+    rel sub.G.conflict,
+    rel sub.G.stitch,
+    rel sub.G.friendly,
+    sub.G.feature,
+    sub.G.varea,
+    back )
+
+let shuffled rng a =
+  let a = Array.copy a in
+  for i = Array.length a - 1 downto 1 do
+    let j = Mpl_util.Rng.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+(* Sparse random graphs (several components, cut vertices) with all
+   three relations and non-identity feature ids. *)
+let sparse_gen =
+  QCheck.Gen.(
+    int_range 1 30 >>= fun n ->
+    int_range 0 100_000 >|= fun seed ->
+    let rng = Mpl_util.Rng.create seed in
+    let used = Hashtbl.create 16 in
+    let pick k =
+      let out = ref [] in
+      for _ = 1 to k do
+        let i = Mpl_util.Rng.int rng n and j = Mpl_util.Rng.int rng n in
+        let key = (min i j, max i j) in
+        if i <> j && not (Hashtbl.mem used key) then begin
+          Hashtbl.replace used key ();
+          out := key :: !out
+        end
+      done;
+      !out
+    in
+    let ce = pick n in
+    let se = pick (n / 4) in
+    let fe = pick (n / 2) in
+    (n, ce, se, fe, seed))
+
+let sparse_arb =
+  QCheck.make
+    ~print:(fun (n, ce, se, fe, seed) ->
+      Printf.sprintf "n=%d |ce|=%d |se|=%d |fe|=%d seed=%d" n
+        (List.length ce) (List.length se) (List.length fe) seed)
+    sparse_gen
+
+let prop_subgraphs_match_reference =
+  QCheck.Test.make ~name:"subgraphs = per-set reference restriction"
+    ~count:300 sparse_arb (fun (n, ce, se, fe, seed) ->
+      let rng = Mpl_util.Rng.create (seed + 1) in
+      let feature = Array.init n (fun _ -> Mpl_util.Rng.int rng n) in
+      let g = G.of_edges ~stitch_edges:se ~friendly_edges:fe ~feature ~n ce in
+      let ug = G.union_graph g in
+      let comps = Mpl_graph.Connectivity.components ug in
+      let families =
+        [
+          comps;
+          (* overlapping: blocks share articulation vertices *)
+          Array.of_list (Mpl_graph.Biconnected.blocks ug);
+          (* unsorted *)
+          Array.map (shuffled rng) comps;
+          Array.init 4 (fun _ ->
+              shuffled rng
+                (Array.of_list
+                   (List.filter
+                      (fun _ -> Mpl_util.Rng.bool rng)
+                      (List.init n Fun.id))));
+          (* empty sets, alone and between others *)
+          [| [||] |];
+          Array.concat [ [| [||] |]; comps; [| [||] |] ];
+        ]
+      in
+      let expect vss = Array.map (subgraph_reference g) vss in
+      let ex = G.extractor g in
+      List.for_all
+        (fun vss ->
+          let want = expect vss in
+          Array.map subgraph_fields (G.subgraphs g vss) = want
+          (* a second call on the same graph sees a clean map *)
+          && Array.map subgraph_fields (G.subgraphs g vss) = want
+          && Array.map (fun vs -> subgraph_fields (ex vs)) vss = want
+          && Array.map (fun vs -> subgraph_fields (G.subgraph g vs)) vss
+             = want)
+        families)
+
+(* Layout-derived graphs carry real segment areas and split features:
+   every component and block of a small synth extracts identically. *)
+let test_subgraphs_layout_parity () =
+  let layout =
+    Mpl_layout.Benchgen.generate
+      (Mpl_layout.Benchgen.synth ~seed:5 ~features:600 ())
+  in
+  let g = G.of_layout layout ~min_s:80 in
+  let ug = G.union_graph g in
+  List.iter
+    (fun (name, vss) ->
+      Alcotest.(check bool)
+        name true
+        (Array.map subgraph_fields (G.subgraphs g vss)
+        = Array.map (subgraph_reference g) vss))
+    [
+      ("components", Mpl_graph.Connectivity.components ug);
+      ("blocks", Array.of_list (Mpl_graph.Biconnected.blocks ug));
+    ]
+
+let test_subgraphs_duplicate () =
+  let g = G.of_edges ~stitch_edges:[ (2, 3) ] ~n:4 [ (0, 1); (1, 2) ] in
+  let dup = Invalid_argument "Decomp_graph.subgraphs: duplicate vertex" in
+  Alcotest.check_raises "subgraphs" dup (fun () ->
+      ignore (G.subgraphs g [| [| 0; 1 |]; [| 1; 2; 1 |] |]));
+  Alcotest.check_raises "subgraph" dup (fun () ->
+      ignore (G.subgraph g [| 3; 3 |]));
+  (* Overlap across sets is fine, and a raise leaves the map clean. *)
+  let ex = G.extractor g in
+  Alcotest.check_raises "extractor" dup (fun () -> ignore (ex [| 2; 0; 2 |]));
+  Alcotest.(check bool)
+    "extractor after raise" true
+    (subgraph_fields (ex [| 2; 1; 0 |])
+    = subgraph_reference g [| 2; 1; 0 |])
+
+(* Extracting every component of a graph must cost O(n + E) words, not
+   O(n) per component: n/2 two-vertex components would allocate ~n²/2
+   words under a per-set forward map. Words are counted exactly
+   (minor + major - promoted, so a promoted block is not counted
+   twice); the bound leaves headroom over the ~24 words per vertex the
+   pieces themselves take. *)
+let test_subgraphs_allocation_linear () =
+  let n = 20_000 in
+  let g = G.of_edges ~n (List.init (n / 2) (fun i -> (2 * i, (2 * i) + 1))) in
+  let comps = Array.init (n / 2) (fun i -> [| 2 * i; (2 * i) + 1 |]) in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let pieces = G.subgraphs g comps in
+  let w1 = words () in
+  Alcotest.(check int) "pieces" (n / 2) (Array.length pieces);
+  let used = w1 -. w0 in
+  if used >= 64. *. float_of_int n then
+    Alcotest.failf "extracting %d components allocated %.0f words (>= 64n)"
+      (n / 2) used
+
 let test_coloring_cost () =
   let g = G.of_edges ~stitch_edges:[ (2, 3) ] ~n:4 [ (0, 1); (1, 2) ] in
   let cost = C.evaluate g [| 0; 0; 1; 2 |] in
@@ -423,6 +604,13 @@ let suite =
     Alcotest.test_case "of_edges validation" `Quick test_of_edges_validation;
     Alcotest.test_case "degrees and lookup" `Quick test_degrees_and_lookup;
     Alcotest.test_case "subgraph" `Quick test_subgraph;
+    QCheck_alcotest.to_alcotest prop_subgraphs_match_reference;
+    Alcotest.test_case "subgraphs layout parity" `Quick
+      test_subgraphs_layout_parity;
+    Alcotest.test_case "subgraphs duplicate vertex" `Quick
+      test_subgraphs_duplicate;
+    Alcotest.test_case "subgraphs allocation linear" `Quick
+      test_subgraphs_allocation_linear;
     Alcotest.test_case "coloring cost" `Quick test_coloring_cost;
     Alcotest.test_case "permutation invariance" `Quick
       test_permutation_invariance;

@@ -640,9 +640,14 @@ let test_phases_report () =
   in
   let seq = run 1 and par = run 2 in
   let sane p =
-    p.D.division_s >= 0. && p.D.solve_s >= 0. && p.D.merge_s >= 0.
+    p.D.extract_s > 0. && p.D.division_s >= 0. && p.D.solve_s >= 0.
+    && p.D.merge_s >= 0.
   in
   Alcotest.(check bool) "sequential phases sane" true (sane seq.D.phases);
+  (* Extraction is split out of the division wall, not counted twice. *)
+  let p = seq.D.phases in
+  Alcotest.(check bool) "sequential phases within the wall" true
+    (p.D.extract_s +. p.D.division_s +. p.D.solve_s <= seq.D.elapsed_s);
   Alcotest.(check bool) "sequential path has no merge phase" true
     (seq.D.phases.D.merge_s = 0.);
   Alcotest.(check bool) "streamed phases sane" true (sane par.D.phases);

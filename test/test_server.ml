@@ -683,13 +683,20 @@ let test_serve_request_traces_concurrent () =
       in
       let threads = List.init n (fun i -> Thread.create worker i) in
       List.iter Thread.join threads;
-      Array.iteri
-        (fun i rid ->
-          let rid =
+      let rids =
+        Array.mapi
+          (fun i rid ->
             match rid with
             | Some rid -> rid
-            | None -> Alcotest.failf "request %d: no rid" i
-          in
+            | None -> Alcotest.failf "request %d: no rid" i)
+          rids
+      in
+      (* A ring entry records the fully written reply, so it lands just
+         after the client has read DONE: wait for the server side. *)
+      poll_until "a served request never reached the ring" (fun () ->
+          Array.for_all (fun rid -> Server.trace_events t rid <> None) rids);
+      Array.iter
+        (fun rid ->
           match Server.trace_events t rid with
           | None -> Alcotest.failf "rid %d: no trace in the ring" rid
           | Some events ->

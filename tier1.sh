@@ -39,7 +39,7 @@ dune exec bin/mpld.exe -- decompose C432 -a linear -j 2 \
 dune exec bin/mpld.exe -- trace-check "$trace" \
   --require graph.build --require graph.neighbor_search \
   --require division.components --require division.peel \
-  --require engine.batch --require assign
+  --require division.extract --require engine.batch --require assign
 rm -f "$trace"
 
 # Smoke: fault injection degrades gracefully. The injected solver raise
@@ -225,8 +225,10 @@ grep -q "timed out" "$errf" || server_fail "deadline error lacks the cause"
 
 wait_healthz "after the stall and the timeout"
 
+# The holder must outlast the retrier's whole backoff window (~1.5 s
+# from its start here): S38584 at min_s 120 is a ~5 s SDP solve.
 "$MPLD" client --socket "$sock" S38584 -a sdp-backtrack --no-cache \
-  > /dev/null 2>> "$srvlog" &
+  --min-s 120 > /dev/null 2>> "$srvlog" &
 holder=$!
 sleep 0.5
 rc=0
@@ -293,15 +295,26 @@ rm -f "$emptyb"
 # layout and decompose it sharded under a fixed heap budget — the
 # in-process Gc alarm implements the cap (exit 7 past it), since
 # OCAMLRUNPARAM has no hard heap limit. A sharded 8-window run fits in
-# a fraction of the whole-graph footprint.
+# a fraction of the whole-graph footprint. The whole-graph run of the
+# same layout (linear-time component extraction keeps it to seconds)
+# must produce the byte-identical coloring.
 synth=$(mktemp /tmp/mpld-synth.XXXXXX)
+synwhole=$(mktemp /tmp/mpld-synwhole.XXXXXX)
+synwin=$(mktemp /tmp/mpld-synwin.XXXXXX)
 dune exec bin/mpld.exe -- gen synth "$synth" --features 100000 --seed 1 \
   > /dev/null
 dune exec bin/mpld.exe -- decompose "$synth" -a linear -j 2 --windows 8 \
-  --max-heap-mb 512 > /dev/null \
+  --max-heap-mb 512 --colors "$synwin" > /dev/null 2>&1 \
   || { echo "tier1: sharded 100k decompose failed or blew the budget" >&2
        exit 1; }
-rm -f "$synth"
+dune exec bin/mpld.exe -- decompose "$synth" -a linear -j 2 \
+  --colors "$synwhole" > /dev/null 2>&1 \
+  || { echo "tier1: whole-graph 100k decompose failed" >&2; exit 1; }
+cmp -s "$synwhole" "$synwin" || {
+  echo "tier1: sharded 100k coloring diverged from the whole-graph run" >&2
+  exit 1
+}
+rm -f "$synth" "$synwhole" "$synwin"
 
 # Sharded colorings must be byte-identical to the whole-graph path on
 # real circuits, cached-parallel and sequential-uncached alike.
