@@ -84,36 +84,13 @@ let jobs_arg =
 
 let no_cache_arg =
   let doc =
-    "Disable the canonical-signature cache that deduplicates repeated \
+    "Disable the piece cache that deduplicates repeated (byte-identical) \
      components."
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
-let cache_permuted_arg =
-  let doc =
-    "Let the cache reuse colorings across relabeled isomorphic components \
-     too (higher hit rate; colorings may differ from an uncached run, \
-     costs of reused components are preserved)."
-  in
-  Arg.(value & flag & info [ "cache-permuted" ] ~doc)
-
-let cache_warm_arg =
-  let doc =
-    "Warm-start the SDP solver of each piece from the cached coloring of \
-     a previously solved piece with the same canonical signature. Never \
-     skips a solve; warm-started solves may converge early, so colorings \
-     can differ (equally valid) from a cold run."
-  in
-  Arg.(value & flag & info [ "cache-warm" ] ~doc)
-
-let engine_params base ~jobs ~no_cache ~cache_permuted ~cache_warm =
-  {
-    base with
-    Mpl.Decomposer.jobs;
-    cache = not no_cache;
-    cache_permuted;
-    cache_warm;
-  }
+let engine_params base ~jobs ~no_cache =
+  { base with Mpl.Decomposer.jobs; cache = not no_cache }
 
 let fault_conv =
   let parse s =
@@ -261,9 +238,9 @@ let session_out_arg =
   Arg.(value & opt (some string) None & info [ "session" ] ~docv:"FILE" ~doc)
 
 let decompose_cmd =
-  let run source k min_s algo budget refine balance jobs no_cache
-      cache_permuted cache_warm inject trace metrics verbose colors_out
-      windows window_nm max_heap_mb session_out =
+  let run source k min_s algo budget refine balance jobs no_cache inject
+      trace metrics verbose colors_out windows window_nm max_heap_mb
+      session_out =
     arm_heap_budget max_heap_mb;
     let layout = load_layout source in
     let min_s = resolve_min_s ~k ~min_s in
@@ -285,7 +262,7 @@ let decompose_cmd =
       if trace <> None || verbose then Some (Mpl_obs.Sink.create ()) else None
     in
     let params =
-      engine_params ~jobs ~no_cache ~cache_permuted ~cache_warm
+      engine_params ~jobs ~no_cache
         {
           Mpl.Decomposer.default_params with
           k;
@@ -375,9 +352,8 @@ let decompose_cmd =
   let term =
     Term.(
       const run $ circuit_arg $ k_arg $ min_s_arg $ algo_arg $ budget_arg
-      $ refine_arg $ balance_arg $ jobs_arg $ no_cache_arg
-      $ cache_permuted_arg $ cache_warm_arg $ inject_arg $ trace_arg
-      $ metrics_arg $ verbose_arg $ colors_arg $ windows_arg
+      $ refine_arg $ balance_arg $ jobs_arg $ no_cache_arg $ inject_arg
+      $ trace_arg $ metrics_arg $ verbose_arg $ colors_arg $ windows_arg
       $ window_size_arg $ max_heap_arg $ session_out_arg)
   in
   Cmd.v (Cmd.info "decompose" ~doc:"Decompose a layout and report cost") term
@@ -399,8 +375,8 @@ let redecompose_cmd =
     Arg.(
       value & opt (some string) None & info [ "save-layout" ] ~docv:"FILE" ~doc)
   in
-  let run session_file edits_file k algo jobs no_cache cache_permuted
-      cache_warm metrics verbose colors_out session_out save_layout =
+  let run session_file edits_file k algo jobs no_cache metrics verbose
+      colors_out session_out save_layout =
     let prev =
       try Mpl.Eco.load session_file with
       | Mpl.Eco.Bad_file msg ->
@@ -428,7 +404,7 @@ let redecompose_cmd =
         exit 2
     in
     let params =
-      engine_params ~jobs ~no_cache ~cache_permuted ~cache_warm
+      engine_params ~jobs ~no_cache
         { Mpl.Decomposer.default_params with k; metrics }
     in
     match Mpl.Decomposer.redecompose ~params ~prev ~edits algo with
@@ -473,9 +449,8 @@ let redecompose_cmd =
   let term =
     Term.(
       const run $ session_pos_arg $ edits_pos_arg $ k_arg $ algo_arg
-      $ jobs_arg $ no_cache_arg $ cache_permuted_arg $ cache_warm_arg
-      $ metrics_arg $ verbose_arg $ colors_arg $ session_out_arg
-      $ save_layout_arg)
+      $ jobs_arg $ no_cache_arg $ metrics_arg $ verbose_arg $ colors_arg
+      $ session_out_arg $ save_layout_arg)
   in
   Cmd.v
     (Cmd.info "redecompose"
@@ -890,7 +865,7 @@ let svg_cmd =
   Cmd.v (Cmd.info "svg" ~doc:"Decompose a layout and render the masks to SVG") term
 
 let report_cmd =
-  let run source k min_s budget jobs no_cache cache_permuted cache_warm =
+  let run source k min_s budget jobs no_cache =
     let layout = load_layout source in
     let min_s = resolve_min_s ~k ~min_s in
     let g = Mpl.Decomp_graph.of_layout layout ~min_s in
@@ -901,7 +876,7 @@ let report_cmd =
     List.iter
       (fun algo ->
         let params =
-          engine_params ~jobs ~no_cache ~cache_permuted ~cache_warm
+          engine_params ~jobs ~no_cache
             { Mpl.Decomposer.default_params with k; solver_budget_s = budget }
         in
         let r = Mpl.Decomposer.assign ~params algo g in
@@ -922,7 +897,7 @@ let report_cmd =
   let term =
     Term.(
       const run $ circuit_arg $ k_arg $ min_s_arg $ budget_arg $ jobs_arg
-      $ no_cache_arg $ cache_permuted_arg $ cache_warm_arg)
+      $ no_cache_arg)
   in
   Cmd.v
     (Cmd.info "report"
@@ -1053,8 +1028,8 @@ let serve_cmd =
     in
     Arg.(value & opt int 8 & info [ "sessions" ] ~docv:"N" ~doc)
   in
-  let run socket port host jobs max_inflight cache_budget cache_permuted
-      persist persist_every ring access_log log_max_bytes read_timeout_ms
+  let run socket port host jobs max_inflight cache_budget persist
+      persist_every ring access_log log_max_bytes read_timeout_ms
       write_timeout_ms grace_ms max_body_bytes inject sessions =
     if socket = None && port = None then begin
       Printf.eprintf "error: serve needs --socket PATH and/or --port PORT\n";
@@ -1069,7 +1044,6 @@ let serve_cmd =
         jobs;
         max_inflight;
         cache_budget;
-        cache_permuted;
         persist;
         persist_every;
         ring;
@@ -1094,10 +1068,10 @@ let serve_cmd =
   let term =
     Term.(
       const run $ socket_arg $ port_arg $ host_arg $ jobs_arg
-      $ max_inflight_arg $ cache_budget_arg $ cache_permuted_arg
-      $ persist_arg $ persist_every_arg $ ring_arg $ log_arg
-      $ log_max_bytes_arg $ read_timeout_arg $ write_timeout_arg
-      $ grace_arg $ max_body_arg $ inject_arg $ sessions_arg)
+      $ max_inflight_arg $ cache_budget_arg $ persist_arg $ persist_every_arg
+      $ ring_arg $ log_arg $ log_max_bytes_arg $ read_timeout_arg
+      $ write_timeout_arg $ grace_arg $ max_body_arg $ inject_arg
+      $ sessions_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1177,8 +1151,8 @@ let client_cmd =
     in
     Arg.(value & opt int 100 & info [ "backoff-ms" ] ~docv:"MS" ~doc)
   in
-  let run socket host port layout k min_s algo priority no_cache permuted
-      inject deadline_ms retries backoff_ms colors_out windows window_nm
+  let run socket host port layout k min_s algo priority no_cache inject
+      deadline_ms retries backoff_ms colors_out windows window_nm
       do_stats do_metrics do_ping do_quit http_path edits_path =
     let fail e =
       Printf.eprintf "error: %s\n" (Mpl_server.Client.error_to_string e);
@@ -1283,7 +1257,6 @@ let client_cmd =
               min_s;
               priority;
               cache = not no_cache;
-              permuted;
               inject;
               deadline_ms;
               windows;
@@ -1385,11 +1358,10 @@ let client_cmd =
   let term =
     Term.(
       const run $ socket_arg $ host_arg $ port_arg $ layout_arg $ k_arg
-      $ min_s_arg $ algo_arg $ priority_cl_arg $ no_cache_arg
-      $ cache_permuted_arg $ inject_arg $ deadline_arg $ retries_arg
-      $ backoff_arg $ colors_arg $ windows_arg $ window_size_arg
-      $ stats_flag $ metrics_flag $ ping_flag $ quit_flag $ http_arg
-      $ edits_arg)
+      $ min_s_arg $ algo_arg $ priority_cl_arg $ no_cache_arg $ inject_arg
+      $ deadline_arg $ retries_arg $ backoff_arg $ colors_arg $ windows_arg
+      $ window_size_arg $ stats_flag $ metrics_flag $ ping_flag $ quit_flag
+      $ http_arg $ edits_arg)
   in
   Cmd.v
     (Cmd.info "client"

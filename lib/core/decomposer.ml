@@ -21,11 +21,7 @@ type params = {
   balance : bool;
   jobs : int;
   priority_bias : int;
-  chunk_below : int;
-  chunk_len : int;
   cache : bool;
-  cache_permuted : bool;
-  cache_warm : bool;
   trace : Mpl_obs.Sink.t option;
   metrics : bool;
   fault : Mpl_engine.Fault.spec option;
@@ -49,11 +45,7 @@ let default_params =
     balance = false;
     jobs = 1;
     priority_bias = 0;
-    chunk_below = 32;
-    chunk_len = 16;
     cache = false;
-    cache_permuted = false;
-    cache_warm = false;
     trace = None;
     metrics = false;
     fault = None;
@@ -366,10 +358,11 @@ let recover_piece ?(cheap = false) ~obs ~params ~fault ~prov ~primary
     };
   colors
 
-(* Canonical signature of a piece for the engine cache: the three edge
-   relations are all a solver ever reads (feature ids only matter for
-   rendering), so they fully determine the solver's behavior up to its
-   vertex-order tie-breaks. Oversized pieces are not worth hashing.
+(* Cache signature of a piece: the serialization of its three edge
+   relations in its own vertex order. Those relations are all a solver
+   ever reads (feature ids only matter for rendering), so two pieces
+   with the same serialization get the same coloring from the
+   deterministic solvers. Oversized pieces are not worth serializing.
 
    The signature is salted with a fingerprint of every parameter that
    can change what the solver returns for a given graph. Within one run
@@ -404,7 +397,7 @@ let piece_signature ~salt (piece : Decomp_graph.t) =
    budget deadline and the timeout flag are both safe to touch from
    pool workers. *)
 let make_solver ~obs ~params ~budget ~deadline_over ~timed_out ~fault ~prov
-    ~warm_cache ~salt algorithm (piece : Decomp_graph.t) =
+    algorithm (piece : Decomp_graph.t) =
   let m = obs.Mpl_obs.Obs.metrics in
   Mpl_obs.Metrics.incr (Mpl_obs.Metrics.counter m "solver.solves");
   (* Deadline trip: degrade instead of solving — the ladder-aware soft
@@ -418,29 +411,6 @@ let make_solver ~obs ~params ~budget ~deadline_over ~timed_out ~fault ~prov
       ~partial:None ~error:"deadline" piece
   end
   else begin
-  (* Warm-hint probe: a previously solved piece with the same canonical
-     key (near-isomorphic: same 1-WL structure, possibly different
-     labeling) seeds this piece's SDP initial point. Only the SDP
-     algorithms consume hints, and a hint never skips a solve. *)
-  let uses_sdp =
-    match algorithm with
-    | Sdp_backtrack | Sdp_greedy -> true
-    | Ilp | Exact | Linear -> false
-  in
-  let wsig =
-    match warm_cache with
-    | Some _ when uses_sdp && piece.Decomp_graph.n > 1 ->
-      piece_signature ~salt piece
-    | Some _ | None -> None
-  in
-  let warm =
-    match (warm_cache, wsig) with
-    | Some wc, Some s -> (
-      match Mpl_engine.Cache.find_similar wc s with
-      | Some hint when Coloring.check_range ~k:params.k hint -> Some hint
-      | Some _ | None -> None)
-    | _ -> None
-  in
   let uses_budget = match algorithm with Ilp | Exact -> true | _ -> false in
   let forced_trip =
     uses_budget
@@ -451,19 +421,11 @@ let make_solver ~obs ~params ~budget ~deadline_over ~timed_out ~fault ~prov
     match
       if Mpl_engine.Fault.fires fault Mpl_engine.Fault.Solver_raise then
         raise (Mpl_engine.Fault.Injected Mpl_engine.Fault.Solver_raise)
-      else solve_once ~obs ~params ~budget ?warm algorithm piece
+      else solve_once ~obs ~params ~budget algorithm piece
     with
     | r -> Ok r
     | exception e -> Error e
   in
-  let finish colors =
-    (match (warm_cache, wsig) with
-    | Some wc, Some s -> Mpl_engine.Cache.store wc s (colors, ())
-    | _ -> ());
-    colors
-  in
-  finish
-  @@
   match primary with
   (* A forced trip must take the degradation path even when the solver
      happened to finish before noticing the expired budget (e.g. its
@@ -484,7 +446,7 @@ let make_solver ~obs ~params ~budget ~deadline_over ~timed_out ~fault ~prov
 
 (* Per-run solving context, shared by the whole-graph and sharded entry
    points: armed fault injector, provenance, deadline probe, shared
-   solver budget, warm-hint cache, and the timed leaf solver with its
+   solver budget, and the timed leaf solver with its
    phase accounting. [rc_solve_ns] totals solver wall across every
    domain; [rc_caller_ns] (written by the coordinating thread only — no
    lock needed) lets the engine paths subtract solver work the
@@ -504,7 +466,7 @@ type run_ctx = {
   rc_solver : Decomp_graph.t -> int array;
 }
 
-let make_run_ctx ?ext_warm ~obs ~params algorithm =
+let make_run_ctx ~obs ~params algorithm =
   let salt = params_salt ~params algorithm in
   let stats = Division.fresh_stats () in
   let timed_out = Atomic.make false in
@@ -551,25 +513,9 @@ let make_run_ctx ?ext_warm ~obs ~params algorithm =
       Mpl_util.Timer.budget b
     | Sdp_backtrack | Sdp_greedy | Linear -> Mpl_util.Timer.budget 0.
   in
-  (* Leaf-level warm-hint cache (opt-in): remembers every solved piece
-     under its canonical key and seeds SDP solves of near-isomorphic
-     pieces from the stored coloring. Unlike the engine's component
-     cache this never skips a solve, but warm-started solves may stop
-     early, so it is off by default to preserve the bit-identity
-     contract of the cold path. *)
-  let warm_cache =
-    match ext_warm with
-    | Some _ as w -> w
-    | None ->
-      if params.cache_warm then
-        Some
-          (Mpl_engine.Cache.create ~mode:Mpl_engine.Cache.Permuted ~obs ~fault
-             ())
-      else None
-  in
   let base_solver =
     make_solver ~obs ~params ~budget ~deadline_over ~timed_out ~fault ~prov
-      ~warm_cache ~salt algorithm
+      algorithm
   in
   let solve_ns = Atomic.make 0 in
   let caller_ns = ref 0. in
@@ -608,6 +554,84 @@ let run_phases (rc : run_ctx) ~division_s ~merge_s =
     merge_s;
   }
 
+(* Coordinator-side cancellation checkpoint: one atomic read per leaf
+   emission / component push / component force. When the token trips,
+   the assignment unwinds with [Pool.Cancelled] — queued pieces are
+   dropped at dequeue, running ones finish but their results are never
+   looked at. *)
+let check_cancel params () =
+  match params.cancel with
+  | Some tok when Mpl_engine.Pool.cancelled tok ->
+    raise Mpl_engine.Pool.Cancelled
+  | _ -> ()
+
+(* Component cache of one run: the caller's shared cross-request table
+   when one was provided (the serving daemon passes its own), a private
+   per-run table otherwise, none with the cache off. Reuse from either
+   is cost-exact: the salt partitions entries by solver parameters, and
+   a hit requires a byte-identical piece. *)
+let component_cache ~obs ~(params : params) ?fault shared_cache =
+  if not params.cache then None
+  else
+    match shared_cache with
+    | Some _ -> shared_cache
+    | None -> Some (Mpl_engine.Cache.create ~obs ?fault ())
+
+(* Tiny leaves (n < [chunk_below]) are buffered and submitted
+   [chunk_len] at a time as one pool task ({!Pool.submit_group}):
+   dominant-share circuits shed thousands of 2..10-vertex pieces whose
+   per-task dispatch otherwise costs more than their solve. *)
+let chunk_below = 32
+let chunk_len = 16
+
+(* Leaf emitter of the engine paths: [emit piece] submits one leaf to
+   [pool] (largest pieces at highest priority) and returns its join
+   thunk; [flush ()] submits the buffered tiny leaves. The buffer only
+   lives on the coordinating thread; a join thunk that runs ahead of
+   the flush flushes on demand. *)
+let leaf_emitter ~params ~solver pool =
+  let bias = params.priority_bias in
+  let pending = ref [] and pending_len = ref 0 in
+  let flush () =
+    match !pending with
+    | [] -> ()
+    | ps ->
+      let ps = List.rev ps in
+      pending := [];
+      pending_len := 0;
+      let prio =
+        List.fold_left
+          (fun m ((p : Decomp_graph.t), _) -> max m p.Decomp_graph.n)
+          0 ps
+      in
+      let futs =
+        Mpl_engine.Pool.submit_group ~priority:(bias + prio)
+          ?cancel:params.cancel pool
+          (List.map (fun (p, _) () -> solver p) ps)
+      in
+      List.iter2 (fun (_, slot) fut -> slot := Some fut) ps futs
+  in
+  let emit (piece : Decomp_graph.t) =
+    check_cancel params ();
+    if piece.Decomp_graph.n >= chunk_below then begin
+      let fut =
+        Mpl_engine.Pool.submit ~priority:(bias + piece.Decomp_graph.n)
+          ?cancel:params.cancel pool (fun () -> solver piece)
+      in
+      fun () -> Mpl_engine.Pool.await pool fut
+    end
+    else begin
+      let slot = ref None in
+      pending := (piece, slot) :: !pending;
+      incr pending_len;
+      if !pending_len >= chunk_len then flush ();
+      fun () ->
+        (match !slot with None -> flush () | Some _ -> ());
+        Mpl_engine.Pool.await pool (Option.get !slot)
+    end
+  in
+  (emit, flush)
+
 (* Streaming parallel/cached assignment: split off the independent
    components (the same split the sequential division pipeline performs
    first), then run each component through an {!Mpl_engine.Engine}
@@ -619,8 +643,7 @@ let run_phases (rc : run_ctx) ~division_s ~merge_s =
    Unlike the old one-task-per-component batch, a component that must
    be solved fresh is *divided on the coordinating thread the moment it
    is pushed* ({!Division.plan}), and every leaf piece it sheds is
-   submitted to the pool right away — largest pieces at highest
-   priority, tiny pieces chunked into grouped submissions. Workers
+   submitted to the pool right away ({!leaf_emitter}). Workers
    therefore start solving the first component's leaves while the
    coordinator is still dividing later components, which is where the
    old pipeline serialized (division is cheap but the leaf solves
@@ -632,17 +655,7 @@ let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
   let stats = rc.rc_stats and solver = rc.rc_solver and fault = rc.rc_fault in
   let prov = rc.rc_prov and salt = rc.rc_salt in
   let caller_ns = rc.rc_caller_ns and extract_s = rc.rc_extract_s in
-  (* Coordinator-side cancellation checkpoints: one atomic read per
-     leaf emission / component push / component force. When the token
-     trips, the assignment unwinds with [Pool.Cancelled] — queued
-     pieces are dropped at dequeue, running ones finish but their
-     results are never looked at. *)
-  let check_cancel () =
-    match params.cancel with
-    | Some tok when Mpl_engine.Pool.cancelled tok ->
-      raise Mpl_engine.Pool.Cancelled
-    | _ -> ()
-  in
+  let check_cancel = check_cancel params in
   let comps =
     if params.stages.Division.use_components then
       Mpl_obs.Obs.span obs "division.components" (fun () ->
@@ -650,24 +663,7 @@ let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     else [| Array.init g.Decomp_graph.n (fun v -> v) |]
   in
   let pieces = Division.extract ~obs ~extract_s g comps in
-  (* Component cache: the caller's shared cross-request table when one
-     was provided (the serving daemon passes its own), a private
-     per-run table otherwise. Reuse from either is cost-exact: the salt
-     partitions entries by solver parameters, and the Exact default
-     additionally pins hits to byte-identical labelings. *)
-  let cache =
-    if not params.cache then None
-    else
-      match shared_cache with
-      | Some c -> Some c
-      | None ->
-        Some
-          (Mpl_engine.Cache.create
-             ~mode:
-               (if params.cache_permuted then Mpl_engine.Cache.Permuted
-                else Mpl_engine.Cache.Exact)
-             ~obs ~fault ())
-  in
+  let cache = component_cache ~obs ~params ~fault shared_cache in
   let signature (piece, _back) =
     if params.cache then piece_signature ~salt piece else None
   in
@@ -703,9 +699,6 @@ let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       };
     (colors, local)
   in
-  let chunk_below = max 0 params.chunk_below in
-  let chunk_len = max 1 params.chunk_len in
-  let bias = params.priority_bias in
   (* A caller-owned pool (the serving daemon's, shared by every
      in-flight request) is used as-is; otherwise spin up a private one
      sized by [jobs] for the duration of this assignment. *)
@@ -715,51 +708,7 @@ let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     | None -> Mpl_engine.Pool.with_pool ~obs ~fault ~jobs f
   in
   run_with_pool (fun pool ->
-      (* Tiny leaves (n < chunk_below) are buffered and submitted
-         [chunk_len] at a time as one pool task ({!Pool.submit_group}):
-         dominant-share circuits shed thousands of 2..10-vertex pieces
-         whose per-task dispatch otherwise costs more than their solve.
-         The buffer only lives on the coordinating thread; a join thunk
-         that runs ahead of the flush flushes on demand. *)
-      let pending = ref [] and pending_len = ref 0 in
-      let flush () =
-        match !pending with
-        | [] -> ()
-        | ps ->
-          let ps = List.rev ps in
-          pending := [];
-          pending_len := 0;
-          let prio =
-            List.fold_left
-              (fun m ((p : Decomp_graph.t), _) -> max m p.Decomp_graph.n)
-              0 ps
-          in
-          let futs =
-            Mpl_engine.Pool.submit_group ~priority:(bias + prio)
-              ?cancel:params.cancel pool
-              (List.map (fun (p, _) () -> solver p) ps)
-          in
-          List.iter2 (fun (_, slot) fut -> slot := Some fut) ps futs
-      in
-      let emit_leaf (piece : Decomp_graph.t) =
-        check_cancel ();
-        if piece.Decomp_graph.n >= chunk_below then begin
-          let fut =
-            Mpl_engine.Pool.submit ~priority:(bias + piece.Decomp_graph.n)
-              ?cancel:params.cancel pool (fun () -> solver piece)
-          in
-          fun () -> Mpl_engine.Pool.await pool fut
-        end
-        else begin
-          let slot = ref None in
-          pending := (piece, slot) :: !pending;
-          incr pending_len;
-          if !pending_len >= chunk_len then flush ();
-          fun () ->
-            (match !slot with None -> flush () | Some _ -> ());
-            Mpl_engine.Pool.await pool (Option.get !slot)
-        end
-      in
+      let emit_leaf, flush = leaf_emitter ~params ~solver pool in
       (* Plant = divide now (coordinating thread), emitting leaves into
          the pool; join later. The division analysis and the emit order
          are deterministic and color-independent, so scheduling stays
@@ -978,12 +927,7 @@ let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     ~on_component ?max_stitches_per_feature ~min_s
     (layout : Mpl_layout.Layout.t) =
   let jobs = max 1 params.jobs in
-  let check_cancel () =
-    match params.cancel with
-    | Some tok when Mpl_engine.Pool.cancelled tok ->
-      raise Mpl_engine.Pool.Cancelled
-    | _ -> ()
-  in
+  let check_cancel = check_cancel params in
   let hp = layout.Mpl_layout.Layout.tech.Mpl_layout.Layout.half_pitch in
   let halo = min_s + hp in
   let sh =
@@ -1003,19 +947,7 @@ let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
   Mpl_obs.Metrics.add
     (Mpl_obs.Metrics.counter m "shard.windows")
     (Array.length sh.Shard.windows);
-  let cache =
-    if not params.cache then None
-    else
-      match shared_cache with
-      | Some c -> Some c
-      | None ->
-        Some
-          (Mpl_engine.Cache.create
-             ~mode:
-               (if params.cache_permuted then Mpl_engine.Cache.Permuted
-                else Mpl_engine.Cache.Exact)
-             ~obs ~fault:rc.rc_fault ())
-  in
+  let cache = component_cache ~obs ~params ~fault:rc.rc_fault shared_cache in
   let signature (p : Shard.piece) =
     if params.cache then piece_signature ~salt:rc.rc_salt p.Shard.graph
     else None
@@ -1046,54 +978,13 @@ let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       };
     (colors, local)
   in
-  let chunk_below = max 0 params.chunk_below in
-  let chunk_len = max 1 params.chunk_len in
-  let bias = params.priority_bias in
   let run_with_pool f =
     match ext_pool with
     | Some pool -> f pool
     | None -> Mpl_engine.Pool.with_pool ~obs ~fault:rc.rc_fault ~jobs f
   in
   run_with_pool (fun pool ->
-      let pending = ref [] and pending_len = ref 0 in
-      let flush () =
-        match !pending with
-        | [] -> ()
-        | ps ->
-          let ps = List.rev ps in
-          pending := [];
-          pending_len := 0;
-          let prio =
-            List.fold_left
-              (fun mx ((p : Decomp_graph.t), _) -> max mx p.Decomp_graph.n)
-              0 ps
-          in
-          let futs =
-            Mpl_engine.Pool.submit_group ~priority:(bias + prio)
-              ?cancel:params.cancel pool
-              (List.map (fun (p, _) () -> rc.rc_solver p) ps)
-          in
-          List.iter2 (fun (_, slot) fut -> slot := Some fut) ps futs
-      in
-      let emit_leaf (piece : Decomp_graph.t) =
-        check_cancel ();
-        if piece.Decomp_graph.n >= chunk_below then begin
-          let fut =
-            Mpl_engine.Pool.submit ~priority:(bias + piece.Decomp_graph.n)
-              ?cancel:params.cancel pool (fun () -> rc.rc_solver piece)
-          in
-          fun () -> Mpl_engine.Pool.await pool fut
-        end
-        else begin
-          let slot = ref None in
-          pending := (piece, slot) :: !pending;
-          incr pending_len;
-          if !pending_len >= chunk_len then flush ();
-          fun () ->
-            (match !slot with None -> flush () | Some _ -> ());
-            Mpl_engine.Pool.await pool (Option.get !slot)
-        end
-      in
+      let emit_leaf, flush = leaf_emitter ~params ~solver:rc.rc_solver pool in
       let plant (p : Shard.piece) =
         let local = Division.fresh_stats () in
         let join =
@@ -1430,35 +1321,15 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
       (Array.to_list (Array.map (fun j -> edited.L.features.(j)) dirty_new))
   in
   let g_d = Decomp_graph.of_layout ~obs sub ~min_s in
-  (* --- seed the reuse machinery from the previous colorings of the
-     dirty components: the engine's component cache (Exact hits skip
-     byte-identical re-solves — repeated-pattern comps and comps whose
-     graph the edit left unchanged) and the warm-hint cache (key-only
-     matches seed SDP solves of near-isomorphic comps). The previous
-     dirty sub-layout rebuilds those components bit-identically for the
-     same reason [g_d] does. --- *)
+  (* --- seed the component cache from the previous colorings of the
+     dirty components: hits skip byte-identical re-solves —
+     repeated-pattern comps and comps whose graph the edit left
+     unchanged. The previous dirty sub-layout rebuilds those components
+     bit-identically for the same reason [g_d] does. --- *)
   let seed_extract_s = ref 0. in
-  let engine_cache, ext_warm =
-    if not (params.cache || params.cache_warm) then (shared_cache, None)
-    else begin
-      let ec =
-        if not params.cache then None
-        else
-          match shared_cache with
-          | Some _ as c -> c
-          | None ->
-            Some
-              (Mpl_engine.Cache.create
-                 ~mode:
-                   (if params.cache_permuted then Mpl_engine.Cache.Permuted
-                    else Mpl_engine.Cache.Exact)
-                 ~obs ())
-      in
-      let wc =
-        if params.cache_warm then
-          Some (Mpl_engine.Cache.create ~mode:Mpl_engine.Cache.Permuted ~obs ())
-        else None
-      in
+  let engine_cache = component_cache ~obs ~params shared_cache in
+  Option.iter
+    (fun cch ->
       let old_dirty = ref [] in
       for f = nf_old - 1 downto 0 do
         if comp_dirty.(comp_of_feature.(f)) then old_dirty := f :: !old_dirty
@@ -1484,24 +1355,16 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
               && Coloring.is_complete c.Eco.colors
               && Coloring.check_range ~k:params.k c.Eco.colors
             then
-              match piece_signature ~salt piece with
-              | None -> ()
-              | Some s ->
-                Option.iter
-                  (fun cch ->
-                    let st = Division.fresh_stats () in
-                    st.Division.pieces <- 1;
-                    st.Division.largest_piece <- piece.Decomp_graph.n;
-                    Mpl_engine.Cache.store cch s (c.Eco.colors, st))
-                  ec;
-                Option.iter
-                  (fun wch -> Mpl_engine.Cache.store wch s (c.Eco.colors, ()))
-                  wc)
+              Option.iter
+                (fun s ->
+                  let st = Division.fresh_stats () in
+                  st.Division.pieces <- 1;
+                  st.Division.largest_piece <- piece.Decomp_graph.n;
+                  Mpl_engine.Cache.store cch s (c.Eco.colors, st))
+                (piece_signature ~salt piece))
           (Division.extract ~obs ~extract_s:seed_extract_s g_old comps_old)
-      end;
-      (ec, wc)
-    end
-  in
+      end)
+    engine_cache;
   (* --- segment bookkeeping of the edited layout: clean features keep
      their previous split (the min_s-neighborhood fact), dirty features
      take theirs from [g_d] --- *)
@@ -1534,7 +1397,7 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
   done;
   (* --- solve only the dirty graph through the standard engine path,
      streaming dirty components remapped to edited-layout vertex ids --- *)
-  let rc = make_run_ctx ?ext_warm ~obs ~params algorithm in
+  let rc = make_run_ctx ~obs ~params algorithm in
   rc.rc_extract_s := !seed_extract_s;
   let on_component =
     Option.map

@@ -7,12 +7,12 @@
     independent components are solved concurrently on a
     {!Mpl_engine.Pool} of domains, and with [cache = true] repeated
     components — standard-cell layouts repeat the same conflict cliques
-    thousands of times — are solved once and reused through the
-    canonical-signature {!Mpl_engine.Cache}. Both knobs are pure
-    performance controls: the default (exact) cache mode and the
-    deterministic engine scheduling guarantee identical costs and
-    colorings at every [jobs]/[cache] setting, and [jobs = 1] without
-    the cache runs the historical sequential code path bit-for-bit.
+    thousands of times — are solved once and reused through the piece
+    {!Mpl_engine.Cache}. Both knobs are pure performance controls: the
+    cache only serves byte-identical pieces and the engine schedules
+    deterministically, so costs and colorings are identical at every
+    [jobs]/[cache] setting, and [jobs = 1] without the cache runs the
+    historical sequential code path bit-for-bit.
 
     Solving is fault-tolerant per piece: a leaf solver that raises, or
     that is cut short by the shared budget or the node cap, degrades
@@ -57,26 +57,10 @@ type params = {
           shared pool with this: requests with a higher bias get their
           pieces dequeued first. Scheduling only — never changes any
           result. *)
-  chunk_below : int;
-      (** engine path: leaf pieces with fewer vertices than this are
-          buffered and submitted to the pool in grouped chunks instead
-          of one task each (default 32; 0 disables chunking) *)
-  chunk_len : int;
-      (** engine path: how many tiny leaves ride in one grouped
-          submission (default 16) *)
-  cache : bool;  (** memoize solved components by canonical signature *)
-  cache_permuted : bool;
-      (** reuse cached colorings across *relabeled* isomorphic
-          components too ({!Mpl_engine.Cache.Permuted}); higher hit
-          rate, but heuristic tie-breaks may then produce (equally
-          valid) colorings differing from an uncached run *)
-  cache_warm : bool;
-      (** leaf-level warm-hint cache: remember every solved piece under
-          its canonical signature and seed the SDP initial point of
-          near-isomorphic pieces from the stored coloring
-          ({!Mpl_engine.Cache.find_similar}). Never skips a solve, but
-          warm-started solves may converge early, so results can differ
-          (equally valid) from a cold run; off by default *)
+  cache : bool;
+      (** memoize solved components by their salted serialization; a
+          component is reused only when it is byte-identical to a
+          solved one, so the cache never changes a result *)
   trace : Mpl_obs.Sink.t option;
       (** span sink for structured tracing; [None] (the default)
           disables tracing entirely — the traced and untraced runs
@@ -357,12 +341,11 @@ val redecompose :
     Dirty components are rebuilt as a sub-layout — bit-identical to the
     pieces a cold run on the whole edited layout would solve — and
     streamed through the standard division → engine pipeline, with the
-    previous colorings seeded into the component cache (Exact hits skip
-    unchanged-graph re-solves) and the warm-hint cache (SDP warm
-    starts via {!Mpl_engine.Cache.find_similar}).
+    previous colorings seeded into the component cache when [cache] is
+    on (hits skip unchanged-graph re-solves).
 
-    At the deterministic settings (no [cache_warm], no fault injection)
-    the full coloring is bit-identical to a cold {!decompose} of the
+    At the deterministic settings (no fault injection) the full
+    coloring is bit-identical to a cold {!decompose} of the
     edited layout; untouched components are reused verbatim under every
     setting. [on_component] fires only for dirty components, with
     [back] remapped to edited-layout vertex ids. Returns the edited

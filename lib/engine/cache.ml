@@ -1,51 +1,12 @@
-type signature = {
-  n : int;
-  key : string;
-  serial : string;
-  perm : int array;
-}
+type signature = { n : int; serial : string }
 
-(* ------------------------------------------------------------------ *)
-(* Canonicalization: iterated refinement (1-WL). Class ids are assigned
-   by *structurally sorting* the per-round vertex signatures, so they
-   depend only on the isomorphism class of the graph, never on the
-   original labeling — the invariant that makes the canonical key a
-   sound isomorphism witness. *)
-
-let refine ~n ~(adj : int list array array) =
-  let nrel = Array.length adj in
-  let labels = Array.make n 0 in
-  (* Round 0: per-relation degree vector. *)
-  let sig0 v = Array.to_list (Array.init nrel (fun r -> List.length adj.(r).(v))) in
-  let assign_classes sigs =
-    (* sigs.(v) is this round's structural signature of v; rank the
-       distinct signatures in sorted order. *)
-    let distinct = List.sort_uniq compare (Array.to_list sigs) in
-    let rank = Hashtbl.create (List.length distinct) in
-    List.iteri (fun i s -> Hashtbl.replace rank s i) distinct;
-    for v = 0 to n - 1 do
-      labels.(v) <- Hashtbl.find rank sigs.(v)
-    done;
-    List.length distinct
-  in
-  let classes = ref (assign_classes (Array.init n sig0)) in
-  let stable = ref false in
-  while (not !stable) && !classes < n do
-    let sigs =
-      Array.init n (fun v ->
-          ( labels.(v),
-            Array.to_list
-              (Array.init nrel (fun r ->
-                   List.sort compare (List.map (fun u -> labels.(u)) adj.(r).(v))))
-          ))
-    in
-    let c = assign_classes sigs in
-    if c = !classes then stable := true;
-    classes := c
-  done;
-  labels
-
-let serialize ~salt ~n ~(edges : (int * int) list array) ~perm =
+(* The piece's own (original-labeling) serialization: salt, vertex
+   count, then each relation's edges as sorted (min, max) pairs. Edge
+   (u, v) with u <= v is sorted as the integer u * n + v, whose order
+   is exactly the lexicographic pair order. *)
+let signature_salted ~salt ~n ~relations =
+  if String.contains salt '\n' then
+    invalid_arg "Cache.signature: salt must not contain newlines";
   let buf = Buffer.create (64 + (8 * n)) in
   if salt <> "" then begin
     Buffer.add_string buf salt;
@@ -55,77 +16,33 @@ let serialize ~salt ~n ~(edges : (int * int) list array) ~perm =
   Array.iter
     (fun es ->
       Buffer.add_char buf '|';
-      let mapped =
-        List.map
-          (fun (u, v) ->
-            let pu = perm.(u) and pv = perm.(v) in
-            if pu <= pv then (pu, pv) else (pv, pu))
-          es
+      let codes =
+        Array.of_list
+          (List.map
+             (fun (u, v) ->
+               if u < 0 || u >= n || v < 0 || v >= n then
+                 invalid_arg "Cache.signature: endpoint out of range";
+               if u <= v then (u * n) + v else (v * n) + u)
+             es)
       in
-      List.iter
-        (fun (u, v) ->
-          Buffer.add_string buf (string_of_int u);
+      Array.sort Int.compare codes;
+      Array.iter
+        (fun c ->
+          Buffer.add_string buf (string_of_int (c / n));
           Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int v);
+          Buffer.add_string buf (string_of_int (c mod n));
           Buffer.add_char buf ';')
-        (List.sort compare mapped))
-    edges;
-  Buffer.contents buf
-
-let signature_salted ~salt ~n ~relations =
-  if String.contains salt '\n' then
-    invalid_arg "Cache.signature: salt must not contain newlines";
-  let adj = Array.map (fun _ -> Array.make n []) relations in
-  Array.iteri
-    (fun r es ->
-      List.iter
-        (fun (u, v) ->
-          if u < 0 || u >= n || v < 0 || v >= n then
-            invalid_arg "Cache.signature: endpoint out of range";
-          adj.(r).(u) <- v :: adj.(r).(u);
-          adj.(r).(v) <- u :: adj.(r).(v))
-        es)
+        codes)
     relations;
-  let labels = refine ~n ~adj in
-  (* Canonical order: by refinement class, remaining ties by original
-     index (heuristic tie-break: sound, may under-merge). *)
-  let order = Array.init n (fun v -> v) in
-  Array.sort
-    (fun a b ->
-      let c = compare labels.(a) labels.(b) in
-      if c <> 0 then c else compare a b)
-    order;
-  let perm = Array.make n 0 in
-  Array.iteri (fun pos v -> perm.(v) <- pos) order;
-  let identity = Array.init n (fun v -> v) in
-  {
-    n;
-    key = serialize ~salt ~n ~edges:relations ~perm;
-    serial = serialize ~salt ~n ~edges:relations ~perm:identity;
-    perm;
-  }
+  { n; serial = Buffer.contents buf }
 
 let signature ~n ~relations = signature_salted ~salt:"" ~n ~relations
 
-let compatible ~exact sa sb =
-  String.equal sa.key sb.key
-  && ((not exact) || String.equal sa.serial sb.serial)
-
-let transfer sa sb colors =
-  if not (String.equal sa.key sb.key) then
-    invalid_arg "Cache.transfer: signatures have different keys";
-  let canon = Array.make sa.n 0 in
-  Array.iteri (fun v p -> canon.(p) <- colors.(v)) sa.perm;
-  Array.init sb.n (fun v -> canon.(sb.perm.(v)))
-
 (* ------------------------------------------------------------------ *)
 
-type mode = Exact | Permuted
-
 type 'v entry = {
-  e_key : string;  (* table key; kept so LRU eviction can unindex *)
-  e_serial : string;
-  colors_canon : int array;  (* exemplar coloring in canonical labels *)
+  e_serial : string;  (* table key; kept so LRU eviction can unindex *)
+  colors : int array;
   check : int;  (* integrity checksum of the entry at store time *)
   value : 'v;
   e_bytes : int;  (* approximate resident size of this entry *)
@@ -137,35 +54,39 @@ type 'v entry = {
   mutable e_linked : bool;
 }
 
-(* FNV-1a-style checksum over the length, the colors, and the key /
-   serial strings, folded to 30 bits so it stays a small immediate on
-   32- and 64-bit systems. Entries whose stored fields no longer match
-   their checksum (memory fault, injected corruption, damaged persist
-   file) are detected and dropped in [find] / [load]. *)
-let checksum ~key ~serial n colors =
+(* FNV-1a-style checksum over the length, the colors, and the serial,
+   folded to 30 bits so it stays a small immediate on 32- and 64-bit
+   systems. Entries whose stored fields no longer match their checksum
+   (memory fault, injected corruption, damaged persist file) are
+   detected and dropped in [find] / [load]. *)
+let checksum ~serial n colors =
   let h = ref 0x811c9dc5 in
   let mix x = h := (!h lxor x) * 16777619 land 0x3FFFFFFF in
   mix n;
   Array.iter (fun c -> mix (c + 0x100)) colors;
-  mix 0x1F;
-  String.iter (fun c -> mix (Char.code c)) key;
   mix 0x2F;
   String.iter (fun c -> mix (Char.code c)) serial;
   !h
 
-(* Resident-size estimate: the two strings dominate, plus one boxed int
+(* Resident-size estimate: the serial dominates, plus one boxed int
    array and the record/links themselves (words, charged at 8 bytes). *)
-let entry_size ~key ~serial colors =
-  String.length key + String.length serial
-  + (8 * Array.length colors)
-  + 96
+let make_entry ~serial ~check colors value =
+  {
+    e_serial = serial;
+    colors;
+    check;
+    value;
+    e_bytes = String.length serial + (8 * Array.length colors) + 96;
+    e_prev = None;
+    e_next = None;
+    e_linked = false;
+  }
 
 (* Observability handles: all no-ops (and [timed = false], so no clock
    reads) unless [create] was given an enabled metrics registry. *)
 type handles = {
   probes : Mpl_obs.Metrics.counter;
   hit_c : Mpl_obs.Metrics.counter;
-  warm_c : Mpl_obs.Metrics.counter;
   stores : Mpl_obs.Metrics.counter;
   corrupt : Mpl_obs.Metrics.counter;
   evict_m : Mpl_obs.Metrics.counter;
@@ -177,18 +98,15 @@ type handles = {
 }
 
 type 'v t = {
-  mode : mode;
-  table : (string, 'v entry list) Hashtbl.t;  (* key -> variants, oldest first *)
+  table : (string, 'v entry) Hashtbl.t;  (* serial -> entry *)
   lock : Mutex.t;
   hits_c : int Atomic.t;
   misses_c : int Atomic.t;
-  warm_hits_c : int Atomic.t;  (* key-only matches served as warm hints *)
   mutable entries : int;
   mutable bytes : int;  (* sum of e_bytes over resident entries *)
   byte_budget : int option;
   mutable lru_head : 'v entry option;  (* most recently used *)
   mutable lru_tail : 'v entry option;  (* eviction candidate *)
-  max_variants : int;
   corrupt_c : int Atomic.t;  (* entries dropped by checksum validation *)
   evict_c : int Atomic.t;  (* entries evicted by the byte budget *)
   fault : Fault.t;
@@ -200,7 +118,6 @@ let make_handles (obs : Mpl_obs.Obs.t) =
   {
     probes = Mpl_obs.Metrics.counter m "cache.probes";
     hit_c = Mpl_obs.Metrics.counter m "cache.hits";
-    warm_c = Mpl_obs.Metrics.counter m "cache.warm_hits";
     stores = Mpl_obs.Metrics.counter m "cache.stores";
     corrupt = Mpl_obs.Metrics.counter m "cache.corrupt_drops";
     evict_m = Mpl_obs.Metrics.counter m "cache.evictions";
@@ -211,24 +128,20 @@ let make_handles (obs : Mpl_obs.Obs.t) =
     timed = Mpl_obs.Metrics.enabled m;
   }
 
-let create ?(mode = Exact) ?(max_variants = 8) ?byte_budget
-    ?(obs = Mpl_obs.Obs.null) ?(fault = Fault.none) () =
+let create ?byte_budget ?(obs = Mpl_obs.Obs.null) ?(fault = Fault.none) () =
   (match byte_budget with
   | Some b when b < 0 -> invalid_arg "Cache.create: negative byte budget"
   | Some _ | None -> ());
   {
-    mode;
     table = Hashtbl.create 256;
     lock = Mutex.create ();
     hits_c = Atomic.make 0;
     misses_c = Atomic.make 0;
-    warm_hits_c = Atomic.make 0;
     entries = 0;
     bytes = 0;
     byte_budget;
     lru_head = None;
     lru_tail = None;
-    max_variants;
     corrupt_c = Atomic.make 0;
     evict_c = Atomic.make 0;
     fault;
@@ -246,10 +159,6 @@ let timed_ns h hist f =
     r
   end
   else f ()
-
-let mode t = t.mode
-
-let uncanon s colors_canon = Array.init s.n (fun v -> colors_canon.(s.perm.(v)))
 
 (* --- LRU list management; every call site holds [t.lock]. --- *)
 
@@ -274,23 +183,14 @@ let push_front t e =
   if t.lru_tail = None then t.lru_tail <- Some e;
   e.e_linked <- true
 
-let touch t e =
-  unlink t e;
-  push_front t e
-
 let publish_size t =
   Mpl_obs.Metrics.set t.h.bytes_g (float_of_int t.bytes);
   Mpl_obs.Metrics.set t.h.entries_g (float_of_int t.entries)
 
-(* Drop [e] from the table's variant list and the LRU list; caller
-   holds the lock and accounts the drop (eviction vs corruption). *)
+(* Drop [e] from the table and the LRU list; caller holds the lock and
+   accounts the drop (eviction vs corruption). *)
 let remove_entry t e =
-  (match Hashtbl.find_opt t.table e.e_key with
-  | None -> ()
-  | Some variants -> (
-    match List.filter (fun e' -> e' != e) variants with
-    | [] -> Hashtbl.remove t.table e.e_key
-    | rest -> Hashtbl.replace t.table e.e_key rest));
+  Hashtbl.remove t.table e.e_serial;
   unlink t e;
   t.entries <- t.entries - 1;
   t.bytes <- t.bytes - e.e_bytes
@@ -311,126 +211,75 @@ let enforce_budget t =
         Mpl_obs.Metrics.incr t.h.evict_m
     done
 
-let entry_valid s e =
-  Array.length e.colors_canon = s.n
-  && e.check = checksum ~key:e.e_key ~serial:e.e_serial s.n e.colors_canon
-
-(* Checksum-validate the variants under [s.key] before reuse; drop
-   corrupted entries so callers fall through to a fresh solve. A valid
-   hit is moved to the LRU front by the caller-specific paths below. *)
-let valid_variants t s =
-  Mutex.lock t.lock;
-  let all = Option.value ~default:[] (Hashtbl.find_opt t.table s.key) in
-  let valid, corrupt = List.partition (entry_valid s) all in
-  if corrupt <> [] then begin
-    (if valid = [] then Hashtbl.remove t.table s.key
-     else Hashtbl.replace t.table s.key valid);
-    List.iter
-      (fun e ->
-        unlink t e;
-        t.bytes <- t.bytes - e.e_bytes)
-      corrupt;
-    t.entries <- t.entries - List.length corrupt;
-    Atomic.fetch_and_add t.corrupt_c (List.length corrupt) |> ignore;
-    Mpl_obs.Metrics.add t.h.corrupt (List.length corrupt);
-    publish_size t
-  end;
-  Mutex.unlock t.lock;
-  valid
-
+(* Checksum-validate the entry before reuse; a corrupted entry is
+   dropped so the caller falls through to a fresh solve. A valid hit
+   moves to the LRU front. *)
 let find t s =
   Mpl_obs.Metrics.incr t.h.probes;
   timed_ns t.h t.h.probe_ns (fun () ->
-      let variants = valid_variants t s in
+      Mutex.lock t.lock;
       let found =
-        match t.mode with
-        | Permuted -> ( match variants with e :: _ -> Some e | [] -> None)
-        | Exact ->
-          List.find_opt (fun e -> String.equal e.e_serial s.serial) variants
+        match Hashtbl.find_opt t.table s.serial with
+        | Some e
+          when Array.length e.colors = s.n
+               && e.check = checksum ~serial:e.e_serial s.n e.colors ->
+          unlink t e;
+          push_front t e;
+          Some e
+        | Some e ->
+          remove_entry t e;
+          Atomic.incr t.corrupt_c;
+          Mpl_obs.Metrics.incr t.h.corrupt;
+          publish_size t;
+          None
+        | None -> None
       in
+      Mutex.unlock t.lock;
       match found with
       | Some e ->
-        Mutex.lock t.lock;
-        if e.e_linked then touch t e;
-        Mutex.unlock t.lock;
         Atomic.incr t.hits_c;
         Mpl_obs.Metrics.incr t.h.hit_c;
-        Some (uncanon s e.colors_canon, e.value)
+        Some (Array.copy e.colors, e.value)
       | None ->
         Atomic.incr t.misses_c;
         None)
 
-(* Key-only probe: any stored exemplar whose canonical key matches,
-   regardless of mode or serial. The transferred coloring is NOT an
-   answer — same 1-WL key does not imply isomorphism — only a plausible
-   starting point, so callers may use it to warm-start a solver but
-   never to skip one. Does not touch the hit/miss counters. *)
-let find_similar t s =
-  timed_ns t.h t.h.probe_ns (fun () ->
-      match valid_variants t s with
-      | e :: _ ->
-        Mutex.lock t.lock;
-        if e.e_linked then touch t e;
-        Mutex.unlock t.lock;
-        Atomic.incr t.warm_hits_c;
-        Mpl_obs.Metrics.incr t.h.warm_c;
-        Some (uncanon s e.colors_canon)
-      | [] -> None)
-
 (* Shared by [store] and [load]: index + link a fresh entry and apply
-   the byte budget. Caller holds the lock; dedup was already decided. *)
-let insert_locked t entry variants =
-  Hashtbl.replace t.table entry.e_key (variants @ [ entry ]);
-  t.entries <- t.entries + 1;
-  t.bytes <- t.bytes + entry.e_bytes;
-  push_front t entry;
-  enforce_budget t;
-  publish_size t
+   the byte budget, unless its serial is already resident (first writer
+   wins, keeping replays deterministic). Caller holds the lock. *)
+let insert_locked t entry =
+  if Hashtbl.mem t.table entry.e_serial then false
+  else begin
+    Hashtbl.replace t.table entry.e_serial entry;
+    t.entries <- t.entries + 1;
+    t.bytes <- t.bytes + entry.e_bytes;
+    push_front t entry;
+    enforce_budget t;
+    publish_size t;
+    true
+  end
 
 let store t s (colors, value) =
   if Array.length colors <> s.n then
     invalid_arg "Cache.store: coloring length mismatch";
   Mpl_obs.Metrics.incr t.h.stores;
   timed_ns t.h t.h.store_ns (fun () ->
-      let colors_canon = Array.make s.n 0 in
-      Array.iteri (fun v p -> colors_canon.(p) <- colors.(v)) s.perm;
+      let colors = Array.copy colors in
       let entry =
-        {
-          e_key = s.key;
-          e_serial = s.serial;
-          colors_canon;
-          check = checksum ~key:s.key ~serial:s.serial s.n colors_canon;
-          value;
-          e_bytes = entry_size ~key:s.key ~serial:s.serial colors_canon;
-          e_prev = None;
-          e_next = None;
-          e_linked = false;
-        }
+        make_entry ~serial:s.serial
+          ~check:(checksum ~serial:s.serial s.n colors)
+          colors value
       in
       (* Injected corruption happens *after* the checksum is computed, so
          the mismatch is what [find] detects and drops. *)
       if Fault.fires t.fault Fault.Cache_corrupt && s.n > 0 then
-        colors_canon.(0) <- colors_canon.(0) + 7919;
+        colors.(0) <- colors.(0) + 7919;
       Mutex.lock t.lock;
-      let variants =
-        Option.value ~default:[] (Hashtbl.find_opt t.table s.key)
-      in
-      let keep =
-        match t.mode with
-        | Permuted -> variants = []
-        | Exact ->
-          List.length variants < t.max_variants
-          && not
-               (List.exists
-                  (fun e -> String.equal e.e_serial s.serial)
-                  variants)
-      in
-      if keep then insert_locked t entry variants;
+      ignore (insert_locked t entry);
       Mutex.unlock t.lock)
 
 let hits t = Atomic.get t.hits_c
 let misses t = Atomic.get t.misses_c
-let warm_hits t = Atomic.get t.warm_hits_c
 let corrupt_drops t = Atomic.get t.corrupt_c
 let evictions t = Atomic.get t.evict_c
 
@@ -452,7 +301,6 @@ type stats = {
   byte_budget : int option;
   s_hits : int;
   s_misses : int;
-  s_warm_hits : int;
   s_corrupt_drops : int;
   s_evictions : int;
 }
@@ -467,32 +315,28 @@ let stats t =
     byte_budget = t.byte_budget;
     s_hits = Atomic.get t.hits_c;
     s_misses = Atomic.get t.misses_c;
-    s_warm_hits = Atomic.get t.warm_hits_c;
     s_corrupt_drops = Atomic.get t.corrupt_c;
     s_evictions = Atomic.get t.evict_c;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Disk persistence. Line-oriented format, one header plus four lines
+(* Disk persistence. Line-oriented format, one header plus three lines
    per entry:
 
-     mplcache 1 <exact|permuted> <nentries>
-     <key>
+     mplcache 2 <nentries>
      <serial>
      <check> <n> <c0> ... <c(n-1)>
      <value line>
 
-   Keys and serials are '|'/','/';'/digit strings by construction (plus
-   a caller salt, which [signature] rejects if it contains a newline),
-   so every field is single-line safe. Entries are written LRU-first:
+   Serials are '|'/','/';'/'!'/digit strings by construction (plus a
+   caller salt, which [signature] rejects if it contains a newline), so
+   every field is single-line safe. Entries are written LRU-first:
    reloading pushes each entry to the LRU front, so the reloaded cache
    reproduces the saved recency order. Each entry is validated against
    its stored checksum on load — a corrupted line drops exactly that
    entry, never its neighbours. *)
 
-let magic = "mplcache 1"
-
-let mode_name = function Exact -> "exact" | Permuted -> "permuted"
+let version = "2"
 
 let save t ~value_to_string path =
   Mutex.lock t.lock;
@@ -511,25 +355,22 @@ let save t ~value_to_string path =
   Mutex.unlock t.lock;
   let buf = Buffer.create (4096 + (128 * List.length entries)) in
   Buffer.add_string buf
-    (Printf.sprintf "%s %s %d\n" magic (mode_name t.mode)
-       (List.length entries));
+    (Printf.sprintf "mplcache %s %d\n" version (List.length entries));
   List.iter
     (fun e ->
       let v = value_to_string e.value in
       if String.contains v '\n' then
         invalid_arg "Cache.save: serialized value contains a newline";
-      Buffer.add_string buf e.e_key;
-      Buffer.add_char buf '\n';
       Buffer.add_string buf e.e_serial;
       Buffer.add_char buf '\n';
       Buffer.add_string buf (string_of_int e.check);
       Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int (Array.length e.colors_canon));
+      Buffer.add_string buf (string_of_int (Array.length e.colors));
       Array.iter
         (fun c ->
           Buffer.add_char buf ' ';
           Buffer.add_string buf (string_of_int c))
-        e.colors_canon;
+        e.colors;
       Buffer.add_char buf '\n';
       Buffer.add_string buf v;
       Buffer.add_char buf '\n')
@@ -555,76 +396,43 @@ let load t ~value_of_string path =
   in
   let count =
     match String.split_on_char ' ' header with
-    | [ "mplcache"; "1"; m; n ] -> (
-      if m <> mode_name t.mode then
-        raise
-          (Bad_file
-             (Printf.sprintf "cache file mode %s does not match cache mode %s"
-                m (mode_name t.mode)));
+    | [ "mplcache"; v; n ] when v = version -> (
       match int_of_string_opt n with
       | Some n when n >= 0 -> n
       | Some _ | None -> raise (Bad_file "bad entry count"))
+    | "mplcache" :: v :: _ when v <> version ->
+      raise (Bad_file (Printf.sprintf "unsupported cache file version %s" v))
     | _ -> raise (Bad_file "bad cache file header")
+  in
+  let parse_colors serial colors_line =
+    match String.split_on_char ' ' colors_line with
+    | check :: n :: colors -> (
+      match (int_of_string_opt check, int_of_string_opt n) with
+      | Some check, Some n when n >= 0 && List.length colors = n ->
+        let cs = List.map int_of_string_opt colors in
+        if List.mem None cs then None
+        else
+          let colors = Array.of_list (List.map Option.get cs) in
+          if check = checksum ~serial n colors then Some (check, colors)
+          else None
+      | _ -> None)
+    | _ -> None
   in
   let loaded = ref 0 and dropped = ref 0 in
   (try
      for _ = 1 to count do
-       match (line (), line (), line (), line ()) with
-       | Some key, Some serial, Some colors_line, Some value_line ->
-         let parsed =
-           match String.split_on_char ' ' colors_line with
-           | check :: n :: colors -> (
-             match (int_of_string_opt check, int_of_string_opt n) with
-             | Some check, Some n when n >= 0 && List.length colors = n -> (
-               let cs = List.map int_of_string_opt colors in
-               if List.exists (( = ) None) cs then None
-               else
-                 let colors_canon =
-                   Array.of_list (List.map Option.get cs)
-                 in
-                 if check = checksum ~key ~serial n colors_canon then
-                   match value_of_string value_line with
-                   | Some value -> Some (n, colors_canon, check, value)
-                   | None -> None
-                 else None)
-             | _ -> None)
-           | _ -> None
-         in
-         (match parsed with
+       match (line (), line (), line ()) with
+       | Some serial, Some colors_line, Some value_line -> (
+         match
+           Option.bind (parse_colors serial colors_line) (fun (check, colors) ->
+               Option.map
+                 (make_entry ~serial ~check colors)
+                 (value_of_string value_line))
+         with
          | None -> incr dropped
-         | Some (_n, colors_canon, check, value) ->
-           let entry =
-             {
-               e_key = key;
-               e_serial = serial;
-               colors_canon;
-               check;
-               value;
-               e_bytes = entry_size ~key ~serial colors_canon;
-               e_prev = None;
-               e_next = None;
-               e_linked = false;
-             }
-           in
+         | Some entry ->
            Mutex.lock t.lock;
-           let variants =
-             Option.value ~default:[] (Hashtbl.find_opt t.table key)
-           in
-           let keep =
-             match t.mode with
-             | Permuted -> variants = []
-             | Exact ->
-               List.length variants < t.max_variants
-               && not
-                    (List.exists
-                       (fun e -> String.equal e.e_serial serial)
-                       variants)
-           in
-           if keep then begin
-             insert_locked t entry variants;
-             incr loaded
-           end
-           else incr dropped;
+           if insert_locked t entry then incr loaded else incr dropped;
            Mutex.unlock t.lock)
        | _ ->
          (* Truncated file: keep what we have. *)

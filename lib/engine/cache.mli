@@ -1,100 +1,65 @@
-(** Canonical-signature memo table for solved pieces — a shared,
-    byte-budgeted LRU with optional disk persistence.
+(** Memo table for solved pieces — a shared, byte-budgeted LRU with
+    optional disk persistence.
 
     Standard-cell layouts repeat the same small conflict cliques
     thousands of times (paper Fig. 7 patterns); after graph division the
-    resulting pieces are tiny and massively duplicated. This cache
-    recognizes a repeated piece *up to vertex relabeling*: a piece's
-    multi-relation graph (conflict / stitch / friendly edge sets) is
-    canonicalized by iterated degree-sequence refinement
-    (1-dimensional Weisfeiler–Leman with structurally-sorted class ids)
-    and serialized under the canonical ordering. Two pieces share a key
-    only if their canonically relabeled graphs are *byte-identical* —
-    the key encodes the whole graph, so a key match is itself a proof
-    of isomorphism and false positives are impossible. (Ties the
-    refinement cannot break are resolved by original index, so some
-    isomorphic pairs may *miss*; that only costs a duplicate solve.)
-
-    Two reuse policies:
-
-    - {!Exact} (the default used by [Decomposer]): a hit additionally
-      requires the piece to be byte-identical to the stored exemplar in
-      its *original* labeling. The returned coloring is then exactly
-      what the deterministic solver would have produced, so enabling
-      the cache can never change any reported cost or coloring.
-    - {!Permuted}: a key match alone suffices; the exemplar's coloring
-      is mapped through the label permutation. The result is always a
-      valid coloring with the exemplar's internal cost, but because the
-      heuristic solvers break ties by vertex index, it may differ from
-      (be better or worse than) what a fresh solve of this labeling
-      would return. Higher hit rate, weaker reproducibility contract.
+    resulting pieces are tiny and massively duplicated, and in a
+    generated layout the repeats come out with the same vertex order
+    too. This cache keys every piece by its own serialization: the
+    multi-relation graph (conflict / stitch / friendly edge sets) in its
+    original labeling, salted with the solver parameters. A hit requires
+    the probing piece to be byte-identical to the stored one, so the
+    returned coloring is exactly what the deterministic solver would
+    have produced: enabling the cache can never change any reported
+    cost or coloring. A relabeled copy of a stored piece is simply a
+    different entry.
 
     The table is designed to outlive a single run: [mpld serve] shares
     one instance across every request, bounds its resident size with a
     byte budget (least-recently-used entries are evicted first), and
     persists it across restarts with {!save} / {!load}. Eviction can
     only turn hits into re-solves, so sharing, budgeting and reloading
-    never change any result produced under {!Exact} reuse.
+    never change any result.
 
     All operations are thread-safe (single internal mutex); hit/miss
     counters are [Atomic]. *)
 
 type signature = private {
   n : int;
-  key : string;  (** canonical-form serialization: the table key *)
-  serial : string;  (** original-labeling serialization *)
-  perm : int array;  (** original index -> canonical index *)
+  serial : string;  (** salted original-labeling serialization: the key *)
 }
 
 val signature : n:int -> relations:(int * int) list array -> signature
-(** [signature ~n ~relations] canonicalizes the graph on [n] vertices
+(** [signature ~n ~relations] serializes the graph on [n] vertices
     whose [relations.(r)] is the edge list of relation [r] (relations
     are distinguished: a conflict edge never matches a stitch edge).
-    Edges are undirected; endpoints must be in [0..n-1]. Equivalent to
-    {!signature_salted} with an empty salt. *)
+    Edges are undirected and their listing order is irrelevant;
+    endpoints must be in [0..n-1]. Equivalent to {!signature_salted}
+    with an empty salt.
+    @raise Invalid_argument on an out-of-range endpoint. *)
 
 val signature_salted :
   salt:string -> n:int -> relations:(int * int) list array -> signature
-(** Like {!signature}, with [salt] prefixed to both the canonical key
-    and the original-labeling serialization, partitioning the table:
-    signatures with different salts can never match each other. A cache
-    shared across requests with different solver parameters salts each
-    piece with a parameter fingerprint, so a piece solved under one
-    (k, algorithm, ...) setting is never served to another.
+(** Like {!signature}, with [salt] prefixed to the serialization,
+    partitioning the table: signatures with different salts can never
+    match each other. A cache shared across requests with different
+    solver parameters salts each piece with a parameter fingerprint, so
+    a piece solved under one (k, algorithm, ...) setting is never served
+    to another.
     @raise Invalid_argument if [salt] contains a newline (salts are
     embedded in the single-line persistence format). *)
 
-val compatible : exact:bool -> signature -> signature -> bool
-(** Would a piece with the second signature hit an entry stored under
-    the first? *)
-
-val transfer : signature -> signature -> int array -> int array
-(** [transfer sa sb colors] maps a coloring of the piece signed [sa]
-    onto the piece signed [sb] through the canonical permutations.
-    @raise Invalid_argument if the signatures' keys differ. *)
-
-type mode = Exact | Permuted
-
 type 'v t
-(** A memo table storing, per canonical key, solved colorings plus an
+(** A memo table storing, per serialization, a solved coloring plus an
     arbitrary metadata payload ['v] (e.g. division statistics). *)
 
 val create :
-  ?mode:mode ->
-  ?max_variants:int ->
-  ?byte_budget:int ->
-  ?obs:Mpl_obs.Obs.t ->
-  ?fault:Fault.t ->
-  unit ->
-  'v t
-(** Default [mode] is [Exact]; [max_variants] (default 8) bounds the
-    number of distinct original labelings remembered per canonical key
-    in [Exact] mode. [byte_budget] (default: unlimited) bounds the
-    approximate resident size — each entry is charged its key, serial
-    and coloring lengths plus a fixed overhead — by evicting
-    least-recently-used entries on store ({!evictions}); both {!find}
-    and {!find_similar} hits refresh an entry's recency. When [obs]
-    carries an enabled metrics registry the cache maintains
+  ?byte_budget:int -> ?obs:Mpl_obs.Obs.t -> ?fault:Fault.t -> unit -> 'v t
+(** [byte_budget] (default: unlimited) bounds the approximate resident
+    size — each entry is charged its serial and coloring lengths plus a
+    fixed overhead — by evicting least-recently-used entries on store
+    ({!evictions}); a {!find} hit refreshes an entry's recency. When
+    [obs] carries an enabled metrics registry the cache maintains
     [cache.probes] / [cache.hits] / [cache.stores] /
     [cache.corrupt_drops] / [cache.evictions] counters, [cache.bytes] /
     [cache.entries] gauges and [cache.probe_ns] / [cache.store_ns]
@@ -103,39 +68,21 @@ val create :
     selected stores write a corrupted coloring (checksummed first, so
     validation catches it). *)
 
-val mode : 'v t -> mode
-
 val find : 'v t -> signature -> (int array * 'v) option
-(** On a hit, the coloring is returned in the probing piece's own
-    labeling. Updates the hit/miss counters. Every stored coloring
-    carries an integrity checksum computed at store time; entries that
-    fail validation (wrong length or checksum mismatch) are dropped —
-    counted in {!corrupt_drops} — and the probe reports a miss, so the
-    caller re-solves instead of reusing a damaged coloring. *)
+(** On a hit, returns a fresh copy of the stored coloring. Updates the
+    hit/miss counters. Every stored coloring carries an integrity
+    checksum computed at store time; an entry that fails validation
+    (wrong length or checksum mismatch) is dropped — counted in
+    {!corrupt_drops} — and the probe reports a miss, so the caller
+    re-solves instead of reusing a damaged coloring. *)
 
 val store : 'v t -> signature -> int array * 'v -> unit
-(** Remember a solved piece. First writer wins: an entry that would
-    duplicate (Exact: same original serialization; Permuted: same key)
-    is ignored, keeping replays deterministic. May evict LRU entries
-    when a byte budget is set. *)
-
-val find_similar : 'v t -> signature -> int array option
-(** Key-only probe serving *warm hints*: returns the stored exemplar
-    under the matching canonical key mapped into the probing piece's
-    labeling, regardless of {!mode} and without requiring a serial
-    match. A 1-WL key match proves isomorphism here (the key encodes
-    the whole canonical graph), but the transferred coloring reflects
-    the exemplar's tie-breaks, not this labeling's — so callers must
-    treat it as a solver starting point (e.g. an SDP warm start), never
-    as an answer. Does not touch the {!hits}/{!misses} counters;
-    successful probes are counted in {!warm_hits} and the
-    [cache.warm_hits] metric. *)
+(** Remember a solved piece. First writer wins: a store whose serial is
+    already resident is ignored, keeping replays deterministic. May
+    evict LRU entries when a byte budget is set. *)
 
 val hits : 'v t -> int
 val misses : 'v t -> int
-
-val warm_hits : 'v t -> int
-(** Successful {!find_similar} probes. *)
 
 val corrupt_drops : 'v t -> int
 (** Entries dropped by checksum validation in {!find}. *)
@@ -144,18 +91,17 @@ val evictions : 'v t -> int
 (** Entries evicted by the byte budget. *)
 
 val length : 'v t -> int
-(** Number of stored entries (variants counted individually). *)
+(** Number of stored entries. *)
 
 val bytes : 'v t -> int
 (** Approximate resident size of all stored entries. *)
 
 type stats = {
-  entries : int;  (** resident entries (variants counted individually) *)
+  entries : int;  (** resident entries *)
   resident_bytes : int;  (** approximate resident size *)
   byte_budget : int option;
   s_hits : int;
   s_misses : int;
-  s_warm_hits : int;
   s_corrupt_drops : int;
   s_evictions : int;
 }
@@ -165,17 +111,18 @@ val stats : 'v t -> stats
 
 (** {1 Persistence}
 
-    The whole table round-trips through a line-oriented disk format so
-    a serving process can carry its accumulated entries across
-    restarts. Every entry is covered by the same integrity checksum
-    {!find} validates, recomputed on load: corrupting an entry on disk
-    drops exactly that entry. Files record the cache {!mode} and the
-    LRU order; {!load} refuses files whose mode differs. *)
+    The whole table round-trips through a line-oriented disk format
+    (header [mplcache 2]) so a serving process can carry its
+    accumulated entries across restarts. Every entry is covered by the
+    same integrity checksum {!find} validates, recomputed on load:
+    corrupting an entry on disk drops exactly that entry. Files record
+    the LRU order. *)
 
 exception Bad_file of string
-(** Raised by {!load} on a structurally unusable file (bad header or
-    mode mismatch). Damaged {e entries} never raise — they are
-    dropped and counted instead. *)
+(** Raised by {!load} on a structurally unusable file: a bad header, or
+    a file written in another format version (such as the
+    [mplcache 1] files of the canonical-key cache). Damaged {e entries}
+    never raise — they are dropped and counted instead. *)
 
 val save : 'v t -> value_to_string:('v -> string) -> string -> unit
 (** [save t ~value_to_string path] writes every resident entry to
@@ -186,11 +133,10 @@ val save : 'v t -> value_to_string:('v -> string) -> string -> unit
 
 val load : 'v t -> value_of_string:(string -> 'v option) -> string -> int * int
 (** [load t ~value_of_string path] inserts the file's entries into [t]
-    — normally freshly created with the same mode and budget — and
-    returns [(loaded, dropped)]. An entry is dropped (never raising)
+    and returns [(loaded, dropped)]. An entry is dropped (never raising)
     when its checksum no longer matches, its payload fails
     [value_of_string], it would duplicate a resident entry, or the file
     is truncated mid-entry. Loading respects the byte budget, evicting
     as it fills. Saved LRU order is preserved.
-    @raise Bad_file on a bad header or a mode mismatch.
+    @raise Bad_file on a bad header or format version.
     @raise Sys_error if the file cannot be read. *)

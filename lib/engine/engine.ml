@@ -26,7 +26,7 @@ let add_stats a b =
    follower, or fresh leader — and returns a [cell] whose result is
    demanded later with [force]. All cache probes and leader elections
    happen on the pushing thread in push order, so a given (item
-   sequence, cache mode) pair always resolves hits, batch reuses and
+   sequence, cache contents) pair always resolves hits, batch reuses and
    fresh solves identically regardless of pool width or of how work is
    scheduled behind the [plant] callback: [jobs] stays a pure
    performance knob. *)
@@ -45,7 +45,6 @@ and ('a, 'v) cell = {
 type ('a, 'v) t = {
   obs : Mpl_obs.Obs.t;
   cache : 'v Cache.t option;
-  exact : bool;
   signature : 'a -> Cache.signature option;
   validate : 'a -> int array -> bool;
   recover : ('a -> exn -> Printexc.raw_backtrace -> int array * 'v) option;
@@ -62,13 +61,9 @@ type ('a, 'v) t = {
 let stream ?(obs = Mpl_obs.Obs.null) ?cache
     ?(signature = fun _ -> None) ?(validate = fun _ _ -> true) ?recover
     ~plant () =
-  let exact =
-    match cache with Some c -> Cache.mode c = Cache.Exact | None -> true
-  in
   {
     obs;
     cache;
-    exact;
     signature;
     validate;
     recover;
@@ -85,25 +80,22 @@ let stream ?(obs = Mpl_obs.Obs.null) ?cache
 let push t item =
   t.n_pieces <- t.n_pieces + 1;
   let c_sig = match t.cache with Some _ -> t.signature item | None -> None in
-  (* Batch-leader election per canonical key (Exact mode distinguishes
-     the original serialization too, so followers are byte-identical). *)
+  (* Batch-leader election per serialization, so a follower is
+     byte-identical to its leader. *)
   let lead () =
     match c_sig with
     | None ->
       t.n_solved <- t.n_solved + 1;
       { item; c_sig; cs = Planned (t.plant item) }
     | Some s -> (
-      let dedup_key =
-        if t.exact then s.Cache.key ^ "\x00" ^ s.Cache.serial else s.Cache.key
-      in
-      match Hashtbl.find_opt t.leaders dedup_key with
+      match Hashtbl.find_opt t.leaders s.Cache.serial with
       | Some leader ->
         t.n_reused <- t.n_reused + 1;
         { item; c_sig; cs = Follow leader }
       | None ->
         t.n_solved <- t.n_solved + 1;
         let cell = { item; c_sig; cs = Planned (t.plant item) } in
-        Hashtbl.replace t.leaders dedup_key cell;
+        Hashtbl.replace t.leaders s.Cache.serial cell;
         cell)
   in
   match c_sig with
@@ -147,12 +139,7 @@ let rec force t cell =
     r
   | Follow leader ->
     let lc, lv = force t leader in
-    let colors =
-      match (leader.c_sig, cell.c_sig) with
-      | Some sj, Some si ->
-        if t.exact then Array.copy lc else Cache.transfer sj si lc
-      | _ -> assert false
-    in
+    let colors = Array.copy lc in
     cell.cs <- Ready (colors, lv);
     (colors, lv)
 

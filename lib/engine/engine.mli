@@ -6,7 +6,7 @@
     the solver returns alongside each coloring ['v] (the decomposer
     threads per-piece division statistics through it). All cache probes
     and leader elections happen on the pushing thread in push order, so
-    a given (piece sequence, cache mode) pair always resolves hits,
+    a given (piece sequence, cache contents) pair always resolves hits,
     batch reuses, and fresh solves identically — regardless of how many
     workers the pool has or how work is scheduled behind [plant]. This
     is what keeps [jobs] a pure performance knob. *)
@@ -52,8 +52,8 @@ val push : ('a, 'v) t -> 'a -> ('a, 'v) cell
 (** Route one piece: probe the cache, elect or follow a batch leader,
     or plant a fresh solve. Returns immediately; the result is demanded
     with {!force}. For a piece whose [signature] is [Some s]: a
-    validated cache hit is [Ready] at once; a piece compatible with an
-    earlier pushed *unsolved* piece follows that leader (one solve
+    validated cache hit is [Ready] at once; a piece with the same
+    serialization as an earlier pushed *unsolved* piece follows that leader (one solve
     serves both); everything else is planted. Pieces with no signature
     (or no [cache]) are always planted. *)
 

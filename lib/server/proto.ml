@@ -5,7 +5,6 @@ type request = {
   priority : int;
   min_s : int option;
   cache : bool;
-  permuted : bool;
   inject : Mpl_engine.Fault.spec option;
   deadline_ms : int option;
   windows : int;
@@ -20,7 +19,6 @@ let default_request =
     priority = 0;
     min_s = None;
     cache = true;
-    permuted = false;
     inject = None;
     deadline_ms = None;
     windows = 1;
@@ -54,10 +52,9 @@ type command =
 let encode_request_with ~verb ?hash r ~body_len =
   let b = Buffer.create 128 in
   Buffer.add_string b
-    (Printf.sprintf "%s %d k=%d algo=%s jobs=%d priority=%d cache=%d permuted=%d"
-       verb body_len r.k (name_of_algorithm r.algo) r.jobs r.priority
-       (if r.cache then 1 else 0)
-       (if r.permuted then 1 else 0));
+    (Printf.sprintf "%s %d k=%d algo=%s jobs=%d priority=%d cache=%d" verb
+       body_len r.k (name_of_algorithm r.algo) r.jobs r.priority
+       (if r.cache then 1 else 0));
   (match hash with
   | Some h -> Buffer.add_string b (Printf.sprintf " hash=%s" h)
   | None -> ());
@@ -120,7 +117,6 @@ let apply_field r tok =
       | Some _ -> Error "field deadline: must be positive milliseconds"
       | None -> Error (Printf.sprintf "field deadline: not an integer: %S" v))
     | "cache" -> as_int (fun c -> { r with cache = c <> 0 })
-    | "permuted" -> as_int (fun p -> { r with permuted = p <> 0 })
     | "windows" -> (
       match int_of v with
       | Some n when n >= 1 -> Ok { r with windows = n }
@@ -208,7 +204,6 @@ type cache_reply = {
   bytes : int;
   hits : int;
   misses : int;
-  warm_hits : int;
   corrupt_drops : int;
   evictions : int;
 }
@@ -269,9 +264,8 @@ let resilience_line (r : resilience_reply) =
 
 let cache_line (c : cache_reply) =
   Printf.sprintf
-    "CACHE entries=%d bytes=%d hits=%d misses=%d warm=%d drops=%d \
-     evictions=%d\n"
-    c.entries c.bytes c.hits c.misses c.warm_hits c.corrupt_drops c.evictions
+    "CACHE entries=%d bytes=%d hits=%d misses=%d drops=%d evictions=%d\n"
+    c.entries c.bytes c.hits c.misses c.corrupt_drops c.evictions
 
 let reused_line ~reused ~dirty ~features =
   Printf.sprintf "REUSED n=%d dirty=%d features=%d\n" reused dirty features
@@ -411,7 +405,6 @@ let parse_reply line =
       let* bytes = field_int fields "bytes" in
       let* hits = field_int fields "hits" in
       let* misses = field_int fields "misses" in
-      let* warm_hits = field_int fields "warm" in
       let* corrupt_drops = field_int fields "drops" in
       let* evictions = field_int fields "evictions" in
       Ok
@@ -421,7 +414,6 @@ let parse_reply line =
              bytes;
              hits;
              misses;
-             warm_hits;
              corrupt_drops;
              evictions;
            })

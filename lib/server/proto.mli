@@ -5,7 +5,7 @@
     sequence. Client speaks first:
 
     {v
-    DECOMPOSE <nbytes> k=4 algo=linear priority=0 cache=1 permuted=0 [min_s=N] [jobs=N] [inject=SPEC] [deadline=MS]
+    DECOMPOSE <nbytes> k=4 algo=linear priority=0 cache=1 [min_s=N] [jobs=N] [inject=SPEC] [deadline=MS]
     <nbytes bytes of layout text (Layout_io format)>
     STATS | METRICS | PING | QUIT
     v}
@@ -21,7 +21,7 @@
     COST conflicts=.. stitches=.. scaled=.. elapsed=.. timed_out=0|1
     ENGINE pieces=.. solved=.. hits=.. reused=.. failed=.. rejected=..
     RESILIENCE degraded=.. piece_failures=.. fallbacks=.. fired=0|1
-    CACHE entries=.. bytes=.. hits=.. misses=.. warm=.. drops=.. evictions=..
+    CACHE entries=.. bytes=.. hits=.. misses=.. drops=.. evictions=..
     DONE <n> <c0> ... <c(n-1)>
     v}
 
@@ -31,6 +31,11 @@
     [BYE] and starts a graceful server shutdown. All replies to one
     request finish before the next request on the connection is read,
     so a client never has to demultiplex.
+
+    Unknown [key=value] fields are ignored in both directions, so the
+    protocol can grow without breaking older peers: an older client's
+    [permuted=1] is served under the one (byte-identical) cache policy,
+    and an older server's [warm=] cache field is skipped.
 
     A request armed with [deadline=MS] may instead end with a
     [TIMEOUT deadline_ms=.. elapsed_ms=..] terminal line (the deadline
@@ -50,7 +55,6 @@ type request = {
           are identical at any priority) *)
   min_s : int option;  (** coloring distance; [None] = paper default for k *)
   cache : bool;  (** consult/populate the server's shared cache (default on) *)
-  permuted : bool;  (** request Permuted-mode reuse semantics *)
   inject : Mpl_engine.Fault.spec option;  (** deterministic fault injection *)
   deadline_ms : int option;
       (** per-request deadline in milliseconds, armed server-side from
@@ -125,7 +129,6 @@ type cache_reply = {
   bytes : int;
   hits : int;
   misses : int;
-  warm_hits : int;
   corrupt_drops : int;
   evictions : int;
 }

@@ -5,7 +5,6 @@ type config = {
   jobs : int;
   max_inflight : int;
   cache_budget : int option;
-  cache_permuted : bool;
   persist : string option;
   persist_every : int;
   log : (string -> unit) option;
@@ -28,7 +27,6 @@ let default_config =
     jobs = 1;
     max_inflight = 4;
     cache_budget = None;
-    cache_permuted = false;
     persist = None;
     persist_every = 0;
     log = None;
@@ -134,11 +132,7 @@ let create config =
   let obs = Mpl_obs.Obs.make ~sink:Mpl_obs.Sink.null ~metrics () in
   let pool = Mpl_engine.Pool.create ~obs ~jobs:config.jobs () in
   let cache =
-    Mpl_engine.Cache.create
-      ~mode:
-        (if config.cache_permuted then Mpl_engine.Cache.Permuted
-         else Mpl_engine.Cache.Exact)
-      ?byte_budget:config.cache_budget ~obs ()
+    Mpl_engine.Cache.create ?byte_budget:config.cache_budget ~obs ()
   in
   let stop_r, stop_w = Unix.pipe () in
   let t =
@@ -376,7 +370,6 @@ let stats_json t =
                  | None -> Null );
                ("hits", Int cs.Mpl_engine.Cache.s_hits);
                ("misses", Int cs.Mpl_engine.Cache.s_misses);
-               ("warm_hits", Int cs.Mpl_engine.Cache.s_warm_hits);
                ("corrupt_drops", Int cs.Mpl_engine.Cache.s_corrupt_drops);
                ("evictions", Int cs.Mpl_engine.Cache.s_evictions);
              ] );
@@ -608,7 +601,6 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
         jobs = max 1 rp.Proto.jobs;
         priority_bias = rp.Proto.priority * priority_scale;
         cache = rp.Proto.cache;
-        cache_permuted = rp.Proto.permuted;
         fault = rp.Proto.inject;
         request_id = Some rid_str;
         cancel = Some token;
@@ -618,17 +610,7 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
         window_nm = rp.Proto.window_nm;
       }
     in
-    (* The shared table serves only requests whose reuse semantics
-       match its mode; a mode-mismatched request gets a private
-       per-request cache from the engine instead. *)
-    let shared_cache =
-      if
-        rp.Proto.cache
-        && rp.Proto.permuted
-           = (Mpl_engine.Cache.mode t.cache = Mpl_engine.Cache.Permuted)
-      then Some t.cache
-      else None
-    in
+    let shared_cache = if rp.Proto.cache then Some t.cache else None in
     let admit_ns = Mpl_util.Timer.now_ns () in
     let on_component idx back colors =
       (* Streamed on the coordinating thread in deterministic order,
@@ -737,7 +719,6 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
                     bytes = cs.Mpl_engine.Cache.resident_bytes;
                     hits = cs.Mpl_engine.Cache.s_hits;
                     misses = cs.Mpl_engine.Cache.s_misses;
-                    warm_hits = cs.Mpl_engine.Cache.s_warm_hits;
                     corrupt_drops = cs.Mpl_engine.Cache.s_corrupt_drops;
                     evictions = cs.Mpl_engine.Cache.s_evictions;
                   })

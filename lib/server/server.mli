@@ -21,14 +21,11 @@
       [Decomposer.params.priority_bias], scaled so that any
       higher-priority request's pieces dequeue before any
       lower-priority request's regardless of piece size.
-    - {b shared cache}: all requests with compatible reuse semantics
-      share one cache; piece signatures are salted with each request's
-      solver-parameter fingerprint, so entries can never cross
-      parameter settings. The cache is optionally persisted: loaded on
-      boot, saved on graceful shutdown and every [persist_every]
-      served requests. A request asking for the reuse mode the server
-      cache was not built with ([permuted] vs. exact) gets a private
-      per-request cache instead — never a mode-mismatched shared one.
+    - {b shared cache}: all requests with [cache=1] share one cache;
+      piece signatures are salted with each request's solver-parameter
+      fingerprint, so entries can never cross parameter settings. The
+      cache is optionally persisted: loaded on boot, saved on graceful
+      shutdown and every [persist_every] served requests.
 
     {b Request telemetry}: every [DECOMPOSE] gets a server-assigned id
     (echoed as [ACK rid=N]). With [ring > 0] each admitted request
@@ -77,7 +74,6 @@ type config = {
   jobs : int;  (** worker domains of the shared pool *)
   max_inflight : int;  (** concurrent DECOMPOSE bound; excess gets BUSY *)
   cache_budget : int option;  (** shared-cache byte budget *)
-  cache_permuted : bool;  (** shared cache reuse mode (default exact) *)
   persist : string option;  (** cache persistence file *)
   persist_every : int;
       (** also save the cache every N served requests (0 = only on

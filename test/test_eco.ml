@@ -12,12 +12,11 @@ module Benchgen = Mpl_layout.Benchgen
 
 let min_s = 80 (* quadruple patterning radius for the default tech *)
 
-let params ?(jobs = 1) ?(cache = false) ?(cache_warm = false) () =
+let params ?(jobs = 1) ?(cache = false) () =
   {
     D.default_params with
     D.jobs;
     cache;
-    cache_warm;
     solver_budget_s = 0. (* unlimited: keep exact runs deterministic *);
   }
 
@@ -220,22 +219,6 @@ let test_matrix_bit_identity () =
       ignore (check_matches_cold p s1 edits2))
     [ (1, false); (1, true); (2, false); (2, true) ]
 
-(* cache_warm changes solver trajectories by design (warm starts), so
-   there we only demand legality plus verbatim reuse of untouched
-   components — checked via the session, whose untouched comps carry
-   the previous bytes. *)
-let test_cache_warm_legal () =
-  let layout = two_cluster_layout () in
-  let p = { (params ~jobs:2 ~cache:true ()) with D.cache_warm = true } in
-  let s0, _ = session_of p layout in
-  let edits = [ E.Move { index = 5; dx = 20; dy = 0 } ] in
-  let _edited, rep, s1 = redecompose_exn p s0 edits in
-  Alcotest.(check bool) "complete" true (Mpl.Coloring.is_complete rep.D.colors);
-  Alcotest.(check bool) "in range" true
-    (Mpl.Coloring.check_range ~k:4 rep.D.colors);
-  let a0 = comp_for s0 0 and a1 = comp_for s1 0 in
-  Alcotest.(check (array int)) "untouched comp verbatim" a0.E.colors a1.E.colors
-
 let test_salt_mismatch () =
   let layout = two_cluster_layout () in
   let s0, _ = session_of (params ()) layout in
@@ -331,8 +314,6 @@ let suite =
       test_pinned_untouched_verbatim;
     Alcotest.test_case "bit-identity across jobs x cache" `Slow
       test_matrix_bit_identity;
-    Alcotest.test_case "cache_warm stays legal and reuses" `Quick
-      test_cache_warm_legal;
     Alcotest.test_case "salt mismatch rejected" `Quick test_salt_mismatch;
     QCheck_alcotest.to_alcotest prop_redecompose_matches_cold;
     Alcotest.test_case "synth round-trips through Layout_io" `Quick

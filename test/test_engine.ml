@@ -1,11 +1,10 @@
 (* Tests for the mpl_engine subsystem: the work-stealing domain pool
-   (ordering, exception propagation), the canonical-signature cache
-   (permutation-equivalent pieces hit, inequivalent pieces miss, exact
-   vs permuted reuse policies), the batch driver's deduplication, the
-   atomic shared solver budget, and the end-to-end determinism /
-   cache-correctness property: on random layouts, every algorithm
-   produces identical (cn#, st#) — and, in exact cache mode, identical
-   colorings — at every jobs / cache setting. *)
+   (ordering, exception propagation), the piece cache (a byte-identical
+   piece hits, every other labeling is its own entry), the batch
+   driver's deduplication, the atomic shared solver budget, and the
+   end-to-end determinism / cache-correctness property: on random
+   layouts, every algorithm produces identical (cn#, st#) and identical
+   colorings at every jobs / cache setting. *)
 
 module Pool = Mpl_engine.Pool
 module Cache = Mpl_engine.Cache
@@ -208,137 +207,84 @@ let test_pool_invalid () =
 let sig_of_edges ~n ~ce ~se =
   Cache.signature ~n ~relations:[| ce; se |]
 
-let test_cache_permuted_hit () =
-  (* The same 4-vertex gadget under two different labelings. *)
-  let s1 = sig_of_edges ~n:4 ~ce:[ (0, 1); (1, 2); (2, 3) ] ~se:[ (0, 3) ] in
-  let s2 = sig_of_edges ~n:4 ~ce:[ (3, 2); (2, 1); (1, 0) ] ~se:[ (3, 0) ] in
-  Alcotest.(check bool) "same canonical key" true (String.equal s1.Cache.key s2.Cache.key);
-  let cache = Cache.create ~mode:Cache.Permuted () in
-  Cache.store cache s1 ([| 0; 1; 2; 0 |], ());
-  (match Cache.find cache s2 with
-  | None -> Alcotest.fail "expected permuted hit"
-  | Some (colors, ()) ->
-    (* The mapped coloring must preserve the edge structure: conflict
-       endpoints differently colored, stitch endpoints equal here. *)
-    List.iter
-      (fun (u, v) ->
-        Alcotest.(check bool) "conflict stays bichromatic" true
-          (colors.(u) <> colors.(v)))
-      [ (3, 2); (2, 1); (1, 0) ];
-    Alcotest.(check bool) "stitch stays monochromatic" true
-      (colors.(3) = colors.(0)));
-  Alcotest.(check int) "one hit" 1 (Cache.hits cache)
-
 let test_cache_inequivalent_miss () =
   (* C6 vs two triangles: identical degree sequences (all 2-regular),
-     indistinguishable by WL refinement — the full serialization in the
-     key is what keeps them apart. *)
+     but different edge sets, so different serializations. *)
   let c6 = sig_of_edges ~n:6 ~ce:[ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0) ] ~se:[] in
   let tri2 = sig_of_edges ~n:6 ~ce:[ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3) ] ~se:[] in
-  Alcotest.(check bool) "different keys" false (String.equal c6.Cache.key tri2.Cache.key);
+  Alcotest.(check bool) "different serials" false
+    (String.equal c6.Cache.serial tri2.Cache.serial);
   (* Relation identity matters: a conflict path is not a stitch path. *)
   let conf = sig_of_edges ~n:3 ~ce:[ (0, 1); (1, 2) ] ~se:[] in
   let stit = sig_of_edges ~n:3 ~ce:[] ~se:[ (0, 1); (1, 2) ] in
   Alcotest.(check bool) "relations distinguished" false
-    (String.equal conf.Cache.key stit.Cache.key)
+    (String.equal conf.Cache.serial stit.Cache.serial)
 
 let test_cache_exact_requires_same_labeling () =
   let s1 = sig_of_edges ~n:3 ~ce:[ (0, 1); (1, 2) ] ~se:[] in
   let s2 = sig_of_edges ~n:3 ~ce:[ (2, 1); (1, 0) ] ~se:[] in
   (* same labeled graph, edges listed differently: serial equal *)
   let s3 = sig_of_edges ~n:3 ~ce:[ (0, 2); (2, 1) ] ~se:[] in
-  (* relabeled path: key equal, serial different *)
-  let cache = Cache.create ~mode:Cache.Exact () in
+  (* relabeled path: serial different *)
+  let cache = Cache.create () in
   Cache.store cache s1 ([| 0; 1; 0 |], ());
   (match Cache.find cache s2 with
   | Some (colors, ()) ->
     Alcotest.(check (array int)) "byte-identical piece returns stored coloring"
       [| 0; 1; 0 |] colors
   | None -> Alcotest.fail "expected exact hit");
-  Alcotest.(check bool) "same key for relabeled path" true
-    (String.equal s1.Cache.key s3.Cache.key);
-  Alcotest.(check bool) "exact mode refuses relabeled piece" true
+  Alcotest.(check bool) "relabeled piece misses" true
     (Cache.find cache s3 = None)
 
-let test_cache_transfer () =
-  let s1 = sig_of_edges ~n:4 ~ce:[ (0, 1); (1, 2); (2, 3) ] ~se:[] in
-  let s2 = sig_of_edges ~n:4 ~ce:[ (3, 2); (2, 1); (1, 0) ] ~se:[] in
-  let colors = [| 0; 1; 2; 3 |] in
-  let mapped = Cache.transfer s1 s2 colors in
-  List.iter
-    (fun (u, v) ->
-      Alcotest.(check bool) "adjacent differ after transfer" true
-        (mapped.(u) <> mapped.(v)))
-    [ (3, 2); (2, 1); (1, 0) ]
-
-let test_cache_find_similar () =
-  let s1 = sig_of_edges ~n:4 ~ce:[ (0, 1); (1, 2); (2, 3) ] ~se:[ (0, 3) ] in
-  let s2 = sig_of_edges ~n:4 ~ce:[ (3, 2); (2, 1); (1, 0) ] ~se:[ (3, 0) ] in
-  (* Even an Exact-mode cache serves warm hints on a key-only match. *)
-  let cache = Cache.create ~mode:Cache.Exact () in
-  Alcotest.(check bool) "empty cache: no hint" true
-    (Cache.find_similar cache s2 = None);
-  Cache.store cache s1 ([| 0; 1; 2; 0 |], ());
-  (match Cache.find_similar cache s2 with
-  | None -> Alcotest.fail "expected a warm hint"
-  | Some colors ->
-    (* The hint is a structurally valid coloring of s2's labeling. *)
-    List.iter
-      (fun (u, v) ->
-        Alcotest.(check bool) "hint keeps conflicts bichromatic" true
-          (colors.(u) <> colors.(v)))
-      [ (3, 2); (2, 1); (1, 0) ]);
-  Alcotest.(check int) "warm hit counted" 1 (Cache.warm_hits cache);
-  (* Hint probes never touch the answer-cache hit/miss counters. *)
-  Alcotest.(check int) "no answer hits" 0 (Cache.hits cache);
-  Alcotest.(check int) "no answer misses" 0 (Cache.misses cache)
-
-let test_decomposer_cache_warm () =
-  (* Four disjoint copies of the same K5 gadget (degree 4 = k, so
-     low-degree peeling cannot dissolve them): the first solve
-     populates the warm cache, later isomorphic pieces probe it. *)
-  let ce = ref [] in
-  for b = 0 to 3 do
-    let base = b * 5 in
-    for i = 0 to 4 do
-      for j = i + 1 to 4 do
-        ce := (base + i, base + j) :: !ce
-      done
-    done
-  done;
-  let g = Mpl.Decomp_graph.of_edges ~n:20 !ce in
-  let params =
-    {
-      Mpl.Decomposer.default_params with
-      Mpl.Decomposer.cache_warm = true;
-      metrics = true;
-    }
-  in
-  let r = Mpl.Decomposer.assign ~params Mpl.Decomposer.Sdp_backtrack g in
-  Alcotest.(check bool) "complete coloring" true
-    (Mpl.Coloring.is_complete r.Mpl.Decomposer.colors);
-  (* K5 on 4 masks costs exactly one conflict per copy. *)
-  Alcotest.(check int) "K5 x4 conflict count" 4
-    r.Mpl.Decomposer.cost.Mpl.Coloring.conflicts;
-  match r.Mpl.Decomposer.metrics with
-  | None -> Alcotest.fail "expected a metrics snapshot"
-  | Some snap ->
-    let counter name =
-      match Mpl_obs.Metrics.find_counter snap name with
-      | Some v -> v
-      | None -> Alcotest.failf "missing %s counter" name
+let test_cache_labelings_are_entries () =
+  (* A 4-path with a stitch edge at one end is asymmetric: degree
+     refinement tells all four vertices apart, so all 24 labelings are
+     isomorphic and pairwise different as labeled graphs. Each stored
+     labeling is its own entry and must hit, however many there are. *)
+  let perms =
+    let rec go = function
+      | [] -> [ [] ]
+      | xs ->
+        List.concat_map
+          (fun x -> List.map (List.cons x) (go (List.filter (( <> ) x) xs)))
+          xs
     in
-    Alcotest.(check bool) "warm hits on repeated pieces" true
-      (counter "cache.warm_hits" > 0);
-    Alcotest.(check bool) "warm starts reached the SDP" true
-      (counter "sdp.warm_starts" > 0)
+    List.map Array.of_list (go [ 0; 1; 2; 3 ])
+  in
+  let labeled p =
+    sig_of_edges ~n:4
+      ~ce:[ (p.(0), p.(1)); (p.(1), p.(2)); (p.(2), p.(3)) ]
+      ~se:[ (p.(0), p.(1)) ]
+  in
+  (* The path position of each vertex, as the stored coloring: every
+     labeling gets a different one. *)
+  let colors_of p =
+    let c = Array.make 4 0 in
+    Array.iteri (fun pos v -> c.(v) <- pos) p;
+    c
+  in
+  let stored = List.filteri (fun i _ -> i < 10) perms in
+  let cache = Cache.create () in
+  List.iter (fun p -> Cache.store cache (labeled p) (colors_of p, ())) stored;
+  Alcotest.(check int) "ten entries" 10 (Cache.length cache);
+  List.iter
+    (fun p ->
+      match Cache.find cache (labeled p) with
+      | Some (c, ()) ->
+        Alcotest.(check (array int)) "own coloring" (colors_of p) c
+      | None -> Alcotest.fail "stored labeling missed")
+    stored;
+  Alcotest.(check bool) "never-stored labeling misses" true
+    (Cache.find cache (labeled (List.nth perms 10)) = None);
+  Alcotest.(check (pair int int)) "hits, misses" (10, 1)
+    (Cache.hits cache, Cache.misses cache)
 
 (* ------------------------------------------------------------------ *)
 (* Engine batch driver *)
 
 let test_engine_dedup () =
-  (* Five pieces, three distinct up to labeling: the driver must solve
-     each distinct labeled piece once in Exact mode. *)
+  (* Five pieces, two distinct labeled graphs: the driver must solve
+     each distinct labeled piece once. *)
   let path a b c = (3, [ (a, b); (b, c) ]) in
   let pieces = [ path 0 1 2; path 0 1 2; path 2 1 0; path 0 2 1; path 0 1 2 ] in
   let solves = Atomic.make 0 in
@@ -351,7 +297,7 @@ let test_engine_dedup () =
   in
   let signature (n, ce) = Some (sig_of_edges ~n ~ce ~se:[]) in
   Pool.with_pool ~jobs:2 (fun pool ->
-      let cache = Cache.create ~mode:Cache.Exact () in
+      let cache = Cache.create () in
       let results, stats =
         Engine.solve_pieces ~pool ~cache ~signature ~solve pieces
       in
@@ -369,7 +315,7 @@ let test_engine_dedup () =
 let test_engine_prepopulated_cache () =
   let piece = (2, [ (0, 1) ]) in
   let signature (n, ce) = Some (sig_of_edges ~n ~ce ~se:[]) in
-  let cache = Cache.create ~mode:Cache.Exact () in
+  let cache = Cache.create () in
   Pool.with_pool ~jobs:1 (fun pool ->
       let _, s1 =
         Engine.solve_pieces ~pool ~cache ~signature
@@ -418,7 +364,7 @@ let test_engine_validate_rejects () =
      driver must reject the hit and re-solve. *)
   let piece = (2, [ (0, 1) ]) in
   let signature (n, ce) = Some (sig_of_edges ~n ~ce ~se:[]) in
-  let cache = Cache.create ~mode:Cache.Exact () in
+  let cache = Cache.create () in
   let s = sig_of_edges ~n:2 ~ce:[ (0, 1) ] ~se:[] in
   Cache.store cache s ([| 9; 9 |], ());
   let solves = Atomic.make 0 in
@@ -447,7 +393,7 @@ let test_cache_corrupt_dropped () =
       { Mpl_engine.Fault.site = Mpl_engine.Fault.Cache_corrupt;
         seed = 0; shots = 1 }
   in
-  let cache = Cache.create ~mode:Cache.Exact ~fault () in
+  let cache = Cache.create ~fault () in
   let s = sig_of_edges ~n:2 ~ce:[ (0, 1) ] ~se:[] in
   Cache.store cache s ([| 0; 1 |], ());
   Alcotest.(check int) "entry stored" 1 (Cache.length cache);
@@ -464,7 +410,7 @@ let test_cache_corrupt_dropped () =
 (* ------------------------------------------------------------------ *)
 (* LRU byte budget + disk persistence *)
 
-(* Distinct path graphs: every length gets its own canonical key. *)
+(* Distinct path graphs: every length gets its own entry. *)
 let path_sig n =
   sig_of_edges ~n ~ce:(List.init (n - 1) (fun i -> (i, i + 1))) ~se:[]
 
@@ -472,7 +418,7 @@ let path_colors s = Array.init s.Cache.n (fun v -> v mod 2)
 
 (* Measure what one entry is charged by storing it alone. *)
 let entry_size s =
-  let c = Cache.create ~mode:Cache.Exact () in
+  let c = Cache.create () in
   Cache.store c s (path_colors s, ());
   Cache.bytes c
 
@@ -482,7 +428,7 @@ let test_cache_lru_eviction_order () =
      the budget evicts exactly one LRU victim. *)
   let d = path_sig 3 in
   let budget = entry_size a + entry_size b + entry_size c in
-  let cache = Cache.create ~mode:Cache.Exact ~byte_budget:budget () in
+  let cache = Cache.create ~byte_budget:budget () in
   List.iter (fun s -> Cache.store cache s (path_colors s, ())) [ a; b; c ];
   Alcotest.(check int) "all three resident" 3 (Cache.length cache);
   (* Touch [a]: recency refresh makes [b] the LRU entry. *)
@@ -496,41 +442,38 @@ let test_cache_lru_eviction_order () =
     [ ("touched entry", a); ("recent entry", c); ("new entry", d) ];
   Alcotest.(check bool) "still within budget" true (Cache.bytes cache <= budget)
 
-let test_cache_byte_budget_modes () =
+let test_cache_byte_budget () =
+  let sigs = List.init 10 (fun i -> path_sig (i + 3)) in
+  let total = List.fold_left (fun acc s -> acc + entry_size s) 0 sigs in
+  let budget = total / 2 in
+  let cache = Cache.create ~byte_budget:budget () in
   List.iter
-    (fun mode ->
-      let sigs = List.init 10 (fun i -> path_sig (i + 3)) in
-      let total = List.fold_left (fun acc s -> acc + entry_size s) 0 sigs in
-      let budget = total / 2 in
-      let cache = Cache.create ~mode ~byte_budget:budget () in
-      List.iter
-        (fun s ->
-          Cache.store cache s (path_colors s, ());
-          Alcotest.(check bool) "resident bytes within budget" true
-            (Cache.bytes cache <= budget))
-        sigs;
-      Alcotest.(check bool) "budget forced evictions" true
-        (Cache.evictions cache > 0);
-      Alcotest.(check bool) "not all entries resident" true
-        (Cache.length cache < List.length sigs);
-      (* The snapshot agrees with the individual accessors. *)
-      let st = Cache.stats cache in
-      Alcotest.(check int) "stats entries" (Cache.length cache) st.Cache.entries;
-      Alcotest.(check int) "stats bytes" (Cache.bytes cache)
-        st.Cache.resident_bytes;
-      Alcotest.(check (option int)) "stats budget" (Some budget)
-        st.Cache.byte_budget;
-      Alcotest.(check int) "stats evictions" (Cache.evictions cache)
-        st.Cache.s_evictions)
-    [ Cache.Exact; Cache.Permuted ]
+    (fun s ->
+      Cache.store cache s (path_colors s, ());
+      Alcotest.(check bool) "resident bytes within budget" true
+        (Cache.bytes cache <= budget))
+    sigs;
+  Alcotest.(check bool) "budget forced evictions" true
+    (Cache.evictions cache > 0);
+  Alcotest.(check bool) "not all entries resident" true
+    (Cache.length cache < List.length sigs);
+  (* The snapshot agrees with the individual accessors. *)
+  let st = Cache.stats cache in
+  Alcotest.(check int) "stats entries" (Cache.length cache) st.Cache.entries;
+  Alcotest.(check int) "stats bytes" (Cache.bytes cache)
+    st.Cache.resident_bytes;
+  Alcotest.(check (option int)) "stats budget" (Some budget)
+    st.Cache.byte_budget;
+  Alcotest.(check int) "stats evictions" (Cache.evictions cache)
+    st.Cache.s_evictions
 
 let test_cache_salt_partitions () =
   let relations = [| [ (0, 1); (1, 2) ]; [] |] in
   let s4 = Cache.signature_salted ~salt:"k=4" ~n:3 ~relations in
   let s5 = Cache.signature_salted ~salt:"k=5" ~n:3 ~relations in
   Alcotest.(check bool) "salts split the key space" false
-    (String.equal s4.Cache.key s5.Cache.key);
-  let cache = Cache.create ~mode:Cache.Permuted () in
+    (String.equal s4.Cache.serial s5.Cache.serial);
+  let cache = Cache.create () in
   Cache.store cache s4 ([| 0; 1; 0 |], ());
   Alcotest.(check bool) "same piece, other salt: miss" true
     (Cache.find cache s5 = None);
@@ -560,7 +503,7 @@ let write_lines path lines =
 
 let test_cache_persist_roundtrip_corruption () =
   let sigs = [ path_sig 3; path_sig 4; path_sig 5 ] in
-  let cache = Cache.create ~mode:Cache.Exact () in
+  let cache = Cache.create () in
   List.iter (fun s -> Cache.store cache s (path_colors s, ())) sigs;
   let path = Filename.temp_file "mplcache" ".txt" in
   Fun.protect
@@ -568,7 +511,7 @@ let test_cache_persist_roundtrip_corruption () =
     (fun () ->
       Cache.save cache ~value_to_string:(fun () -> "") path;
       (* Clean round trip: every entry survives and hits. *)
-      let fresh = Cache.create ~mode:Cache.Exact () in
+      let fresh = Cache.create () in
       let loaded, dropped =
         Cache.load fresh ~value_of_string:(fun _ -> Some ()) path
       in
@@ -582,18 +525,19 @@ let test_cache_persist_roundtrip_corruption () =
           | None -> Alcotest.fail "entry lost in round trip")
         sigs;
       (* Flip one character of the SECOND entry's coloring line (the
-         format is one header plus four lines per entry, LRU-first, so
-         that is line index 3 + 4*1). The checksum must drop exactly
+         format is one header plus three lines per entry, LRU-first, so
+         that is line index 2 + 3*1). The checksum must drop exactly
          that entry; its neighbours are untouched. *)
       let lines = Array.of_list (read_lines path) in
-      Alcotest.(check int) "expected file shape" 13 (Array.length lines);
-      let idx = 3 + (4 * 1) in
+      Alcotest.(check int) "expected file shape" 10 (Array.length lines);
+      Alcotest.(check string) "format version 2" "mplcache 2 3" lines.(0);
+      let idx = 2 + (3 * 1) in
       let l = lines.(idx) in
       let last = String.length l - 1 in
       lines.(idx) <-
         String.sub l 0 last ^ (if l.[last] = '0' then "1" else "0");
       write_lines path (Array.to_list lines);
-      let damaged = Cache.create ~mode:Cache.Exact () in
+      let damaged = Cache.create () in
       let loaded, dropped =
         Cache.load damaged ~value_of_string:(fun _ -> Some ()) path
       in
@@ -605,11 +549,15 @@ let test_cache_persist_roundtrip_corruption () =
         (Cache.find damaged (path_sig 3) <> None);
       Alcotest.(check bool) "second neighbour intact" true
         (Cache.find damaged (path_sig 5) <> None);
-      (* A mode-mismatched file is refused outright. *)
-      let wrong = Cache.create ~mode:Cache.Permuted () in
-      match Cache.load wrong ~value_of_string:(fun _ -> Some ()) path with
+      (* A file of the old canonical-key format (version 1: a mode in
+         the header, a key line per entry) is refused outright. *)
+      write_lines path
+        [ "mplcache 1 exact 1"; "3|0,1;1,2;|"; "3|0,1;1,2;|"; "0 3 0 1 0"; "" ];
+      let fresh = Cache.create () in
+      match Cache.load fresh ~value_of_string:(fun _ -> Some ()) path with
       | _ -> Alcotest.fail "expected Bad_file"
-      | exception Cache.Bad_file _ -> ())
+      | exception Cache.Bad_file _ ->
+        Alcotest.(check int) "nothing loaded" 0 (Cache.length fresh))
 
 (* ------------------------------------------------------------------ *)
 (* Phase breakdown *)
@@ -741,35 +689,6 @@ let prop_jobs_cache_invariant =
             ])
         [ D.Linear; D.Sdp_greedy; D.Sdp_backtrack; D.Exact ])
 
-let prop_permuted_cache_valid =
-  QCheck.Test.make ~count:15
-    ~name:"permuted cache: valid colorings, deterministic across jobs"
-    layout_arb (fun spec ->
-      let layout = Mpl_layout.Benchgen.generate spec in
-      let g = G.of_layout layout ~min_s:80 in
-      List.for_all
-        (fun algo ->
-          let run jobs =
-            let params =
-              {
-                D.default_params with
-                D.jobs;
-                cache = true;
-                cache_permuted = true;
-                solver_budget_s = 0.;
-              }
-            in
-            D.assign ~params algo g
-          in
-          let r1 = run 1 in
-          let r4 = run 4 in
-          C.is_complete r1.D.colors
-          && C.check_range ~k:4 r1.D.colors
-          && C.evaluate g r1.D.colors = r1.D.cost
-          && r1.D.colors = r4.D.colors
-          && r1.D.cost = r4.D.cost)
-        [ D.Linear; D.Sdp_backtrack ])
-
 let suite =
   [
     Alcotest.test_case "pool: map ordering" `Quick test_pool_ordering;
@@ -787,14 +706,11 @@ let suite =
       test_pool_cancel_at_dequeue;
     Alcotest.test_case "pool: argument validation" `Quick test_pool_invalid;
     Alcotest.test_case "decomposer: phase breakdown" `Quick test_phases_report;
-    Alcotest.test_case "cache: permuted hit" `Quick test_cache_permuted_hit;
     Alcotest.test_case "cache: inequivalent miss" `Quick test_cache_inequivalent_miss;
     Alcotest.test_case "cache: exact labeling policy" `Quick
       test_cache_exact_requires_same_labeling;
-    Alcotest.test_case "cache: transfer" `Quick test_cache_transfer;
-    Alcotest.test_case "cache: warm hints" `Quick test_cache_find_similar;
-    Alcotest.test_case "decomposer: warm-start cache" `Quick
-      test_decomposer_cache_warm;
+    Alcotest.test_case "cache: every stored labeling hits" `Quick
+      test_cache_labelings_are_entries;
     Alcotest.test_case "engine: batch dedup" `Quick test_engine_dedup;
     Alcotest.test_case "engine: prepopulated cache" `Quick
       test_engine_prepopulated_cache;
@@ -805,13 +721,12 @@ let suite =
       test_cache_corrupt_dropped;
     Alcotest.test_case "cache: LRU eviction order" `Quick
       test_cache_lru_eviction_order;
-    Alcotest.test_case "cache: byte budget in both modes" `Quick
-      test_cache_byte_budget_modes;
+    Alcotest.test_case "cache: byte budget and stats" `Quick
+      test_cache_byte_budget;
     Alcotest.test_case "cache: salt partitions the table" `Quick
       test_cache_salt_partitions;
     Alcotest.test_case "cache: persistence round trip + corruption" `Quick
       test_cache_persist_roundtrip_corruption;
     Alcotest.test_case "timer: atomic shared budget" `Quick test_budget_atomic;
     QCheck_alcotest.to_alcotest prop_jobs_cache_invariant;
-    QCheck_alcotest.to_alcotest prop_permuted_cache_valid;
   ]

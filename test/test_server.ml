@@ -27,7 +27,6 @@ let test_proto_request_roundtrip () =
       priority = 7;
       min_s = Some 110;
       cache = false;
-      permuted = true;
       inject = Some { Fault.site = Fault.Solver_raise; seed = 9; shots = 2 };
       deadline_ms = Some 250;
       windows = 4;
@@ -146,6 +145,38 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* Fields the protocol no longer has stay parseable: a request's
+   [permuted=] key and a CACHE reply's [warm=] field are skipped like
+   any unknown key, and today's CACHE line round-trips without one. *)
+let test_proto_dropped_fields () =
+  (match
+     Proto.parse_command
+       "DECOMPOSE 10 k=4 algo=linear priority=0 cache=1 permuted=1"
+   with
+  | Ok (Proto.Decompose (10, r)) ->
+    Alcotest.(check bool) "permuted= ignored" true (r = Proto.default_request)
+  | Ok _ -> Alcotest.fail "parsed as a different command"
+  | Error msg -> Alcotest.failf "legacy request refused: %s" msg);
+  let ci =
+    {
+      Proto.entries = 3;
+      bytes = 512;
+      hits = 7;
+      misses = 2;
+      corrupt_drops = 1;
+      evictions = 0;
+    }
+  in
+  let line = Proto.cache_line ci in
+  Alcotest.(check bool) "no warm= field" false (contains line "warm=");
+  let parse l = Proto.parse_reply (String.trim l) in
+  Alcotest.(check bool) "CACHE round trip" true
+    (parse line = Ok (Proto.Cache_info ci));
+  Alcotest.(check bool) "older server's warm= skipped" true
+    (parse
+       "CACHE entries=3 bytes=512 hits=7 misses=2 warm=5 drops=1 evictions=0"
+    = Ok (Proto.Cache_info ci))
+
 (* ------------------------------------------------------------------ *)
 (* Server harness: boot on a fresh Unix socket, run the body, then
    drain gracefully (request_stop + join runs the cache save). *)
@@ -252,6 +283,36 @@ let raw_write fd s =
 
 (* ------------------------------------------------------------------ *)
 (* Parity: the served result is bit-identical to the one-shot path. *)
+
+(* An older client's request carrying [permuted=1], written straight to
+   the socket twice: both replies (the second served from the shared
+   cache) carry the one-shot coloring. *)
+let test_serve_legacy_permuted () =
+  let body = Lazy.force body in
+  let header =
+    Printf.sprintf
+      "DECOMPOSE %d k=4 algo=sdp-backtrack priority=0 cache=1 permuted=1 \
+       min_s=%d\n"
+      (String.length body) min_s
+  in
+  with_server (fun sock _t ->
+      let fd = raw_connect sock in
+      let ic = Unix.in_channel_of_descr fd in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let rec until_done () =
+            match Proto.parse_reply (input_line ic) with
+            | Ok (Proto.Done colors) -> colors
+            | Ok (Proto.Err { msg; _ }) -> Alcotest.failf "served ERR: %s" msg
+            | Ok _ -> until_done ()
+            | Error msg -> Alcotest.failf "bad reply: %s" msg
+          in
+          for _ = 1 to 2 do
+            raw_write fd (header ^ body);
+            Alcotest.(check (array int)) "one-shot coloring"
+              (one_shot D.Sdp_backtrack).D.colors (until_done ())
+          done))
 
 let check_parity algo (out : Client.outcome) =
   let r = one_shot algo in
@@ -500,11 +561,11 @@ let test_serve_protocol_fuzz () =
           | 1 ->
             (* truncated upload: promises a body, never delivers *)
             Printf.sprintf
-              "DECOMPOSE %d k=4 algo=linear priority=0 cache=1 permuted=0\n"
+              "DECOMPOSE %d k=4 algo=linear priority=0 cache=1\n"
               (1 + Mpl_util.Rng.int rng 4096)
           | 2 ->
             (* absurd length prefix: refused before any allocation *)
-            "DECOMPOSE 999999999 k=4 algo=linear priority=0 cache=1 permuted=0\n"
+            "DECOMPOSE 999999999 k=4 algo=linear priority=0 cache=1\n"
           | _ ->
             (* a well-formed header torn mid-line *)
             let line =
@@ -611,6 +672,10 @@ let test_serve_http_admin () =
         | Some rid -> rid
         | None -> Alcotest.fail "ACK carried no rid"
       in
+      (* A ring entry records the fully written reply, so it lands just
+         after the client has read DONE: wait for the server side. *)
+      poll_until "the served request never reached the ring" (fun () ->
+          Server.trace_events t rid <> None);
       (* /metrics: valid Prometheus text exposition. *)
       let status, text = http_get sock "/metrics" in
       Alcotest.(check int) "/metrics status" 200 status;
@@ -795,6 +860,10 @@ let suite =
       test_proto_request_roundtrip;
     Alcotest.test_case "proto: reply round trips" `Quick
       test_proto_reply_roundtrips;
+    Alcotest.test_case "proto: dropped permuted= and warm= fields" `Quick
+      test_proto_dropped_fields;
+    Alcotest.test_case "serve: legacy permuted=1 request" `Quick
+      test_serve_legacy_permuted;
     Alcotest.test_case "serve: one-shot parity + admin" `Quick
       test_serve_parity;
     Alcotest.test_case "serve: concurrent mixed priorities" `Quick

@@ -297,10 +297,12 @@ rm -f "$emptyb"
 # OCAMLRUNPARAM has no hard heap limit. A sharded 8-window run fits in
 # a fraction of the whole-graph footprint. The whole-graph run of the
 # same layout (linear-time component extraction keeps it to seconds)
-# must produce the byte-identical coloring.
+# must produce the byte-identical coloring, and so must the sequential
+# uncached whole-graph run: the piece cache never changes a coloring.
 synth=$(mktemp /tmp/mpld-synth.XXXXXX)
 synwhole=$(mktemp /tmp/mpld-synwhole.XXXXXX)
 synwin=$(mktemp /tmp/mpld-synwin.XXXXXX)
+synseq=$(mktemp /tmp/mpld-synseq.XXXXXX)
 dune exec bin/mpld.exe -- gen synth "$synth" --features 100000 --seed 1 \
   > /dev/null
 dune exec bin/mpld.exe -- decompose "$synth" -a linear -j 2 --windows 8 \
@@ -314,7 +316,14 @@ cmp -s "$synwhole" "$synwin" || {
   echo "tier1: sharded 100k coloring diverged from the whole-graph run" >&2
   exit 1
 }
-rm -f "$synth" "$synwhole" "$synwin"
+dune exec bin/mpld.exe -- decompose "$synth" -a linear -j 1 --no-cache \
+  --colors "$synseq" > /dev/null 2>&1 \
+  || { echo "tier1: uncached 100k decompose failed" >&2; exit 1; }
+cmp -s "$synwhole" "$synseq" || {
+  echo "tier1: cached 100k coloring diverged from the uncached run" >&2
+  exit 1
+}
+rm -f "$synth" "$synwhole" "$synwin" "$synseq"
 
 # Sharded colorings must be byte-identical to the whole-graph path on
 # real circuits, cached-parallel and sequential-uncached alike.
