@@ -109,7 +109,8 @@ let inject_arg =
      $(docv) = SITE[:seed=N][:shots=N] with SITE one of solver_raise, \
      worker_delay, cache_corrupt, budget_trip (pipeline sites), or \
      conn_drop, write_stall, torn_frame (network sites, honoured by \
-     $(b,mpld serve) on its connection I/O). A pipeline-site run must \
+     $(b,mpld serve) on its connection I/O; serve also delays its \
+     shared pool's tasks for worker_delay). A pipeline-site run must \
      still produce a legal coloring; degradations are reported."
   in
   Arg.(

@@ -126,11 +126,12 @@ let of_nodes ?(obs = Mpl_obs.Obs.null) (split : Mpl_layout.Stitch.t) ~hp
   let n = Array.length nodes in
   let cu = Intbuf.create () and cv = Intbuf.create () in
   let fu = Intbuf.create () and fv = Intbuf.create () in
+  let friendly_radius = min_s + hp in
+  let index = Grid_index.create ~cell:(max friendly_radius 16) in
   Mpl_obs.Obs.span obs "graph.neighbor_search"
     ~args:[ ("nodes", Mpl_obs.Sink.Int n) ]
+    ~late_args:(fun () -> Grid_index.span_args index)
     (fun () ->
-      let friendly_radius = min_s + hp in
-      let index = Grid_index.create ~cell:(max friendly_radius 16) in
       Array.iteri
         (fun i node ->
           Grid_index.add index i (Polygon.bbox node.Mpl_layout.Stitch.shape))
@@ -192,8 +193,7 @@ let of_layout ?(obs = Mpl_obs.Obs.null) ?max_stitches_per_feature
     (layout : Mpl_layout.Layout.t) ~min_s =
   Mpl_obs.Obs.span obs "graph.build" @@ fun () ->
   let split =
-    Mpl_obs.Obs.span obs "graph.stitch_split" (fun () ->
-        Mpl_layout.Stitch.split ?max_stitches_per_feature layout ~min_s)
+    Mpl_layout.Stitch.split ~obs ?max_stitches_per_feature layout ~min_s
   in
   let hp = layout.Mpl_layout.Layout.tech.Mpl_layout.Layout.half_pitch in
   of_nodes ~obs split ~hp ~min_s

@@ -66,7 +66,9 @@ val of_layout :
     color-friendly (min_s < distance <= min_s + half_pitch) edges.
 
     With [obs], the construction runs under a [graph.build] span with
-    [graph.stitch_split] and [graph.neighbor_search] children, and the
+    [graph.stitch_split] and [graph.neighbor_search] children (each
+    tagged with its grid index's {!Mpl_geometry.Grid_index.span_args}:
+    [cells], [incidences] and the [dense] table choice), and the
     registry accumulates [graph.nodes] / [graph.conflict_edges] /
     [graph.stitch_edges] / [graph.friendly_edges] counters. *)
 

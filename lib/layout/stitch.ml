@@ -71,17 +71,23 @@ let cut_wire (orient, r) positions =
   in
   segments
 
-let split ?(max_stitches_per_feature = 3) (layout : Layout.t) ~min_s =
+let split ?(max_stitches_per_feature = 3) ?(obs = Mpl_obs.Obs.null)
+    (layout : Layout.t) ~min_s =
   let features = layout.Layout.features in
   let nf = Array.length features in
   if max_stitches_per_feature = 0 || nf = 0 then
-    {
-      nodes = Array.init nf (fun i -> { feature = i; shape = features.(i) });
-      stitch_edges = [];
-    }
+    Mpl_obs.Obs.span obs "graph.stitch_split" (fun () ->
+        {
+          nodes =
+            Array.init nf (fun i -> { feature = i; shape = features.(i) });
+          stitch_edges = [];
+        })
   else begin
     let cell = max min_s 16 in
     let index = Grid_index.create ~cell in
+    Mpl_obs.Obs.span obs "graph.stitch_split"
+      ~late_args:(fun () -> Grid_index.span_args index)
+    @@ fun () ->
     Array.iteri (fun i p -> Grid_index.add index i (Polygon.bbox p)) features;
     let margin = layout.Layout.tech.Layout.min_width in
     let nodes = ref [] in

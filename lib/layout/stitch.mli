@@ -24,8 +24,15 @@ type t = {
       (** pairs of node indices joined by a stitch candidate *)
 }
 
-val split : ?max_stitches_per_feature:int -> Layout.t -> min_s:int -> t
+val split :
+  ?max_stitches_per_feature:int ->
+  ?obs:Mpl_obs.Obs.t ->
+  Layout.t ->
+  min_s:int ->
+  t
 (** Compute decomposition-graph nodes and stitch edges for a layout under
     coloring distance [min_s]. With [max_stitches_per_feature] = 0 the
     result has one node per feature and no stitch edges. Default limit:
-    3 stitches per feature. *)
+    3 stitches per feature. With [obs], the split runs under a
+    [graph.stitch_split] span, tagged with its feature neighbor index's
+    {!Mpl_geometry.Grid_index.span_args} when it built one. *)

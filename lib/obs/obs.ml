@@ -6,4 +6,5 @@ let make ?(sink = Sink.null) ?(metrics = Metrics.null) () = { sink; metrics }
 
 let tracing t = Sink.enabled t.sink
 
-let span t ?cat ?args name f = Sink.span t.sink ?cat ?args name f
+let span t ?cat ?args ?late_args name f =
+  Sink.span t.sink ?cat ?args ?late_args name f

@@ -17,6 +17,7 @@ val make : ?sink:Sink.t -> ?metrics:Metrics.t -> unit -> t
 val tracing : t -> bool
 (** Is the sink enabled? *)
 
-val span : t -> ?cat:string -> ?args:(string * Sink.arg) list -> string ->
+val span : t -> ?cat:string -> ?args:(string * Sink.arg) list ->
+  ?late_args:(unit -> (string * Sink.arg) list) -> string ->
   (unit -> 'a) -> 'a
 (** {!Sink.span} on the context's sink. *)

@@ -93,13 +93,16 @@ let record t ?cat ?(args = []) ~name ~ts_ns ~dur_ns () =
       :: b.items
   end
 
-let span t ?cat ?args name f =
+let span t ?cat ?(args = []) ?late_args name f =
   if not t.enabled then f ()
   else begin
     let t0 = Mpl_util.Timer.now_ns () in
     let finish () =
       let t1 = Mpl_util.Timer.now_ns () in
-      record t ?cat ?args ~name ~ts_ns:(Int64.sub t0 t.epoch)
+      let args =
+        match late_args with Some g -> args @ g () | None -> args
+      in
+      record t ?cat ~args ~name ~ts_ns:(Int64.sub t0 t.epoch)
         ~dur_ns:(Int64.sub t1 t0) ()
     in
     match f () with

@@ -46,11 +46,14 @@ val enabled : t -> bool
 val tags : t -> (string * arg) list
 (** The ambient tags passed at {!create} ([[]] for {!null}). *)
 
-val span : t -> ?cat:string -> ?args:(string * arg) list -> string ->
-  (unit -> 'a) -> 'a
+val span : t -> ?cat:string -> ?args:(string * arg) list ->
+  ?late_args:(unit -> (string * arg) list) -> string -> (unit -> 'a) -> 'a
 (** [span t name f] runs [f ()] and, on an enabled sink, records a
     complete span around it (also when [f] raises). [cat] defaults to
     the prefix of [name] up to the first ['.'] (or [name] itself).
+    [late_args] is called once [f] has returned, on an enabled sink
+    only, and its arguments follow [args] — for facts known only at the
+    span's end.
     Spans made by nested [span] calls on the same thread are properly
     nested by construction. *)
 

@@ -91,7 +91,7 @@ type t = {
   stop : bool Atomic.t;
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
-  fault : Mpl_engine.Fault.t;  (* network sites, probed by Connio *)
+  fault : Mpl_engine.Fault.t;  (* probed by Connio and the shared pool *)
 }
 
 let log t msg = match t.config.log with Some f -> f msg | None -> ()
@@ -130,7 +130,12 @@ let create config =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let metrics = Mpl_obs.Metrics.create () in
   let obs = Mpl_obs.Obs.make ~sink:Mpl_obs.Sink.null ~metrics () in
-  let pool = Mpl_engine.Pool.create ~obs ~jobs:config.jobs () in
+  let fault =
+    match config.fault with
+    | Some spec -> Mpl_engine.Fault.arm spec
+    | None -> Mpl_engine.Fault.none
+  in
+  let pool = Mpl_engine.Pool.create ~obs ~fault ~jobs:config.jobs () in
   let cache =
     Mpl_engine.Cache.create ?byte_budget:config.cache_budget ~obs ()
   in
@@ -185,10 +190,7 @@ let create config =
       stop = Atomic.make false;
       stop_r;
       stop_w;
-      fault =
-        (match config.fault with
-        | Some spec -> Mpl_engine.Fault.arm spec
-        | None -> Mpl_engine.Fault.none);
+      fault;
     }
   in
   (match config.persist with

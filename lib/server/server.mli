@@ -109,10 +109,12 @@ type config = {
           an oversize prefix is refused with [ERR proto] before any
           allocation or read. *)
   fault : Mpl_engine.Fault.spec option;
-      (** network fault injection ([conn_drop] / [write_stall] /
-          [torn_frame]): armed once at {!create} and probed by every
-          connection's sends and body reads, so the occurrence count
-          is server-global and deterministic for sequential clients. *)
+      (** server-wide fault injection, armed once at {!create}: the
+          network sites ([conn_drop] / [write_stall] / [torn_frame])
+          are probed by every connection's sends and body reads, and
+          [worker_delay] by every task run on the shared pool, so the
+          occurrence count is server-global and deterministic for
+          sequential clients. *)
   sessions : int;
       (** ECO session table capacity (default 8; 0 disables). Every
           successful unsharded [DECOMPOSE] captures an

@@ -94,45 +94,142 @@ let test_polygon_distance () =
   (* Nearest sub-rectangle is the horizontal leg at distance 10 in y. *)
   Alcotest.(check int) "L-shape distance" 100 (Polygon.distance2 l dot)
 
-(* The grid index must report every pair within the radius that a brute
-   force scan finds (it may report more; the consumer re-checks). *)
+(* Grid-index layouts: one compact cluster (negative coordinates
+   included), or two clusters pushed far apart so the cell bounding box
+   is mostly empty and the index must fall back to its sparse table.
+   Boxes narrower than a cell are common, so an entry that sits in the
+   bounding box's last row or column alone is too. *)
+let layout_gen =
+  QCheck.Gen.(
+    let box =
+      map2
+        (fun (x0, y0) (w, h) ->
+          Rect.make ~x0 ~y0 ~x1:(x0 + 1 + w) ~y1:(y0 + 1 + h))
+        (pair (int_range (-500) 500) (int_range (-500) 500))
+        (oneof
+           [
+             pair (int_range 0 20) (int_range 0 20);
+             pair (int_range 0 200) (int_range 0 200);
+           ])
+    in
+    let cluster = list_size (int_range 1 20) box in
+    let far_offset =
+      map2
+        (fun sign d -> sign * d)
+        (oneofl [ -1; 1 ])
+        (int_range 100_000 10_000_000)
+    in
+    oneof
+      [
+        map (fun rs -> (false, rs)) (list_size (int_range 2 60) box);
+        map
+          (fun (a, b, dx, dy) ->
+            (true, a @ List.map (fun r -> Rect.translate r ~dx ~dy) b))
+          (quad cluster cluster far_offset far_offset);
+      ])
+
+let layout_arb =
+  QCheck.make
+    ~print:(fun (far, rs) ->
+      Printf.sprintf "far=%b [%s]" far
+        (String.concat "; " (List.map (Format.asprintf "%a" Rect.pp) rs)))
+    layout_gen
+
+(* The grid index must report exactly the pairs whose radius-grown boxes
+   touch — each once, lower id first — on either table; a far layout
+   must be served by the sparse one. *)
 let prop_grid_index_complete =
-  let gen =
-    QCheck.Gen.(list_size (int_range 2 40) rect_gen)
-  in
-  QCheck.Test.make ~name:"grid index finds all close pairs" ~count:100
-    (QCheck.make gen)
-    (fun rects ->
+  QCheck.Test.make ~name:"grid index finds all close pairs" ~count:200
+    layout_arb
+    (fun (far, rects) ->
       let radius = 50 in
       let index = Grid_index.create ~cell:radius in
       List.iteri (fun i r -> Grid_index.add index i r) rects;
-      let found = Hashtbl.create 16 in
+      let found = ref [] in
       Grid_index.iter_pairs index ~radius (fun i j ->
-          Hashtbl.replace found (min i j, max i j) ());
+          found := (i, j) :: !found);
       let arr = Array.of_list rects in
-      let ok = ref true in
+      let expected = ref [] in
       Array.iteri
         (fun i a ->
           Array.iteri
             (fun j b ->
-              if i < j && Rect.distance2 a b <= radius * radius then
-                if not (Hashtbl.mem found (i, j)) then ok := false)
+              if i < j && Rect.touches (Rect.inflate a radius) b then
+                expected := (i, j) :: !expected)
             arr)
         arr;
-      !ok)
+      List.sort compare !found = List.sort compare !expected
+      && ((not far) || not (Grid_index.stats index).Grid_index.dense))
 
 let prop_grid_index_query =
-  QCheck.Test.make ~name:"query superset of in-radius items" ~count:100
-    (QCheck.pair rect_arb (QCheck.make QCheck.Gen.(list_size (int_range 1 30) rect_gen)))
-    (fun (probe, rects) ->
+  QCheck.Test.make ~name:"query superset of in-radius items" ~count:200
+    (QCheck.pair rect_arb layout_arb)
+    (fun (probe, (far, rects)) ->
       let radius = 60 in
       let index = Grid_index.create ~cell:radius in
       List.iteri (fun i r -> Grid_index.add index i r) rects;
       let hits = Grid_index.query index probe ~radius in
-      List.for_all
-        (fun (i, r) ->
-          Rect.distance2 probe r > radius * radius || List.mem i hits)
-        (List.mapi (fun i r -> (i, r)) rects))
+      let grown = Rect.inflate probe radius in
+      let expected =
+        List.filteri (fun _ r -> Rect.touches grown r) rects |> List.length
+      in
+      List.length hits = expected
+      && List.length (List.sort_uniq compare hits) = expected
+      && List.for_all
+           (fun (i, r) ->
+             Rect.distance2 probe r > radius * radius || List.mem i hits)
+           (List.mapi (fun i r -> (i, r)) rects)
+      && ((not far) || not (Grid_index.stats index).Grid_index.dense))
+
+(* A compact layout is served by the dense table: 250 x 250 boxes, each
+   covering 4 x 4 cells, tile a 1000 x 1000-cell grid. *)
+let test_grid_index_dense () =
+  let cell = 10 in
+  let index = Grid_index.create ~cell in
+  for i = 0 to 249 do
+    for j = 0 to 249 do
+      let x0 = 4 * cell * i and y0 = 4 * cell * j in
+      Grid_index.add index ((250 * i) + j)
+        (Rect.make ~x0 ~y0 ~x1:(x0 + (4 * cell) - 1) ~y1:(y0 + (4 * cell) - 1))
+    done
+  done;
+  let s = Grid_index.stats index in
+  Alcotest.(check bool) "dense table" true s.Grid_index.dense;
+  Alcotest.(check int) "one bucket per grid cell" 1_000_000 s.Grid_index.cells;
+  Alcotest.(check int) "incidences" 1_000_000 s.Grid_index.incidences;
+  Alcotest.(check int) "no hash chains" 0 s.Grid_index.max_chain;
+  (* An interior box touches itself and its 8 neighbors. *)
+  Alcotest.(check int) "interior query" 9
+    (List.length
+       (Grid_index.query index
+          (Rect.make ~x0:400 ~y0:400 ~x1:439 ~y1:439)
+          ~radius:1))
+
+(* Two 100 x 100-cell clusters a million cells apart leave the cell
+   bounding box almost empty, so the index goes sparse. The stdlib int
+   hash folds a packed cell's high half onto its low half and chains
+   these 20,000 cells up to 50 deep; the mixed hash keeps chains short. *)
+let test_grid_index_sparse_chains () =
+  let cell = 2 in
+  let index = Grid_index.create ~cell in
+  let cluster base =
+    for cx = base to base + 99 do
+      for cy = base to base + 99 do
+        let x0 = cell * cx and y0 = cell * cy in
+        Grid_index.add index ((cx * 1000) + cy)
+          (Rect.make ~x0 ~y0 ~x1:(x0 + cell - 1) ~y1:(y0 + cell - 1))
+      done
+    done
+  in
+  cluster 0;
+  cluster 1_000_000;
+  let s = Grid_index.stats index in
+  Alcotest.(check bool) "sparse table" false s.Grid_index.dense;
+  Alcotest.(check int) "occupied cells" 20_000 s.Grid_index.cells;
+  Alcotest.(check bool)
+    (Printf.sprintf "max chain %d <= 8" s.Grid_index.max_chain)
+    true
+    (s.Grid_index.max_chain <= 8)
 
 module Interval = Mpl_geometry.Interval
 
@@ -200,4 +297,7 @@ let suite =
     Alcotest.test_case "polygon distance" `Quick test_polygon_distance;
     QCheck_alcotest.to_alcotest prop_grid_index_complete;
     QCheck_alcotest.to_alcotest prop_grid_index_query;
+    Alcotest.test_case "grid index dense table" `Quick test_grid_index_dense;
+    Alcotest.test_case "grid index sparse chains" `Quick
+      test_grid_index_sparse_chains;
   ]

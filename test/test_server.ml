@@ -109,11 +109,10 @@ let heavy_spec =
 let heavy_body =
   lazy (Mpl_layout.Layout_io.to_string (Mpl_layout.Benchgen.generate heavy_spec))
 
-(* Bigger still, for the hard-deadline test: even the soft-degraded
-   (cheap-rung) pipeline must still be mid-flight when the watchdog's
-   first 10 ms poll fires, so TIMEOUT is the deterministic outcome. *)
+(* For the hard-deadline test: a quick graph build, then 32 hard blocks
+   that each become a pool task of their own. *)
 let slow_spec =
-  { spec with Mpl_layout.Benchgen.name = "serve-slow"; rows = 16; cells_per_row = 48 }
+  { spec with Mpl_layout.Benchgen.name = "serve-slow"; hard_blocks = 32 }
 
 let slow_body =
   lazy (Mpl_layout.Layout_io.to_string (Mpl_layout.Benchgen.generate slow_spec))
@@ -497,7 +496,14 @@ let test_serve_disconnect_drops_queued () =
               check_parity D.Sdp_backtrack out)))
 
 let test_serve_deadline_timeout () =
-  with_server ~jobs:1 ~grace_ms:0 (fun sock t ->
+  (* The hard cancel fires 51-61 ms after admission: late enough that
+     the quick graph build has queued the request's pool tasks even on
+     a loaded machine. Every pool task busy-waits 5 ms before it runs,
+     so the 33 tasks keep the single-domain pool busy for at least
+     165 ms and some are still queued when the cancel lands. *)
+  with_server ~jobs:1 ~grace_ms:50
+    ~fault:{ Fault.site = Fault.Worker_delay; seed = 0; shots = 1_000_000 }
+    (fun sock t ->
       with_client sock (fun c ->
           let req =
             { (request ~cache:false ()) with Proto.deadline_ms = Some 1 }

@@ -291,6 +291,40 @@ echo "$newout" | grep -q "^new: " \
        exit 1; }
 rm -f "$emptyb"
 
+# Gate: graph-build scaling. Two synths from identical generator
+# parameters, 30k and 240k features, decomposed sequentially in five
+# interleaved small/large pairs (-v prints the span totals). Each pair
+# gives a log-log slope of the span times, for neighbor search plus
+# stitch split and for the whole graph build; the median over the
+# pairs must stay near linear. Interleaving keeps the host's speed drift out of
+# the slope. On a 2-core VM this gate read 1.40-1.43 for the O(n^1.5)
+# cell-hash collapse it guards against and 1.03-1.18 for the dense
+# cell table (single pairs of the latter spread over 0.99-1.32).
+scale_dir=$(mktemp -d /tmp/mpld-scale.XXXXXX)
+"$MPLD" gen synth "$scale_dir/small" --features 30000 --seed 1 > /dev/null
+"$MPLD" gen synth "$scale_dir/large" --features 240000 --seed 1 > /dev/null
+scale_run() {
+  "$MPLD" decompose "$scale_dir/$1" -a linear -j 1 --no-cache -v 2>&1 |
+    awk '
+    / features \(/ { n = $2 }
+    $1 == "graph.build" { b = $2 + 0 }
+    $1 == "graph.neighbor_search" || $1 == "graph.stitch_split" { s += $2 }
+    END { print n, s, b }'
+}
+for i in 1 2 3 4 5; do
+  echo "$(scale_run small) $(scale_run large)"
+done | awk '{ l = log($4 / $1)
+  printf "%.3f %.3f\n", log($5 / $2) / l, log($6 / $3) / l }' > "$scale_dir/slopes"
+search=$(cut -d' ' -f1 "$scale_dir/slopes" | sort -n | sed -n 3p)
+build=$(cut -d' ' -f2 "$scale_dir/slopes" | sort -n | sed -n 3p)
+rm -rf "$scale_dir"
+echo "tier1: graph-build slope: search $search, build $build (max 1.25)"
+if awk -v s="$search" -v b="$build" 'BEGIN { exit !(s > 1.25 || b > 1.25) }'
+then
+  echo "tier1: graph build scales superlinearly" >&2
+  exit 1
+fi
+
 # Smoke: geometric window sharding. Generate a ~100k-feature synthetic
 # layout and decompose it sharded under a fixed heap budget — the
 # in-process Gc alarm implements the cap (exit 7 past it), since
