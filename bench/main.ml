@@ -607,6 +607,42 @@ type parallel_row = {
          re-solved, features inside the dirty window *)
 }
 
+(* One row from a finished report. Everything but the row's name, its
+   graph-construction time and (for wall clocks measured around more
+   than the assignment) its wall comes from the report and its params. *)
+let row_of_report ~circuit ~build_s ?wall_s (r : D.report) =
+  {
+    p_circuit = circuit;
+    p_algorithm = D.algorithm_name r.D.algorithm;
+    p_k = r.D.params.D.k;
+    p_jobs = r.D.params.D.jobs;
+    p_cache = r.D.params.D.cache;
+    p_wall_s = Option.value wall_s ~default:r.D.elapsed_s;
+    p_cn = r.D.cost.C.conflicts;
+    p_st = r.D.cost.C.stitches;
+    p_cache_hits =
+      (match r.D.engine with
+      | Some e -> e.Mpl_engine.Engine.hits + e.Mpl_engine.Engine.reused
+      | None -> 0);
+    p_cache_bytes =
+      (match r.D.cache with
+      | Some cs -> cs.Mpl_engine.Cache.resident_bytes
+      | None -> 0);
+    p_pieces = r.D.division.Mpl.Division.pieces;
+    p_degraded = r.D.resilience.D.degraded;
+    p_build_s = build_s;
+    p_phases = r.D.phases;
+    p_windows = r.D.params.D.windows;
+    p_inject = Option.map Mpl_engine.Fault.spec_to_string r.D.params.D.fault;
+    p_peak_mb = peak_mb ();
+    p_balance = r.D.balance;
+    p_eco =
+      Option.map
+        (fun e ->
+          (e.D.reused_components, e.D.dirty_components, e.D.dirty_features))
+        r.D.eco;
+  }
+
 let json_of_int_array a =
   "[" ^ String.concat ", " (List.map string_of_int (Array.to_list a)) ^ "]"
 
@@ -811,29 +847,6 @@ let parallel () =
   let shard_params windows =
     { D.default_params with D.jobs = 2; cache = false; windows }
   in
-  let shard_row ~windows ~build_s (r : D.report) =
-    {
-      p_circuit = synth_name;
-      p_algorithm = D.algorithm_name D.Linear;
-      p_k = 4;
-      p_jobs = 2;
-      p_cache = false;
-      p_wall_s = r.D.elapsed_s;
-      p_cn = r.D.cost.C.conflicts;
-      p_st = r.D.cost.C.stitches;
-      p_cache_hits = 0;
-      p_cache_bytes = 0;
-      p_pieces = r.D.division.Mpl.Division.pieces;
-      p_degraded = r.D.resilience.D.degraded;
-      p_build_s = build_s;
-      p_phases = r.D.phases;
-      p_windows = windows;
-      p_inject = None;
-      p_peak_mb = peak_mb ();
-      p_balance = r.D.balance;
-      p_eco = None;
-    }
-  in
   let pp_shard_row label (r : D.report) =
     Format.printf
       "%-8s cn#=%-4d st#=%-4d wall=%.3fs peak=%.0fMB [ext=%.2fs div=%.2fs \
@@ -849,14 +862,15 @@ let parallel () =
   (* Window graph construction happens inside the windows (it is part
      of the point — no whole-layout graph ever exists), so the sharded
      row has no separate build phase. *)
-  rows := shard_row ~windows:8 ~build_s:0. r_sh :: !rows;
+  rows := row_of_report ~circuit:synth_name ~build_s:0. r_sh :: !rows;
   let g_full, full_build_s =
     Mpl_util.Timer.time (fun () ->
         Mpl.Decomp_graph.of_layout layout ~min_s:80)
   in
   let r_full = D.assign ~params:(shard_params 1) D.Linear g_full in
   pp_shard_row "win=1" r_full;
-  rows := shard_row ~windows:1 ~build_s:full_build_s r_full :: !rows;
+  rows :=
+    row_of_report ~circuit:synth_name ~build_s:full_build_s r_full :: !rows;
   if r_sh.D.colors <> r_full.D.colors then begin
     Format.printf "!! sharded coloring diverged from whole-graph on %s@."
       synth_name;
@@ -916,34 +930,10 @@ let parallel () =
       Format.printf
         "warning: incremental speedup below the 20x target@.";
     Format.printf "incremental coloring identical to cold reference@.";
-    let eco_row ~wall ~build_s ~eco (r : D.report) =
-      {
-        p_circuit = synth_name ^ "-eco";
-        p_algorithm = D.algorithm_name D.Linear;
-        p_k = 4;
-        p_jobs = 2;
-        p_cache = false;
-        p_wall_s = wall;
-        p_cn = r.D.cost.C.conflicts;
-        p_st = r.D.cost.C.stitches;
-        p_cache_hits = 0;
-        p_cache_bytes = 0;
-        p_pieces = r.D.division.Mpl.Division.pieces;
-        p_degraded = r.D.resilience.D.degraded;
-        p_build_s = build_s;
-        p_phases = r.D.phases;
-        p_windows = 1;
-        p_inject = None;
-        p_peak_mb = peak_mb ();
-        p_balance = r.D.balance;
-        p_eco = eco;
-      }
-    in
+    let circuit = synth_name ^ "-eco" in
     rows :=
-      eco_row ~wall:eco_wall ~build_s:0. ~eco:(Some (reused, dirty, dfeats))
-        r_eco
-      :: eco_row ~wall:r_cold.D.elapsed_s ~build_s:cold_build_s ~eco:None
-           r_cold
+      row_of_report ~circuit ~build_s:0. ~wall_s:eco_wall r_eco
+      :: row_of_report ~circuit ~build_s:cold_build_s r_cold
       :: !rows);
   (* Fault-injection overhead: the same run clean and with an armed
      solver fault. The injected run pays the fallback ladder for the
@@ -965,28 +955,7 @@ let parallel () =
       let r = D.assign ~params D.Linear g_fault in
       fault_pair := r :: !fault_pair;
       rows :=
-        {
-          p_circuit = "S38417";
-          p_algorithm = D.algorithm_name D.Linear;
-          p_k = 4;
-          p_jobs = 2;
-          p_cache = false;
-          p_wall_s = r.D.elapsed_s;
-          p_cn = r.D.cost.C.conflicts;
-          p_st = r.D.cost.C.stitches;
-          p_cache_hits = 0;
-          p_cache_bytes = 0;
-          p_pieces = r.D.division.Mpl.Division.pieces;
-          p_degraded = r.D.resilience.D.degraded;
-          p_build_s = fault_build_s;
-          p_phases = r.D.phases;
-          p_windows = 1;
-          p_inject = Option.map Mpl_engine.Fault.spec_to_string fault;
-          p_peak_mb = peak_mb ();
-          p_balance = r.D.balance;
-          p_eco = None;
-        }
-        :: !rows)
+        row_of_report ~circuit:"S38417" ~build_s:fault_build_s r :: !rows)
     [ None; Some fault_spec ];
   (match !fault_pair with
   | [ injected; clean ] ->
@@ -1073,32 +1042,7 @@ let parallel () =
                  (100. *. float_of_int hits
                  /. float_of_int (max 1 routed))
              else "");
-          rows :=
-            {
-              p_circuit = name;
-              p_algorithm = D.algorithm_name algo;
-              p_k = 4;
-              p_jobs = jobs;
-              p_cache = cache;
-              p_wall_s = r.D.elapsed_s;
-              p_cn = cn;
-              p_st = st;
-              p_cache_hits = hits;
-              p_cache_bytes =
-                (match r.D.cache with
-                | Some cs -> cs.Mpl_engine.Cache.resident_bytes
-                | None -> 0);
-              p_pieces = pieces;
-              p_degraded = r.D.resilience.D.degraded;
-              p_build_s = build_s;
-              p_phases = r.D.phases;
-              p_windows = 1;
-              p_inject = None;
-              p_peak_mb = peak_mb ();
-              p_balance = r.D.balance;
-              p_eco = None;
-            }
-            :: !rows)
+          rows := row_of_report ~circuit:name ~build_s r :: !rows)
         settings)
     parallel_circuits;
   (* Single-job solver baselines on three small circuits: every solver
@@ -1131,29 +1075,7 @@ let parallel () =
                 "%-8s %-13s k=%d cn#=%-4d st#=%-4d wall=%.3fs@." name
                 (D.algorithm_name algo) k r.D.cost.C.conflicts
                 r.D.cost.C.stitches r.D.elapsed_s;
-              rows :=
-                {
-                  p_circuit = name;
-                  p_algorithm = D.algorithm_name algo;
-                  p_k = k;
-                  p_jobs = 1;
-                  p_cache = false;
-                  p_wall_s = r.D.elapsed_s;
-                  p_cn = r.D.cost.C.conflicts;
-                  p_st = r.D.cost.C.stitches;
-                  p_cache_hits = 0;
-                  p_cache_bytes = 0;
-                  p_pieces = r.D.division.Mpl.Division.pieces;
-                  p_degraded = r.D.resilience.D.degraded;
-                  p_build_s = build_s;
-                  p_phases = r.D.phases;
-                  p_windows = 1;
-                  p_inject = None;
-                  p_peak_mb = peak_mb ();
-                  p_balance = r.D.balance;
-                  p_eco = None;
-                }
-                :: !rows)
+              rows := row_of_report ~circuit:name ~build_s r :: !rows)
             algos)
         sweep)
     small_circuits;

@@ -7,7 +7,7 @@ let algorithm_name = function
   | Sdp_greedy -> "SDP+Greedy"
   | Linear -> "Linear"
 
-type post_pass = No_post | Local_search | Anneal of int
+type post_pass = No_post | Local_search
 
 type params = {
   k : int;
@@ -161,8 +161,6 @@ type phases = {
   solve_s : float;
   merge_s : float;
 }
-
-let no_phases = { extract_s = 0.; division_s = 0.; solve_s = 0.; merge_s = 0. }
 
 (* Per-mask usage tallies — the observational first slice of the
    balanced-masks roadmap item. Purely derived from the final coloring;
@@ -632,56 +630,50 @@ let leaf_emitter ~params ~solver pool =
   in
   (emit, flush)
 
-(* Streaming parallel/cached assignment: split off the independent
-   components (the same split the sequential division pipeline performs
-   first), then run each component through an {!Mpl_engine.Engine}
-   stream. Components are the reuse unit precisely because they share
-   no edge with the rest of the graph: substituting any valid coloring
-   of a component can never change a crossing cost, so cache reuse is
-   cost-exact by construction.
+(* Fold one component's division stats into the run's. *)
+let add_division_stats (into : Division.stats) (s : Division.stats) =
+  into.Division.pieces <- into.Division.pieces + s.Division.pieces;
+  if s.Division.largest_piece > into.Division.largest_piece then
+    into.Division.largest_piece <- s.Division.largest_piece;
+  into.Division.peeled <- into.Division.peeled + s.Division.peeled;
+  into.Division.cuts <- into.Division.cuts + s.Division.cuts
 
-   Unlike the old one-task-per-component batch, a component that must
-   be solved fresh is *divided on the coordinating thread the moment it
-   is pushed* ({!Division.plan}), and every leaf piece it sheds is
-   submitted to the pool right away ({!leaf_emitter}). Workers
-   therefore start solving the first component's leaves while the
-   coordinator is still dividing later components, which is where the
-   old pipeline serialized (division is cheap but the leaf solves
-   behind one big component used to be invisible to the pool until the
-   whole component's recursion finished on a single worker). *)
-let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
-    ~on_component (g : Decomp_graph.t) =
-  let jobs = max 1 params.jobs in
-  let stats = rc.rc_stats and solver = rc.rc_solver and fault = rc.rc_fault in
-  let prov = rc.rc_prov and salt = rc.rc_salt in
-  let caller_ns = rc.rc_caller_ns and extract_s = rc.rc_extract_s in
-  let check_cancel = check_cancel params in
-  let comps =
-    if params.stages.Division.use_components then
-      Mpl_obs.Obs.span obs "division.components" (fun () ->
-          Mpl_graph.Connectivity.components (Decomp_graph.union_graph g))
-    else [| Array.init g.Decomp_graph.n (fun v -> v) |]
+(* Stream setup shared by the engine and sharded drivers, over items
+   whose decomposition graph is [graph item]: the component cache and
+   its signature, vetting of cached colorings (length, completeness,
+   color range), greedy recovery of a component whose plan/merge dies
+   outside the leaf-solver ladder, the pool, the leaf emitter and the
+   plant. A component that must be solved fresh is *divided on the
+   coordinating thread the moment it is pushed* ({!Division.plan}), and
+   every leaf piece it sheds is submitted to the pool right away
+   ({!leaf_emitter}), so workers solve the first component's leaves
+   while the coordinator still divides later ones. The division
+   analysis and the emit order are deterministic and color-independent,
+   so scheduling stays a pure performance knob.
+
+   [drive t flush] is the driver's own push/force loop; its result is
+   returned with the cache's stats snapshot. A caller-owned pool (the
+   serving daemon's, shared by every in-flight request) is used as-is;
+   otherwise a private one sized by [jobs] lives for the call. *)
+let with_stream ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache ~graph
+    drive =
+  let cache = component_cache ~obs ~params ~fault:rc.rc_fault shared_cache in
+  let signature item =
+    if params.cache then piece_signature ~salt:rc.rc_salt (graph item)
+    else None
   in
-  let pieces = Division.extract ~obs ~extract_s g comps in
-  let cache = component_cache ~obs ~params ~fault shared_cache in
-  let signature (piece, _back) =
-    if params.cache then piece_signature ~salt piece else None
-  in
-  (* Vet cached colorings before reuse (length, completeness, color
-     range) and isolate component-level failures: if a whole component
-     plan/merge dies outside the leaf-solver ladder, color it greedily
-     rather than abort the run. *)
-  let validate (piece, _back) colors =
-    Array.length colors = piece.Decomp_graph.n
+  let validate item colors =
+    Array.length colors = (graph item).Decomp_graph.n
     && Coloring.is_complete colors
     && Coloring.check_range ~k:params.k colors
   in
-  let recover (piece, _back) e bt =
+  let recover item e bt =
     (* Cancellation is not a component failure: let it abort the whole
        assignment instead of greedy-recovering a torn-down request. *)
     (match e with
     | Mpl_engine.Pool.Cancelled -> Printexc.raise_with_backtrace e bt
     | _ -> ());
+    let piece = graph item in
     let local = Division.fresh_stats () in
     local.Division.pieces <- 1;
     local.Division.largest_piece <- piece.Decomp_graph.n;
@@ -689,7 +681,7 @@ let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       Bnb.greedy ~k:params.k
         (Bnb.instance_of_graph ~alpha:params.alpha piece)
     in
-    prov_record prov ~raised:true ~fallbacks:1
+    prov_record rc.rc_prov ~raised:true ~fallbacks:1
       {
         piece_n = piece.Decomp_graph.n;
         failed_step = "component";
@@ -699,25 +691,21 @@ let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       };
     (colors, local)
   in
-  (* A caller-owned pool (the serving daemon's, shared by every
-     in-flight request) is used as-is; otherwise spin up a private one
-     sized by [jobs] for the duration of this assignment. *)
   let run_with_pool f =
     match ext_pool with
     | Some pool -> f pool
-    | None -> Mpl_engine.Pool.with_pool ~obs ~fault ~jobs f
+    | None ->
+      Mpl_engine.Pool.with_pool ~obs ~fault:rc.rc_fault
+        ~jobs:(max 1 params.jobs) f
   in
   run_with_pool (fun pool ->
-      let emit_leaf, flush = leaf_emitter ~params ~solver pool in
-      (* Plant = divide now (coordinating thread), emitting leaves into
-         the pool; join later. The division analysis and the emit order
-         are deterministic and color-independent, so scheduling stays
-         a pure performance knob. *)
-      let plant (piece, _back) =
+      let emit_leaf, flush = leaf_emitter ~params ~solver:rc.rc_solver pool in
+      let plant item =
         let local = Division.fresh_stats () in
         let join =
-          Division.plan ~obs ~stages:params.stages ~stats:local ~extract_s
-            ~k:params.k ~alpha:params.alpha ~emit:emit_leaf piece
+          Division.plan ~obs ~stages:params.stages ~stats:local
+            ~extract_s:rc.rc_extract_s ~k:params.k ~alpha:params.alpha
+            ~emit:emit_leaf (graph item)
         in
         fun () -> (join (), local)
       in
@@ -725,68 +713,109 @@ let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
         Mpl_engine.Engine.stream ~obs ?cache ~signature ~validate ~recover
           ~plant ()
       in
-      Mpl_obs.Obs.span obs "engine.batch"
-        ~args:
-          (rid_args params
-             [ ("pieces", Mpl_obs.Sink.Int (Array.length pieces)) ])
-      @@ fun () ->
-      let t0 = Mpl_util.Timer.now_ns () and c0 = !caller_ns in
-      let x0 = !extract_s in
-      let cells =
-        Array.map
-          (fun p ->
-            check_cancel ();
-            Mpl_engine.Engine.push t p)
-          pieces
-      in
-      flush ();
-      let t1 = Mpl_util.Timer.now_ns () and c1 = !caller_ns in
-      let x1 = !extract_s in
-      (* Cells are forced in push (= component index) order, so the
-         [on_component] stream is deterministic regardless of which
-         worker finished which piece first — the serving layer relies
-         on this to keep streamed replies reproducible. *)
-      let results =
-        Array.mapi
-          (fun i cell ->
-            check_cancel ();
-            let ((pc, _local) as r) = Mpl_engine.Engine.force t cell in
-            (match on_component with
-            | Some f ->
-              let _piece, back = pieces.(i) in
-              f i back pc
-            | None -> ());
-            r)
-          cells
-      in
-      let t2 = Mpl_util.Timer.now_ns () and c2 = !caller_ns in
-      let estats = Mpl_engine.Engine.finish t in
-      let colors = Array.make g.Decomp_graph.n (-1) in
-      Array.iteri
-        (fun i (pc, local) ->
-          let _piece, back = pieces.(i) in
-          Array.iteri (fun j v -> colors.(v) <- pc.(j)) back;
-          stats.Division.pieces <- stats.Division.pieces + local.Division.pieces;
-          if local.Division.largest_piece > stats.Division.largest_piece then
-            stats.Division.largest_piece <- local.Division.largest_piece;
-          stats.Division.peeled <- stats.Division.peeled + local.Division.peeled;
-          stats.Division.cuts <- stats.Division.cuts + local.Division.cuts)
-        results;
-      let s ns = Int64.to_float ns /. 1e9 in
-      let division_s =
-        max 0. (s (Int64.sub t1 t0) -. (c1 -. c0) -. (x1 -. x0))
-      in
-      let merge_s = max 0. (s (Int64.sub t2 t1) -. (c2 -. c1)) in
-      let cstats = Option.map Mpl_engine.Cache.stats cache in
-      (colors, estats, cstats, run_phases rc ~division_s ~merge_s))
+      let r = drive t flush in
+      (r, Option.map Mpl_engine.Cache.stats cache))
+
+(* Streaming parallel/cached assignment of a whole graph: split off the
+   independent components (the same split the division pipeline
+   performs first) and push each through one {!with_stream}. Components
+   are the reuse unit precisely because they share no edge with the
+   rest of the graph: substituting any valid coloring of a component
+   can never change a crossing cost, so cache reuse is cost-exact by
+   construction. *)
+let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
+    ~on_component (g : Decomp_graph.t) =
+  let caller_ns = rc.rc_caller_ns and extract_s = rc.rc_extract_s in
+  let check_cancel = check_cancel params in
+  let comps =
+    if params.stages.Division.use_components then
+      Mpl_obs.Obs.span obs "division.components" (fun () ->
+          Mpl_graph.Connectivity.components (Decomp_graph.union_graph g))
+    else [| Array.init g.Decomp_graph.n (fun v -> v) |]
+  in
+  let pieces = Division.extract ~obs ~extract_s g comps in
+  let (colors, estats, phases), cstats =
+    with_stream ~obs ~params ~rc ~ext_pool ~shared_cache ~graph:fst
+    @@ fun t flush ->
+    Mpl_obs.Obs.span obs "engine.batch"
+      ~args:
+        (rid_args params [ ("pieces", Mpl_obs.Sink.Int (Array.length pieces)) ])
+    @@ fun () ->
+    let t0 = Mpl_util.Timer.now_ns () and c0 = !caller_ns in
+    let x0 = !extract_s in
+    let cells =
+      Array.map
+        (fun p ->
+          check_cancel ();
+          Mpl_engine.Engine.push t p)
+        pieces
+    in
+    flush ();
+    let t1 = Mpl_util.Timer.now_ns () and c1 = !caller_ns in
+    let x1 = !extract_s in
+    (* Cells are forced in push (= component index) order, so the
+       [on_component] stream is deterministic regardless of which
+       worker finished which piece first — the serving layer relies
+       on this to keep streamed replies reproducible. *)
+    let results =
+      Array.mapi
+        (fun i cell ->
+          check_cancel ();
+          let ((pc, _local) as r) = Mpl_engine.Engine.force t cell in
+          (match on_component with
+          | Some f -> f i (snd pieces.(i)) pc
+          | None -> ());
+          r)
+        cells
+    in
+    let t2 = Mpl_util.Timer.now_ns () and c2 = !caller_ns in
+    let estats = Mpl_engine.Engine.finish t in
+    let colors = Array.make g.Decomp_graph.n (-1) in
+    Array.iteri
+      (fun i (pc, local) ->
+        Array.iteri (fun j v -> colors.(v) <- pc.(j)) (snd pieces.(i));
+        add_division_stats rc.rc_stats local)
+      results;
+    let s ns = Int64.to_float ns /. 1e9 in
+    let division_s =
+      max 0. (s (Int64.sub t1 t0) -. (c1 -. c0) -. (x1 -. x0))
+    in
+    let merge_s = max 0. (s (Int64.sub t2 t1) -. (c2 -. c1)) in
+    (colors, estats, run_phases rc ~division_s ~merge_s)
+  in
+  (colors, estats, cstats, phases)
+
+(* The report of a finished run: the driver's own results plus what
+   [rc] accumulated (timeout flag, division stats, resilience) and the
+   metrics snapshot. *)
+let make_report ~obs ~params ~(rc : run_ctx) algorithm ~colors ~cost
+    ~elapsed_s ~phases ~engine ~cache ~balance ~eco =
+  assert (Coloring.is_complete colors);
+  assert (Coloring.check_range ~k:params.k colors);
+  let m = obs.Mpl_obs.Obs.metrics in
+  {
+    algorithm;
+    params;
+    cost;
+    colors;
+    elapsed_s;
+    timed_out = Atomic.get rc.rc_timed_out;
+    division = rc.rc_stats;
+    phases;
+    engine;
+    cache;
+    resilience = prov_snapshot rc.rc_prov ~fault:rc.rc_fault;
+    metrics =
+      (if Mpl_obs.Metrics.enabled m then Some (Mpl_obs.Metrics.snapshot m)
+       else None);
+    balance;
+    eco;
+  }
 
 let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
     algorithm g =
   let obs = match obs with Some o -> o | None -> make_obs params in
   let rc = make_run_ctx ~obs ~params algorithm in
-  let engine_stats = ref None in
-  let cache_stats = ref None in
-  let phases = ref no_phases in
   (* Any server-supplied machinery (shared pool, cross-request cache,
      streaming callback) forces the engine path even at jobs = 1. *)
   let use_engine =
@@ -795,7 +824,7 @@ let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
     || Option.is_some on_component
     || Option.is_some params.cancel
   in
-  let (colors, elapsed_s) =
+  let (colors, engine, cache, phases), elapsed_s =
     Mpl_util.Timer.time (fun () ->
         Mpl_obs.Obs.span obs "assign"
           ~args:
@@ -805,13 +834,13 @@ let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
                  ("n", Mpl_obs.Sink.Int g.Decomp_graph.n);
                ])
         @@ fun () ->
-        let colors =
-          (* jobs = 1 without the cache takes the exact historical
-             sequential path; anything else routes through the engine.
-             The two are output-identical at jobs = 1 (the engine's
-             component split mirrors the division pipeline's own first
-             stage), but keeping the legacy path makes the sequential
-             fallback trivially bit-for-bit. *)
+        let colors, engine, cache, phases =
+          (* jobs = 1 without the cache plans and solves inline on this
+             thread ({!Division.assign}); anything else streams through
+             the engine. Both run the one division recursion with the
+             same deterministic emit order, so they are output-identical;
+             the inline form skips the pool, futures and per-piece
+             closures, which keeps it the cheapest sequential path. *)
           if not use_engine then begin
             let a0 = Mpl_util.Timer.now_ns () in
             let colors =
@@ -823,22 +852,18 @@ let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
               Int64.to_float (Int64.sub (Mpl_util.Timer.now_ns ()) a0) /. 1e9
             in
             let p = run_phases rc ~division_s:0. ~merge_s:0. in
-            phases :=
-              {
-                p with
-                division_s = max 0. (wall -. p.solve_s -. p.extract_s);
-              };
-            colors
+            ( colors,
+              None,
+              None,
+              { p with division_s = max 0. (wall -. p.solve_s -. p.extract_s) }
+            )
           end
           else begin
             let colors, estats, cstats, p =
               engine_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
                 ~on_component g
             in
-            engine_stats := Some estats;
-            cache_stats := cstats;
-            phases := p;
-            colors
+            (colors, Some estats, cstats, p)
           end
         in
         let colors =
@@ -847,40 +872,20 @@ let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
           | Local_search ->
             Mpl_obs.Obs.span obs "post.local_search" (fun () ->
                 Refine.local_search ~k:params.k ~alpha:params.alpha g colors)
-          | Anneal iterations ->
-            Mpl_obs.Obs.span obs "post.anneal" (fun () ->
-                Refine.anneal ~iterations ~k:params.k ~alpha:params.alpha g
-                  colors)
         in
-        if params.balance then
-          Mpl_obs.Obs.span obs "post.balance" (fun () ->
-              Balance.rebalance ~k:params.k ~alpha:params.alpha g colors)
-        else colors)
+        let colors =
+          if params.balance then
+            Mpl_obs.Obs.span obs "post.balance" (fun () ->
+                Balance.rebalance ~k:params.k ~alpha:params.alpha g colors)
+          else colors
+        in
+        (colors, engine, cache, phases))
   in
-  assert (Coloring.is_complete colors);
-  assert (Coloring.check_range ~k:params.k colors);
-  let cost = Coloring.evaluate ~alpha:params.alpha g colors in
-  let metrics =
-    let m = obs.Mpl_obs.Obs.metrics in
-    if Mpl_obs.Metrics.enabled m then Some (Mpl_obs.Metrics.snapshot m)
-    else None
-  in
-  {
-    algorithm;
-    params;
-    cost;
-    colors;
-    elapsed_s;
-    timed_out = Atomic.get rc.rc_timed_out;
-    division = rc.rc_stats;
-    phases = !phases;
-    engine = !engine_stats;
-    cache = !cache_stats;
-    resilience = prov_snapshot rc.rc_prov ~fault:rc.rc_fault;
-    metrics;
-    balance = Some (compute_balance ~k:params.k g colors);
-    eco = None;
-  }
+  make_report ~obs ~params ~rc algorithm ~colors
+    ~cost:(Coloring.evaluate ~alpha:params.alpha g colors)
+    ~elapsed_s ~phases ~engine ~cache
+    ~balance:(Some (compute_balance ~k:params.k g colors))
+    ~eco:None
 
 let decompose ?(params = default_params) ?pool ?shared_cache ?on_component
     ?max_stitches_per_feature ~min_s algorithm layout =
@@ -926,7 +931,6 @@ let force_lag = 64
 let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     ~on_component ?max_stitches_per_feature ~min_s
     (layout : Mpl_layout.Layout.t) =
-  let jobs = max 1 params.jobs in
   let check_cancel = check_cancel params in
   let hp = layout.Mpl_layout.Layout.tech.Mpl_layout.Layout.half_pitch in
   let halo = min_s + hp in
@@ -947,163 +951,108 @@ let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
   Mpl_obs.Metrics.add
     (Mpl_obs.Metrics.counter m "shard.windows")
     (Array.length sh.Shard.windows);
-  let cache = component_cache ~obs ~params ~fault:rc.rc_fault shared_cache in
-  let signature (p : Shard.piece) =
-    if params.cache then piece_signature ~salt:rc.rc_salt p.Shard.graph
-    else None
-  in
-  let validate (p : Shard.piece) colors =
-    Array.length colors = p.Shard.graph.Decomp_graph.n
-    && Coloring.is_complete colors
-    && Coloring.check_range ~k:params.k colors
-  in
-  let recover (p : Shard.piece) e bt =
-    (match e with
-    | Mpl_engine.Pool.Cancelled -> Printexc.raise_with_backtrace e bt
-    | _ -> ());
-    let local = Division.fresh_stats () in
-    local.Division.pieces <- 1;
-    local.Division.largest_piece <- p.Shard.graph.Decomp_graph.n;
-    let colors =
-      Bnb.greedy ~k:params.k
-        (Bnb.instance_of_graph ~alpha:params.alpha p.Shard.graph)
+  let (colors, cost, estats, phases), cstats =
+    with_stream ~obs ~params ~rc ~ext_pool ~shared_cache
+      ~graph:(fun (p : Shard.piece) -> p.Shard.graph)
+    @@ fun t flush ->
+    Mpl_obs.Obs.span obs "engine.batch"
+      ~args:
+        (rid_args params
+           [ ("windows", Mpl_obs.Sink.Int (Array.length sh.Shard.windows)) ])
+    @@ fun () ->
+    let t0 = Mpl_util.Timer.now_ns () and c0 = !(rc.rc_caller_ns) in
+    let x0 = !(rc.rc_extract_s) in
+    let acc = Shard.fresh_acc sh in
+    let inflight = Queue.create () in
+    let done_rev = ref [] in
+    let cost_conf = ref 0 and cost_st = ref 0 and cost_sc = ref 0 in
+    let merge_ns = ref 0L and merge_caller = ref 0. in
+    (* Forcing a cell is merge work: it reassembles a component's
+       coloring and folds its cost and division stats, then drops the
+       piece graph, keeping only (colors, back maps). *)
+    let force_one () =
+      let cell, (p : Shard.piece) = Queue.pop inflight in
+      check_cancel ();
+      let f0 = Mpl_util.Timer.now_ns () and fc0 = !(rc.rc_caller_ns) in
+      let pc, local = Mpl_engine.Engine.force t cell in
+      let c = Coloring.evaluate ~alpha:params.alpha p.Shard.graph pc in
+      cost_conf := !cost_conf + c.Coloring.conflicts;
+      cost_st := !cost_st + c.Coloring.stitches;
+      cost_sc := !cost_sc + c.Coloring.scaled;
+      add_division_stats rc.rc_stats local;
+      done_rev := (pc, p.Shard.back_feature, p.Shard.back_seg) :: !done_rev;
+      merge_ns := Int64.add !merge_ns (Int64.sub (Mpl_util.Timer.now_ns ()) f0);
+      merge_caller := !merge_caller +. (!(rc.rc_caller_ns) -. fc0)
     in
-    prov_record rc.rc_prov ~raised:true ~fallbacks:1
+    let push_piece (p : Shard.piece) =
+      check_cancel ();
+      let cell = Mpl_engine.Engine.push t p in
+      Queue.add (cell, p) inflight;
+      if Queue.length inflight > force_lag then force_one ()
+    in
+    Array.iter
+      (fun w ->
+        List.iter push_piece
+          (Shard.scan_window ~obs ~extract_s:rc.rc_extract_s
+             ?max_stitches_per_feature ~acc ~min_s ~hp layout w))
+      sh.Shard.windows;
+    let border = Shard.border_pieces ~obs acc ~min_s ~hp in
+    Mpl_obs.Metrics.add
+      (Mpl_obs.Metrics.counter m "shard.border_pieces")
+      (List.length border);
+    List.iter push_piece border;
+    flush ();
+    while not (Queue.is_empty inflight) do
+      force_one ()
+    done;
+    let estats = Mpl_engine.Engine.finish t in
+    let off, n = Shard.offsets acc in
+    let colors = Array.make n (-1) in
+    let m0 = Mpl_util.Timer.now_ns () in
+    (* Scatter in emission (= push) order; [on_component] therefore
+       streams deterministically, exactly like the unsharded engine
+       path. Back maps translate to global vertex ids through the
+       canonical feature-major offsets. *)
+    List.iteri
+      (fun i (pc, bf, bs) ->
+        match on_component with
+        | Some f ->
+          let back =
+            Array.init (Array.length bf) (fun j -> off.(bf.(j)) + bs.(j))
+          in
+          Array.iteri (fun j v -> colors.(v) <- pc.(j)) back;
+          f i back pc
+        | None ->
+          Array.iteri (fun j c -> colors.(off.(bf.(j)) + bs.(j)) <- c) pc)
+      (List.rev !done_rev);
+    merge_ns := Int64.add !merge_ns (Int64.sub (Mpl_util.Timer.now_ns ()) m0);
+    let t1 = Mpl_util.Timer.now_ns () and c1 = !(rc.rc_caller_ns) in
+    let x1 = !(rc.rc_extract_s) in
+    let s ns = Int64.to_float ns /. 1e9 in
+    let merge_s = max 0. (s !merge_ns -. !merge_caller) in
+    let division_s =
+      max 0. (s (Int64.sub t1 t0) -. (c1 -. c0) -. merge_s -. (x1 -. x0))
+    in
+    let cost =
       {
-        piece_n = p.Shard.graph.Decomp_graph.n;
-        failed_step = "component";
-        error = Printexc.to_string e;
-        solved_by = "greedy";
-        attempts = 1;
-      };
-    (colors, local)
+        Coloring.conflicts = !cost_conf;
+        stitches = !cost_st;
+        scaled = !cost_sc;
+      }
+    in
+    (colors, cost, estats, run_phases rc ~division_s ~merge_s)
   in
-  let run_with_pool f =
-    match ext_pool with
-    | Some pool -> f pool
-    | None -> Mpl_engine.Pool.with_pool ~obs ~fault:rc.rc_fault ~jobs f
-  in
-  run_with_pool (fun pool ->
-      let emit_leaf, flush = leaf_emitter ~params ~solver:rc.rc_solver pool in
-      let plant (p : Shard.piece) =
-        let local = Division.fresh_stats () in
-        let join =
-          Division.plan ~obs ~stages:params.stages ~stats:local
-            ~extract_s:rc.rc_extract_s ~k:params.k ~alpha:params.alpha
-            ~emit:emit_leaf p.Shard.graph
-        in
-        fun () -> (join (), local)
-      in
-      let t =
-        Mpl_engine.Engine.stream ~obs ?cache ~signature ~validate ~recover
-          ~plant ()
-      in
-      Mpl_obs.Obs.span obs "engine.batch"
-        ~args:
-          (rid_args params
-             [ ("windows", Mpl_obs.Sink.Int (Array.length sh.Shard.windows)) ])
-      @@ fun () ->
-      let t0 = Mpl_util.Timer.now_ns () and c0 = !(rc.rc_caller_ns) in
-      let x0 = !(rc.rc_extract_s) in
-      let acc = Shard.fresh_acc sh in
-      let inflight = Queue.create () in
-      let done_rev = ref [] in
-      let cost_conf = ref 0 and cost_st = ref 0 and cost_sc = ref 0 in
-      let merge_ns = ref 0L and merge_caller = ref 0. in
-      let stats = rc.rc_stats in
-      (* Forcing a cell is merge work: it reassembles a component's
-         coloring and folds its cost and division stats, then drops the
-         piece graph, keeping only (colors, back maps). *)
-      let force_one () =
-        let cell, (p : Shard.piece) = Queue.pop inflight in
-        check_cancel ();
-        let f0 = Mpl_util.Timer.now_ns () and fc0 = !(rc.rc_caller_ns) in
-        let pc, (local : Division.stats) = Mpl_engine.Engine.force t cell in
-        let c = Coloring.evaluate ~alpha:params.alpha p.Shard.graph pc in
-        cost_conf := !cost_conf + c.Coloring.conflicts;
-        cost_st := !cost_st + c.Coloring.stitches;
-        cost_sc := !cost_sc + c.Coloring.scaled;
-        stats.Division.pieces <- stats.Division.pieces + local.Division.pieces;
-        if local.Division.largest_piece > stats.Division.largest_piece then
-          stats.Division.largest_piece <- local.Division.largest_piece;
-        stats.Division.peeled <- stats.Division.peeled + local.Division.peeled;
-        stats.Division.cuts <- stats.Division.cuts + local.Division.cuts;
-        done_rev := (pc, p.Shard.back_feature, p.Shard.back_seg) :: !done_rev;
-        merge_ns :=
-          Int64.add !merge_ns (Int64.sub (Mpl_util.Timer.now_ns ()) f0);
-        merge_caller := !merge_caller +. (!(rc.rc_caller_ns) -. fc0)
-      in
-      let push_piece (p : Shard.piece) =
-        check_cancel ();
-        let cell = Mpl_engine.Engine.push t p in
-        Queue.add (cell, p) inflight;
-        if Queue.length inflight > force_lag then force_one ()
-      in
-      Array.iter
-        (fun w ->
-          List.iter push_piece
-            (Shard.scan_window ~obs ~extract_s:rc.rc_extract_s
-               ?max_stitches_per_feature ~acc ~min_s ~hp layout w))
-        sh.Shard.windows;
-      let border = Shard.border_pieces ~obs acc ~min_s ~hp in
-      Mpl_obs.Metrics.add
-        (Mpl_obs.Metrics.counter m "shard.border_pieces")
-        (List.length border);
-      List.iter push_piece border;
-      flush ();
-      while not (Queue.is_empty inflight) do
-        force_one ()
-      done;
-      let estats = Mpl_engine.Engine.finish t in
-      let off, n = Shard.offsets acc in
-      let colors = Array.make n (-1) in
-      let m0 = Mpl_util.Timer.now_ns () in
-      (* Scatter in emission (= push) order; [on_component] therefore
-         streams deterministically, exactly like the unsharded engine
-         path. Back maps translate to global vertex ids through the
-         canonical feature-major offsets. *)
-      List.iteri
-        (fun i (pc, bf, bs) ->
-          match on_component with
-          | Some f ->
-            let back =
-              Array.init (Array.length bf) (fun j -> off.(bf.(j)) + bs.(j))
-            in
-            Array.iteri (fun j v -> colors.(v) <- pc.(j)) back;
-            f i back pc
-          | None ->
-            Array.iteri (fun j c -> colors.(off.(bf.(j)) + bs.(j)) <- c) pc)
-        (List.rev !done_rev);
-      merge_ns := Int64.add !merge_ns (Int64.sub (Mpl_util.Timer.now_ns ()) m0);
-      let t1 = Mpl_util.Timer.now_ns () and c1 = !(rc.rc_caller_ns) in
-      let x1 = !(rc.rc_extract_s) in
-      let s ns = Int64.to_float ns /. 1e9 in
-      let merge_s = max 0. (s !merge_ns -. !merge_caller) in
-      let division_s =
-        max 0. (s (Int64.sub t1 t0) -. (c1 -. c0) -. merge_s -. (x1 -. x0))
-      in
-      let cost =
-        {
-          Coloring.conflicts = !cost_conf;
-          stitches = !cost_st;
-          scaled = !cost_sc;
-        }
-      in
-      let cstats = Option.map Mpl_engine.Cache.stats cache in
-      (colors, cost, estats, cstats, run_phases rc ~division_s ~merge_s))
+  (colors, cost, estats, cstats, phases)
 
 let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
     ?on_component ?max_stitches_per_feature ~min_s algorithm layout =
-  (match params.post with
-  | No_post -> ()
-  | Local_search | Anneal _ ->
-    invalid_arg "decompose_sharded: post passes need the whole graph");
+  if params.post <> No_post then
+    invalid_arg "decompose_sharded: post passes need the whole graph";
   if params.balance then
     invalid_arg "decompose_sharded: balance needs the whole graph";
   let obs = match obs with Some o -> o | None -> make_obs params in
   let rc = make_run_ctx ~obs ~params algorithm in
-  let result = ref None in
-  let (), elapsed_s =
+  let (colors, cost, estats, cstats, phases), elapsed_s =
     Mpl_util.Timer.time (fun () ->
         Mpl_obs.Obs.span obs "assign"
           ~args:
@@ -1113,38 +1062,14 @@ let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
                  ("windows", Mpl_obs.Sink.Int params.windows);
                ])
         @@ fun () ->
-        result :=
-          Some
-            (sharded_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
-               ~on_component ?max_stitches_per_feature ~min_s layout))
+        sharded_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
+          ~on_component ?max_stitches_per_feature ~min_s layout)
   in
-  let colors, cost, estats, cstats, phases = Option.get !result in
-  assert (Coloring.is_complete colors);
-  assert (Coloring.check_range ~k:params.k colors);
-  let metrics =
-    let mm = obs.Mpl_obs.Obs.metrics in
-    if Mpl_obs.Metrics.enabled mm then Some (Mpl_obs.Metrics.snapshot mm)
-    else None
-  in
-  {
-    algorithm;
-    params;
-    cost;
-    colors;
-    elapsed_s;
-    timed_out = Atomic.get rc.rc_timed_out;
-    division = rc.rc_stats;
-    phases;
-    engine = Some estats;
-    cache = cstats;
-    resilience = prov_snapshot rc.rc_prov ~fault:rc.rc_fault;
-    metrics;
-    (* The sharded path never materializes the whole graph, so the
-       per-mask tallies (which want every vertex's area) are skipped —
-       same reason the balance *pass* is rejected above. *)
-    balance = None;
-    eco = None;
-  }
+  (* The sharded path never materializes the whole graph, so the
+     per-mask tallies (which want every vertex's area) are skipped —
+     same reason the balance *pass* is rejected above. *)
+  make_report ~obs ~params ~rc algorithm ~colors ~cost ~elapsed_s ~phases
+    ~engine:(Some estats) ~cache:cstats ~balance:None ~eco:None
 
 let pp_report ppf r =
   Format.fprintf ppf
@@ -1168,6 +1093,27 @@ let pp_report ppf r =
 (* Incremental (ECO) re-decomposition                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* One component of an ECO session: [colors] restricted to the
+   component's ascending vertex list [vs], that coloring's cost on the
+   extracted [piece], and the feature ids [feature_of] gives its
+   vertices — vertices are feature-major, so one scan dedups them. *)
+let eco_comp ~alpha ~feature_of colors (piece, vs) =
+  let pc = Array.map (fun v -> colors.(v)) vs in
+  let cost = Coloring.evaluate ~alpha piece pc in
+  let feats = ref [] in
+  Array.iter
+    (fun v ->
+      let f = feature_of v in
+      match !feats with f' :: _ when f' = f -> () | _ -> feats := f :: !feats)
+    vs;
+  {
+    Eco.features = Array.of_list (List.rev !feats);
+    colors = pc;
+    conflicts = cost.Coloring.conflicts;
+    stitches = cost.Coloring.stitches;
+    scaled = cost.Coloring.scaled;
+  }
+
 (* Capture everything a later [redecompose] needs from a finished run.
    Component colorings are stored in (feature, segment) order restricted
    to each component's ascending vertex list — exactly the order
@@ -1183,26 +1129,10 @@ let snapshot ?(params = default_params) ?(obs = Mpl_obs.Obs.null) ~min_s
   let comps =
     Mpl_graph.Connectivity.components (Decomp_graph.union_graph g)
   in
-  let colors = report.colors in
-  let comp_of (piece, vs) =
-    let pc = Array.map (fun v -> colors.(v)) vs in
-    let cost = Coloring.evaluate ~alpha:params.alpha piece pc in
-    (* vertices are feature-major, so one scan dedups feature ids *)
-    let feats = ref [] in
-    Array.iter
-      (fun v ->
-        let f = g.Decomp_graph.feature.(v) in
-        match !feats with
-        | f' :: _ when f' = f -> ()
-        | _ -> feats := f :: !feats)
-      vs;
-    {
-      Eco.features = Array.of_list (List.rev !feats);
-      colors = pc;
-      conflicts = cost.Coloring.conflicts;
-      stitches = cost.Coloring.stitches;
-      scaled = cost.Coloring.scaled;
-    }
+  let comp_of =
+    eco_comp ~alpha:params.alpha
+      ~feature_of:(fun v -> g.Decomp_graph.feature.(v))
+      report.colors
   in
   let layout_text = Mpl_layout.Layout_io.to_string layout in
   {
@@ -1433,8 +1363,6 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
           c.Eco.features
       end)
     prev.Eco.comps;
-  assert (Coloring.is_complete colors_full);
-  assert (Coloring.check_range ~k:params.k colors_full);
   (* --- total cost: clean components contribute their recorded costs
      (no edge ever crosses a component boundary), dirty ones are
      re-evaluated on [g_d] --- *)
@@ -1466,24 +1394,9 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
     prev.Eco.comps;
   let dirty_comps =
     Array.map
-      (fun (piece, vs) ->
-        let pc = Array.map (fun v -> colors_d.(v)) vs in
-        let cc = Coloring.evaluate ~alpha:params.alpha piece pc in
-        let feats = ref [] in
-        Array.iter
-          (fun v ->
-            let f = dirty_new.(g_d.Decomp_graph.feature.(v)) in
-            match !feats with
-            | f' :: _ when f' = f -> ()
-            | _ -> feats := f :: !feats)
-          vs;
-        {
-          Eco.features = Array.of_list (List.rev !feats);
-          colors = pc;
-          conflicts = cc.Coloring.conflicts;
-          stitches = cc.Coloring.stitches;
-          scaled = cc.Coloring.scaled;
-        })
+      (eco_comp ~alpha:params.alpha
+         ~feature_of:(fun v -> dirty_new.(g_d.Decomp_graph.feature.(v)))
+         colors_d)
       (Division.extract ~obs ~extract_s:rc.rc_extract_s g_d comps_d)
   in
   let comps =
@@ -1504,39 +1417,25 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
       comps;
     }
   in
-  let metrics =
-    if Mpl_obs.Metrics.enabled m then Some (Mpl_obs.Metrics.snapshot m)
-    else None
-  in
   let report =
-    {
-      algorithm;
-      params;
-      cost =
+    make_report ~obs ~params ~rc algorithm ~colors:colors_full
+      ~cost:
         {
           Coloring.conflicts = !conflicts;
           stitches = !stitches;
           scaled = !scaled;
-        };
-      colors = colors_full;
-      elapsed_s = Mpl_util.Timer.elapsed_s t0;
-      timed_out = Atomic.get rc.rc_timed_out;
-      division = rc.rc_stats;
+        }
+      ~elapsed_s:(Mpl_util.Timer.elapsed_s t0)
       (* extraction also covers the cache seeding and session capture *)
-      phases = { phases with extract_s = !(rc.rc_extract_s) };
-      engine = Some estats;
-      cache = cstats;
-      resilience = prov_snapshot rc.rc_prov ~fault:rc.rc_fault;
-      metrics;
-      balance = None;
-      eco =
-        Some
-          {
-            dirty_components = Array.length comps_d;
-            reused_components = nclean;
-            dirty_features = ndirty_f;
-          };
-    }
+      ~phases:{ phases with extract_s = !(rc.rc_extract_s) }
+      ~engine:(Some estats) ~cache:cstats ~balance:None
+      ~eco:
+        (Some
+           {
+             dirty_components = Array.length comps_d;
+             reused_components = nclean;
+             dirty_features = ndirty_f;
+           })
   in
   Ok (edited, report, session)
 

@@ -11,8 +11,9 @@
     {!Mpl_engine.Cache}. Both knobs are pure performance controls: the
     cache only serves byte-identical pieces and the engine schedules
     deterministically, so costs and colorings are identical at every
-    [jobs]/[cache] setting, and [jobs = 1] without the cache runs the
-    historical sequential code path bit-for-bit.
+    [jobs]/[cache] setting. Every setting runs the one division
+    recursion ({!Division.plan}); [jobs = 1] without the cache solves
+    each leaf inline as it is carved out instead of through the pool.
 
     Solving is fault-tolerant per piece: a leaf solver that raises, or
     that is cut short by the shared budget or the node cap, degrades
@@ -34,7 +35,6 @@ val algorithm_name : algorithm -> string
 type post_pass =
   | No_post
   | Local_search  (** steepest-descent recoloring ({!Refine}) *)
-  | Anneal of int  (** simulated annealing with the given iterations *)
 
 type params = {
   k : int;  (** number of masks; 4 = QPLD *)
@@ -50,7 +50,8 @@ type params = {
   post : post_pass;  (** optional global refinement after division *)
   balance : bool;  (** cost-free mask-density rebalancing ({!Balance}) *)
   jobs : int;
-      (** concurrent piece solvers; 1 = the sequential legacy path *)
+      (** concurrent piece solvers; 1 (without the cache or a server
+          hook) solves every leaf inline on the calling thread *)
   priority_bias : int;
       (** added to every pool-submission priority on the engine path
           (default 0). A server maps per-request priorities onto the
@@ -157,11 +158,9 @@ type phases = {
   merge_s : float;
       (** coordinator wall spent joining and reassembling colorings,
           solver work the coordinator picked up while helping the pool
-          excluded; 0 on the sequential path (merging is interleaved
-          with division there) *)
+          excluded; 0 when every leaf was solved inline, where the
+          join is counted in [division_s] *)
 }
-
-val no_phases : phases
 
 type balance = {
   mask_features : int array;
@@ -192,7 +191,8 @@ type report = {
   division : Division.stats;
   phases : phases;  (** wall-clock breakdown of this assignment *)
   engine : Mpl_engine.Engine.stats option;
-      (** pool/cache statistics; [None] on the sequential legacy path *)
+      (** pool/cache statistics; [None] when every leaf was solved
+          inline ([jobs = 1], no cache, no server hook) *)
   cache : Mpl_engine.Cache.stats option;
       (** size + traffic snapshot of the component cache taken as this
           run finished — the *shared* table's totals when one was
@@ -225,11 +225,10 @@ val assign :
     precedence; {!decompose} uses this to share one context between
     graph construction and assignment). The whole assignment runs under
     an [assign] span; each leaf solve under a [solve.<algorithm>] span;
-    post passes under [post.local_search] / [post.anneal] /
-    [post.balance].
+    post passes under [post.local_search] / [post.balance].
 
     The three server hooks all force the engine path (even at
-    [jobs = 1], which otherwise runs the sequential legacy code):
+    [jobs = 1], which otherwise solves every leaf inline):
 
     - [pool]: solve on this caller-owned {!Mpl_engine.Pool} instead of
       spinning up a private one — the serving daemon shares one pool

@@ -111,23 +111,23 @@ let best_rotation ~k ~alpha colors_a colors_b crossing_conflict crossing_stitch 
 (* Piece extraction under a [division.extract] span. With [extract_s]
    (a phase accumulator) the coordinator wall is added to it; without
    one, and with a null sink, the path reads no clock. *)
-let timed_extract ~obs ?extract_s ~pieces ~n f =
+let extract ?(obs = Mpl_obs.Obs.null) ?extract_s (g : Decomp_graph.t) vss =
   Mpl_obs.Obs.span obs "division.extract"
-    ~args:[ ("pieces", Mpl_obs.Sink.Int pieces); ("n", Mpl_obs.Sink.Int n) ]
+    ~args:
+      [
+        ("pieces", Mpl_obs.Sink.Int (Array.length vss));
+        ("n", Mpl_obs.Sink.Int g.Decomp_graph.n);
+      ]
   @@ fun () ->
   match extract_s with
-  | None -> f ()
+  | None -> Decomp_graph.subgraphs g vss
   | Some acc ->
     let t0 = Mpl_util.Timer.now_ns () in
-    let r = f () in
+    let r = Decomp_graph.subgraphs g vss in
     acc :=
       !acc
       +. (Int64.to_float (Int64.sub (Mpl_util.Timer.now_ns ()) t0) /. 1e9);
     r
-
-let extract ?(obs = Mpl_obs.Obs.null) ?extract_s (g : Decomp_graph.t) vss =
-  timed_extract ~obs ?extract_s ~pieces:(Array.length vss)
-    ~n:g.Decomp_graph.n (fun () -> Decomp_graph.subgraphs g vss)
 
 (* The division pipeline is a two-phase producer. [plan ~emit g] runs
    ALL structural analysis up front — component scan, peel fixpoint,
@@ -136,14 +136,20 @@ let extract ?(obs = Mpl_obs.Obs.null) ?extract_s (g : Decomp_graph.t) vss =
    [emit] the moment it is carved out; [emit] returns a thunk for that
    piece's eventual coloring (it may solve inline, or submit to a pool
    and return the join). [plan] returns the merge thunk, which forces
-   the leaf thunks in exactly the order the eager recursion consumed
-   them and reassembles: component scatter, core-then-popped peel
-   replay, block-cut-tree BFS rotation alignment, GH-cut best-rotation
-   stitching. Because analysis is color-independent and the merge
-   consumes results in the plan's deterministic emit order, [plan]-then-
-   [join] computes bit-identical colors to the old interleaved
-   recursion — regardless of when or where the emitted thunks actually
-   run. *)
+   the leaf thunks in emit order and reassembles: component scatter,
+   core-then-popped peel replay, block-cut-tree BFS rotation alignment,
+   GH-cut best-rotation stitching. Because analysis is color-independent
+   and the merge consumes results in the plan's deterministic emit
+   order, the colors do not depend on when or where the emitted thunks
+   actually run.
+
+   Every merge thunk captures only what it reads — the piece size, back
+   maps, crossing lists, child thunks — never a piece graph (the one
+   exception, a peel with a core, needs its piece's adjacency for
+   [pop_color]). So with an inline [emit] a piece dies as soon as its
+   subtree is planned, not at the final join: pieces held to the join
+   are promoted and swept by the major GC, which made the sequential
+   [assign] of a 120k-feature synth ~1.35x dearer (DESIGN.md §10). *)
 let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
     ?(bounded_cuts = true) ?extract_s ~k ~alpha ~emit (g : Decomp_graph.t) =
   if k < 2 then invalid_arg "Division.plan: k < 2";
@@ -162,19 +168,19 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
   let c_bounded = Mpl_obs.Metrics.counter m "division.bounded_exits" in
   let h_size = Mpl_obs.Metrics.histogram m "division.piece_size" in
   let leaf sub =
+    let n = sub.Decomp_graph.n in
     stats.pieces <- stats.pieces + 1;
-    if sub.Decomp_graph.n > stats.largest_piece then
-      stats.largest_piece <- sub.Decomp_graph.n;
+    if n > stats.largest_piece then stats.largest_piece <- n;
     Mpl_obs.Metrics.incr c_pieces;
-    Mpl_obs.Metrics.observe h_size (float_of_int sub.Decomp_graph.n);
+    Mpl_obs.Metrics.observe h_size (float_of_int n);
     let th = emit sub in
     fun () ->
       let colors = th () in
-      if Array.length colors <> sub.Decomp_graph.n then
+      if Array.length colors <> n then
         failwith
           (Printf.sprintf
              "Division.leaf: solver returned %d colors for a %d-vertex piece"
-             (Array.length colors) sub.Decomp_graph.n);
+             (Array.length colors) n);
       colors
   in
   let rec conquer sub =
@@ -184,13 +190,14 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
             Connectivity.components (Decomp_graph.union_graph sub))
       in
       if Array.length comps > 1 then begin
+        let n = sub.Decomp_graph.n in
         let parts =
           Array.map
             (fun (piece, back) -> (connected piece, back))
             (extract ~obs ?extract_s sub comps)
         in
         fun () ->
-          let colors = Array.make sub.Decomp_graph.n (-1) in
+          let colors = Array.make n (-1) in
           Array.iter
             (fun (th, back) ->
               let pc = th () in
@@ -211,28 +218,30 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
       | _ ->
         stats.peeled <- stats.peeled + List.length stack;
         Mpl_obs.Metrics.add c_peeled (List.length stack);
+        let n = sub.Decomp_graph.n in
         let core =
           Array.of_list
-            (List.filter
-               (fun v -> alive.(v))
-               (List.init sub.Decomp_graph.n (fun v -> v)))
+            (List.filter (fun v -> alive.(v)) (List.init n (fun v -> v)))
         in
-        let core_th =
-          if Array.length core > 0 then begin
-            let piece, back = (extract ~obs ?extract_s sub [| core |]).(0) in
-            Some (conquer piece, back)
-          end
-          else None
-        in
-        fun () ->
-          let colors = Array.make sub.Decomp_graph.n (-1) in
-          (match core_th with
-          | Some (th, back) ->
-            let pc = th () in
-            Array.iteri (fun i v -> colors.(v) <- pc.(i)) back
-          | None -> ());
+        let pops colors =
           List.iter (fun v -> colors.(v) <- pop_color ~k sub colors v) stack;
           colors
+        in
+        if Array.length core = 0 then begin
+          (* Nothing left to solve: color the pops now, so [sub] dies
+             before the merge. *)
+          let colors = pops (Array.make n (-1)) in
+          fun () -> colors
+        end
+        else begin
+          let piece, back = (extract ~obs ?extract_s sub [| core |]).(0) in
+          let th = conquer piece in
+          fun () ->
+            let colors = Array.make n (-1) in
+            let pc = th () in
+            Array.iteri (fun i v -> colors.(v) <- pc.(i)) back;
+            pops colors
+        end
     end
     else blocks sub
   and blocks sub =
@@ -249,7 +258,8 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
            is purely structural, so it runs at plan time; the merge
            replays the blocks in the same visit order, aligning each
            with the already-colored shared vertex. *)
-        let blocks_of = Array.make sub.Decomp_graph.n [] in
+        let n = sub.Decomp_graph.n in
+        let blocks_of = Array.make n [] in
         Array.iteri
           (fun bi verts ->
             Array.iter (fun v -> blocks_of.(v) <- bi :: blocks_of.(v)) verts)
@@ -284,7 +294,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
             (extract ~obs ?extract_s sub (Array.of_list (List.rev !order)))
         in
         fun () ->
-          let colors = Array.make sub.Decomp_graph.n (-1) in
+          let colors = Array.make n (-1) in
           Array.iter
             (fun (th, back) ->
               let pc = th () in
@@ -348,13 +358,12 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
               Mpl_obs.Metrics.incr c_maxflow;
               Maxflow.min_cut_side net ~s)
         in
-        let in_a = Array.make sub.Decomp_graph.n false in
+        let n = sub.Decomp_graph.n in
+        let in_a = Array.make n false in
         Array.iter (fun v -> in_a.(v) <- true) side;
         let part flag =
           Array.of_list
-            (List.filter
-               (fun v -> in_a.(v) = flag)
-               (List.init sub.Decomp_graph.n (fun v -> v)))
+            (List.filter (fun v -> in_a.(v) = flag) (List.init n (fun v -> v)))
         in
         let va = part true and vb = part false in
         let ab = extract ~obs ?extract_s sub [| va; vb |] in
@@ -379,7 +388,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
         fun () ->
           let ca = th_a () in
           let cb = th_b () in
-          let colors = Array.make sub.Decomp_graph.n (-1) in
+          let colors = Array.make n (-1) in
           Array.iteri (fun i v -> colors.(v) <- ca.(i)) back_a;
           let r = best_rotation ~k ~alpha colors cb cross_conf cross_stit in
           Array.iteri (fun i v -> colors.(v) <- (cb.(i) + r) mod k) back_b;
@@ -389,217 +398,8 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
   in
   conquer g
 
-(* Eager sequential form. Output-identical to [plan] with an [emit]
-   that solves inline (the invariance test suite checks this end to
-   end), but implemented as the historical interleaved recursion: each
-   subgraph dies as soon as its subtree is colored, where [plan]'s
-   deferred join thunks keep every intermediate subgraph live until the
-   final merge — measurably slower (~1.7x on the S-circuit suite) from
-   promotion and major-GC pressure alone. The sequential path is the
-   reproducibility baseline and the single-core hot path, so it keeps
-   the allocation-friendly shape; the engine path pays [plan]'s
-   retention cost only where division genuinely overlaps solving. *)
-let assign ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
-    ?(bounded_cuts = true) ?extract_s ~k ~alpha ~solver (g : Decomp_graph.t) =
-  if k < 2 then invalid_arg "Division.assign: k < 2";
-  let stats = match stats with Some s -> s | None -> fresh_stats () in
-  let m = obs.Mpl_obs.Obs.metrics in
-  let c_pieces = Mpl_obs.Metrics.counter m "division.pieces" in
-  let c_peeled = Mpl_obs.Metrics.counter m "division.peeled" in
-  let c_bicon = Mpl_obs.Metrics.counter m "division.bicon_splits" in
-  let c_cuts = Mpl_obs.Metrics.counter m "division.gh_cuts" in
-  let c_maxflow = Mpl_obs.Metrics.counter m "division.maxflow_calls" in
-  let c_bounded = Mpl_obs.Metrics.counter m "division.bounded_exits" in
-  let h_size = Mpl_obs.Metrics.histogram m "division.piece_size" in
-  let leaf sub =
-    stats.pieces <- stats.pieces + 1;
-    if sub.Decomp_graph.n > stats.largest_piece then
-      stats.largest_piece <- sub.Decomp_graph.n;
-    Mpl_obs.Metrics.incr c_pieces;
-    Mpl_obs.Metrics.observe h_size (float_of_int sub.Decomp_graph.n);
-    let colors = solver sub in
-    if Array.length colors <> sub.Decomp_graph.n then
-      failwith
-        (Printf.sprintf
-           "Division.leaf: solver returned %d colors for a %d-vertex piece"
-           (Array.length colors) sub.Decomp_graph.n);
-    colors
-  in
-  (* One piece per call through one shared forward map, so each piece
-     can die as soon as it is colored. *)
-  let extractor (sub : Decomp_graph.t) =
-    let ex = Decomp_graph.extractor sub in
-    fun vs ->
-      timed_extract ~obs ?extract_s ~pieces:1 ~n:sub.Decomp_graph.n (fun () ->
-          ex vs)
-  in
-  let rec conquer sub =
-    if stages.use_components then begin
-      let comps =
-        Mpl_obs.Obs.span obs "division.components" (fun () ->
-            Connectivity.components (Decomp_graph.union_graph sub))
-      in
-      if Array.length comps > 1 then begin
-        let colors = Array.make sub.Decomp_graph.n (-1) in
-        let extract_piece = extractor sub in
-        Array.iter
-          (fun comp ->
-            let piece, back = extract_piece comp in
-            let pc = connected piece in
-            Array.iteri (fun i v -> colors.(v) <- pc.(i)) back)
-          comps;
-        colors
-      end
-      else connected sub
-    end
-    else connected sub
-  and connected sub =
-    if stages.use_peel then begin
-      let alive, stack =
-        Mpl_obs.Obs.span obs "division.peel" (fun () -> peel ~k sub)
-      in
-      match stack with
-      | [] -> blocks sub
-      | _ ->
-        stats.peeled <- stats.peeled + List.length stack;
-        Mpl_obs.Metrics.add c_peeled (List.length stack);
-        let core =
-          Array.of_list
-            (List.filter
-               (fun v -> alive.(v))
-               (List.init sub.Decomp_graph.n (fun v -> v)))
-        in
-        let colors = Array.make sub.Decomp_graph.n (-1) in
-        if Array.length core > 0 then begin
-          let piece, back = (extract ~obs ?extract_s sub [| core |]).(0) in
-          let pc = conquer piece in
-          Array.iteri (fun i v -> colors.(v) <- pc.(i)) back
-        end;
-        List.iter (fun v -> colors.(v) <- pop_color ~k sub colors v) stack;
-        colors
-    end
-    else blocks sub
-  and blocks sub =
-    if stages.use_biconnected then begin
-      let bl =
-        Mpl_obs.Obs.span obs "division.biconnected" (fun () ->
-            Array.of_list (Biconnected.blocks (Decomp_graph.union_graph sub)))
-      in
-      if Array.length bl <= 1 then ghtree sub
-      else begin
-        Mpl_obs.Metrics.add c_bicon (Array.length bl - 1);
-        let colors = Array.make sub.Decomp_graph.n (-1) in
-        let blocks_of = Array.make sub.Decomp_graph.n [] in
-        Array.iteri
-          (fun bi verts ->
-            Array.iter (fun v -> blocks_of.(v) <- bi :: blocks_of.(v)) verts)
-          bl;
-        let visited = Array.make (Array.length bl) false in
-        let queue = Queue.create () in
-        let extract_piece = extractor sub in
-        for start = 0 to Array.length bl - 1 do
-          if not visited.(start) then begin
-            visited.(start) <- true;
-            Queue.add start queue;
-            while not (Queue.is_empty queue) do
-              let bi = Queue.pop queue in
-              let verts = bl.(bi) in
-              let piece, back = extract_piece verts in
-              let pc = conquer piece in
-              let rotation = ref 0 in
-              Array.iteri
-                (fun i v ->
-                  if colors.(v) >= 0 && !rotation = 0 then
-                    rotation := ((colors.(v) - pc.(i)) mod k + k) mod k)
-                back;
-              Array.iteri
-                (fun i v ->
-                  if colors.(v) < 0 then
-                    colors.(v) <- (pc.(i) + !rotation) mod k)
-                back;
-              Array.iter
-                (fun v ->
-                  List.iter
-                    (fun bj ->
-                      if not visited.(bj) then begin
-                        visited.(bj) <- true;
-                        Queue.add bj queue
-                      end)
-                    blocks_of.(v))
-                verts
-            done
-          end
-        done;
-        colors
-      end
-    end
-    else ghtree sub
-  and ghtree sub =
-    if stages.use_ghtree && sub.Decomp_graph.n >= 2 then begin
-      let ug, best =
-        Mpl_obs.Obs.span obs "division.ghtree"
-          ~args:[ ("n", Mpl_obs.Sink.Int sub.Decomp_graph.n) ]
-          (fun () ->
-            let ug = Decomp_graph.union_graph sub in
-            let ght =
-              Gomory_hu.build ?bound:(if bounded_cuts then Some k else None) ug
-            in
-            Mpl_obs.Metrics.add c_bounded (Gomory_hu.capped ght);
-            Mpl_obs.Metrics.add c_maxflow (max 0 (sub.Decomp_graph.n - 1));
-            let edges = Gomory_hu.tree_edges ght in
-            let best = ref None in
-            Array.iter
-              (fun (v, p, w) ->
-                match !best with
-                | Some (_, _, bw) when bw <= w -> ()
-                | _ -> if w < k then best := Some (v, p, w))
-              edges;
-            (ug, !best))
-      in
-      match best with
-      | None -> leaf sub
-      | Some (s, t, _) ->
-        stats.cuts <- stats.cuts + 1;
-        Mpl_obs.Metrics.incr c_cuts;
-        let side =
-          Mpl_obs.Obs.span obs "division.ghtree" ~cat:"division"
-            (fun () ->
-              let net = Maxflow.of_ugraph ug in
-              let _ = Maxflow.max_flow net ~s ~t in
-              Mpl_obs.Metrics.incr c_maxflow;
-              Maxflow.min_cut_side net ~s)
-        in
-        let in_a = Array.make sub.Decomp_graph.n false in
-        Array.iter (fun v -> in_a.(v) <- true) side;
-        let part flag =
-          Array.of_list
-            (List.filter
-               (fun v -> in_a.(v) = flag)
-               (List.init sub.Decomp_graph.n (fun v -> v)))
-        in
-        let va = part true and vb = part false in
-        let ab = extract ~obs ?extract_s sub [| va; vb |] in
-        let piece_a, back_a = ab.(0) and piece_b, back_b = ab.(1) in
-        let ca = conquer piece_a and cb = conquer piece_b in
-        let colors = Array.make sub.Decomp_graph.n (-1) in
-        Array.iteri (fun i v -> colors.(v) <- ca.(i)) back_a;
-        let pos_b = Hashtbl.create (Array.length vb) in
-        Array.iteri (fun i v -> Hashtbl.add pos_b v i) back_b;
-        let crossing edges_of =
-          List.filter_map
-            (fun (u, v) ->
-              match (in_a.(u), in_a.(v)) with
-              | true, false -> Some (u, Hashtbl.find pos_b v)
-              | false, true -> Some (v, Hashtbl.find pos_b u)
-              | true, true | false, false -> None)
-            edges_of
-        in
-        let cross_conf = crossing (Decomp_graph.conflict_edges sub) in
-        let cross_stit = crossing (Decomp_graph.stitch_edges sub) in
-        let r = best_rotation ~k ~alpha colors cb cross_conf cross_stit in
-        Array.iteri (fun i v -> colors.(v) <- (cb.(i) + r) mod k) back_b;
-        colors
-    end
-    else leaf sub
-  in
-  conquer g
+(* [plan] with an [emit] that solves inline, then the join. *)
+let assign ?obs ?stages ?stats ?bounded_cuts ?extract_s ~k ~alpha ~solver g =
+  plan ?obs ?stages ?stats ?bounded_cuts ?extract_s ~k ~alpha
+    ~emit:(fun p -> let c = solver p in fun () -> c)
+    g ()

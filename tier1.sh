@@ -17,12 +17,16 @@ dune exec bin/mpld.exe -- decompose C880 -a linear -j 2
 dune exec bench/main.exe -- --kernels --check
 
 # Smoke: streamed-pipeline parity on a real S-circuit. jobs is a pure
-# performance knob: the streamed run (-j 2) must report the identical
-# cn#/st#/pieces line as the sequential reference (-j 1, cache off).
+# performance knob: the streamed run (-j 2, pool emitter) must report the
+# identical cn#/st#/pieces line and write the byte-identical coloring as
+# the sequential reference (-j 1, cache off, inline emitter) — the two
+# emitters of the one division recursion.
+seq_cols=$(mktemp /tmp/mpld-seq.XXXXXX)
+par_cols=$(mktemp /tmp/mpld-par.XXXXXX)
 seq_line=$(dune exec bin/mpld.exe -- decompose S15850 -a linear -j 1 --no-cache \
-  | grep "cn#")
+  --colors "$seq_cols" | grep "cn#")
 par_line=$(dune exec bin/mpld.exe -- decompose S15850 -a linear -j 2 --no-cache \
-  | grep "cn#")
+  --colors "$par_cols" | grep "cn#")
 seq_sig=$(echo "$seq_line" | sed 's/CPU=[0-9.]*s//')
 par_sig=$(echo "$par_line" | sed 's/CPU=[0-9.]*s//')
 if [ "$seq_sig" != "$par_sig" ]; then
@@ -31,6 +35,11 @@ if [ "$seq_sig" != "$par_sig" ]; then
   echo "  -j 2: $par_line" >&2
   exit 1
 fi
+if ! cmp -s "$seq_cols" "$par_cols"; then
+  echo "tier1: streamed coloring differs from sequential reference" >&2
+  exit 1
+fi
+rm -f "$seq_cols" "$par_cols"
 
 # Smoke: tracing + metrics emit parseable output covering the pipeline.
 trace=$(mktemp /tmp/mpld-trace.XXXXXX.json)
