@@ -187,7 +187,7 @@ type report = {
   timed_out : bool;
   division : Division.stats;
   phases : phases;
-  engine : Mpl_engine.Engine.stats option;
+  engine : Mpl_engine.Engine.stats;
   cache : Mpl_engine.Cache.stats option;
   resilience : resilience;
   metrics : Mpl_obs.Metrics.snapshot option;
@@ -442,13 +442,12 @@ let make_solver ~obs ~params ~budget ~deadline_over ~timed_out ~fault ~prov
         ~partial:None ~error:(Printexc.to_string e) piece
   end
 
-(* Per-run solving context, shared by the whole-graph and sharded entry
-   points: armed fault injector, provenance, deadline probe, shared
-   solver budget, and the timed leaf solver with its
-   phase accounting. [rc_solve_ns] totals solver wall across every
-   domain; [rc_caller_ns] (written by the coordinating thread only — no
-   lock needed) lets the engine paths subtract solver work the
-   coordinator picked up while helping the pool out of their
+(* Per-run solving context of every entry point: armed fault injector,
+   provenance, deadline probe, shared solver budget, and the timed leaf
+   solver with its phase accounting. [rc_solve_ns] totals solver wall
+   across every domain; [rc_caller_ns] (written by the coordinating
+   thread only — no lock needed) lets the stream driver subtract solver
+   work the coordinator picked up while helping the pool out of its
    division/merge walls. [rc_extract_s] totals the coordinator wall
    spent extracting pieces ({!Division.extract}), top-level components
    and every division stage alike. *)
@@ -542,16 +541,6 @@ let make_run_ctx ~obs ~params algorithm =
     rc_solver = solver;
   }
 
-(* A run's phases: the coordinator [division_s] / [merge_s] its caller
-   measured, extraction and solver totals from the run context. *)
-let run_phases (rc : run_ctx) ~division_s ~merge_s =
-  {
-    extract_s = !(rc.rc_extract_s);
-    division_s;
-    solve_s = float_of_int (Atomic.get rc.rc_solve_ns) /. 1e9;
-    merge_s;
-  }
-
 (* Coordinator-side cancellation checkpoint: one atomic read per leaf
    emission / component push / component force. When the token trips,
    the assignment unwinds with [Pool.Cancelled] — queued pieces are
@@ -582,7 +571,7 @@ let component_cache ~obs ~(params : params) ?fault shared_cache =
 let chunk_below = 32
 let chunk_len = 16
 
-(* Leaf emitter of the engine paths: [emit piece] submits one leaf to
+(* Leaf emitter of the stream driver: [emit piece] submits one leaf to
    [pool] (largest pieces at highest priority) and returns its join
    thunk; [flush ()] submits the buffered tiny leaves. The buffer only
    lives on the coordinating thread; a join thunk that runs ahead of
@@ -630,6 +619,10 @@ let leaf_emitter ~params ~solver pool =
   in
   (emit, flush)
 
+(* Division stats of a component colored whole, as one piece. *)
+let whole_piece_stats (piece : Decomp_graph.t) =
+  { (Division.fresh_stats ()) with pieces = 1; largest_piece = piece.n }
+
 (* Fold one component's division stats into the run's. *)
 let add_division_stats (into : Division.stats) (s : Division.stats) =
   into.Division.pieces <- into.Division.pieces + s.Division.pieces;
@@ -638,45 +631,171 @@ let add_division_stats (into : Division.stats) (s : Division.stats) =
   into.Division.peeled <- into.Division.peeled + s.Division.peeled;
   into.Division.cuts <- into.Division.cuts + s.Division.cuts
 
-(* Stream setup shared by the engine and sharded drivers, over items
-   whose decomposition graph is [graph item]: the component cache and
-   its signature, vetting of cached colorings (length, completeness,
-   color range), greedy recovery of a component whose plan/merge dies
-   outside the leaf-solver ladder, the pool, the leaf emitter and the
-   plant. A component that must be solved fresh is *divided on the
+(* A component source: [produce push] hands every independent component
+   of a run to [push piece key] in a deterministic emission order.
+   [resolve ()] is [Some (n, back)] once every key's back map can be
+   resolved — [(back key).(j)] is the output vertex, in an [n]-vertex
+   coloring, of the piece's vertex [j] — and [None] before.
+
+   Components are the unit of streaming and of cache reuse because
+   they share no edge with the rest of the graph: substituting any
+   valid coloring of a component can never change a crossing cost, so
+   reuse is cost-exact and the run's cost is the sum of per-component
+   costs. *)
+type 'k source = {
+  produce : (Decomp_graph.t -> 'k -> unit) -> unit;
+  resolve : unit -> (int * ('k -> int array)) option;
+}
+
+(* [f piece back] for every connected component of [g], in index order
+   (the same split the division pipeline performs first; the whole graph
+   as one piece when the component stage is off), extracted in one
+   {!Division.extract} batch. The batch is walked as a list in tail
+   position, so each piece is garbage once [f] is done with it, not
+   held until the batch is. *)
+let iter_components ~obs ~params ?extract_s (g : Decomp_graph.t) f =
+  let comps =
+    if params.stages.Division.use_components then
+      Mpl_obs.Obs.span obs "division.components" (fun () ->
+          Mpl_graph.Connectivity.components (Decomp_graph.union_graph g))
+    else [| Array.init g.Decomp_graph.n Fun.id |]
+  in
+  List.iter
+    (fun (piece, back) -> f piece back)
+    (Array.to_list (Division.extract ~obs ?extract_s g comps))
+
+(* The components of [g], back maps composed with [remap] into an
+   [n]-vertex output. A whole-graph run remaps by the identity; an ECO
+   run maps its dirty-region graph into the edited layout. *)
+let graph_source ~obs ~params ~(rc : run_ctx) ~n ~remap g =
+  {
+    produce = iter_components ~obs ~params ~extract_s:rc.rc_extract_s g;
+    resolve = (fun () -> Some (n, remap));
+  }
+
+(* Geometric windows (the million-feature path): cut the layout into
+   windows with [min_s + hp]-wide halos ({!Shard.plan}) and build each
+   window's graph independently — bounding the resident
+   graph-construction working set to O(window). Interior components are
+   emitted window by window; border-straddling components are
+   reconciled at feature granularity and rebuilt bit-identically from
+   canonical owner-window shapes, then emitted last. Each border piece
+   flows through the normal division pipeline, whose GH-cut merge
+   reconnects the window-spanning halves by Lemma 1 color rotation
+   ({!Division.best_rotation}). Back maps are (feature, segment) pairs,
+   resolved through the canonical feature-major offsets once every
+   window has been scanned.
+
+   Output bit-identity with the whole-graph source: pieces are
+   bit-identical to the unsharded components (see {!Shard}), each
+   piece's division and solve are deterministic in the piece alone,
+   and the final coloring is a scatter through the canonical vertex
+   order. Only the *emission order* differs (windows first, border
+   classes last), which the cost cannot observe. (Caveat: the
+   shared-budget algorithms, Ilp/Exact, may trip their budget at a
+   different piece than an unsharded run under time pressure — the
+   bit-identity contract is for the self-contained solvers.) *)
+let window_source ~obs ~params ~(rc : run_ctx) ?max_stitches_per_feature
+    ~min_s (layout : Mpl_layout.Layout.t) =
+  let hp = layout.Mpl_layout.Layout.tech.Mpl_layout.Layout.half_pitch in
+  let sh =
+    Mpl_obs.Obs.span obs "shard.plan"
+      ~args:
+        (rid_args params
+           [
+             ( "features",
+               Mpl_obs.Sink.Int (Array.length layout.Mpl_layout.Layout.features)
+             );
+           ])
+      (fun () ->
+        Shard.plan ?window_nm:params.window_nm ~windows:params.windows
+          ~halo:(min_s + hp) layout)
+  in
+  let m = obs.Mpl_obs.Obs.metrics in
+  Mpl_obs.Metrics.add
+    (Mpl_obs.Metrics.counter m "shard.windows")
+    (Array.length sh.Shard.windows);
+  let acc = Shard.fresh_acc sh and scanned = ref false in
+  {
+    produce =
+      (fun push ->
+        let push_piece (p : Shard.piece) =
+          push p.Shard.graph (p.Shard.back_feature, p.Shard.back_seg)
+        in
+        Array.iter
+          (fun w ->
+            List.iter push_piece
+              (Shard.scan_window ~obs ~extract_s:rc.rc_extract_s
+                 ?max_stitches_per_feature ~acc ~min_s ~hp layout w))
+          sh.Shard.windows;
+        scanned := true;
+        let border = Shard.border_pieces ~obs acc ~min_s ~hp in
+        Mpl_obs.Metrics.add
+          (Mpl_obs.Metrics.counter m "shard.border_pieces")
+          (List.length border);
+        List.iter push_piece border);
+    resolve =
+      (fun () ->
+        if not !scanned then None
+        else
+          let off, n = Shard.offsets acc in
+          let back (bf, bs) =
+            Array.init (Array.length bf) (fun j -> off.(bf.(j)) + bs.(j))
+          in
+          Some (n, back));
+  }
+
+(* The one stream driver: push every component of [source] through one
+   {!Mpl_engine.Engine.stream} — the component cache and its signature,
+   vetting of cached colorings (length, completeness, color range),
+   greedy recovery of a component whose plan/merge dies outside the
+   leaf-solver ladder — forcing at most [force_lag] cells behind the
+   last push. A component that must be solved fresh is *divided on the
    coordinating thread the moment it is pushed* ({!Division.plan}), and
    every leaf piece it sheds is submitted to the pool right away
    ({!leaf_emitter}), so workers solve the first component's leaves
    while the coordinator still divides later ones. The division
    analysis and the emit order are deterministic and color-independent,
-   so scheduling stays a pure performance knob.
+   so scheduling stays a pure performance knob. A caller-owned pool
+   (the serving daemon's, shared by every in-flight request) is used
+   as-is; otherwise a private one sized by [jobs] lives for the call —
+   at [jobs = 1] it spawns no domain, and the coordinator solves every
+   leaf itself while it forces. With no worker to overlap with, there
+   each component is forced right after its push: a lag would only keep
+   in-flight components' garbage alive past the minor heap.
 
-   [drive t flush] is the driver's own push/force loop; its result is
-   returned with the cache's stats snapshot. A caller-owned pool (the
-   serving daemon's, shared by every in-flight request) is used as-is;
-   otherwise a private one sized by [jobs] lives for the call. *)
-let with_stream ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache ~graph
-    drive =
+   A forced cell folds its component's cost and division stats, hands
+   [keep key colors cost] its result, and drops its piece graph, so
+   peak residency is O(lag) pieces + O(output) however long the source
+   is. Forced components are replayed in push order — scattered into
+   the coloring and streamed to [on_component] with their resolved back
+   maps — as soon as the source can resolve them, so the stream is
+   deterministic whichever worker finished which piece first; the
+   serving layer relies on that to keep streamed replies reproducible.
+
+   Phases: forcing and replaying are merge work; division is the rest
+   of the driver's wall. Both exclude solver work the coordinator
+   picked up while helping the pool, and division also excludes piece
+   extraction. *)
+let force_lag = 64
+
+let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
+    ~on_component ?(keep = fun _ _ _ -> ()) source =
   let cache = component_cache ~obs ~params ~fault:rc.rc_fault shared_cache in
-  let signature item =
-    if params.cache then piece_signature ~salt:rc.rc_salt (graph item)
-    else None
+  let signature (piece, _) =
+    if params.cache then piece_signature ~salt:rc.rc_salt piece else None
   in
-  let validate item colors =
-    Array.length colors = (graph item).Decomp_graph.n
+  let validate ((piece : Decomp_graph.t), _) colors =
+    Array.length colors = piece.Decomp_graph.n
     && Coloring.is_complete colors
     && Coloring.check_range ~k:params.k colors
   in
-  let recover item e bt =
+  let recover ((piece : Decomp_graph.t), _) e bt =
     (* Cancellation is not a component failure: let it abort the whole
        assignment instead of greedy-recovering a torn-down request. *)
     (match e with
     | Mpl_engine.Pool.Cancelled -> Printexc.raise_with_backtrace e bt
     | _ -> ());
-    let piece = graph item in
-    let local = Division.fresh_stats () in
-    local.Division.pieces <- 1;
-    local.Division.largest_piece <- piece.Decomp_graph.n;
     let colors =
       Bnb.greedy ~k:params.k
         (Bnb.instance_of_graph ~alpha:params.alpha piece)
@@ -689,107 +808,126 @@ let with_stream ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache ~graph
         solved_by = "greedy";
         attempts = 1;
       };
-    (colors, local)
+    (colors, whole_piece_stats piece)
   in
-  let run_with_pool f =
+  let check_cancel = check_cancel params and now = Mpl_util.Timer.now_ns in
+  let drive pool =
+    let lag =
+      if Option.is_none ext_pool && params.jobs <= 1 then 0 else force_lag
+    in
+    let emit_leaf, flush = leaf_emitter ~params ~solver:rc.rc_solver pool in
+    let plant (piece, _) =
+      let local = Division.fresh_stats () in
+      let join =
+        Division.plan ~obs ~stages:params.stages ~stats:local
+          ~extract_s:rc.rc_extract_s ~connected:true ~k:params.k
+          ~alpha:params.alpha ~emit:emit_leaf piece
+      in
+      fun () -> (join (), local)
+    in
+    let t =
+      Mpl_engine.Engine.stream ~obs ?cache ~signature ~validate ~recover
+        ~plant ()
+    in
+    let pushed = ref 0 in
+    Mpl_obs.Obs.span obs "engine.batch" ~args:(rid_args params [])
+      ~late_args:(fun () -> [ ("pieces", Mpl_obs.Sink.Int !pushed) ])
+    @@ fun () ->
+    let t0 = now () and c0 = !(rc.rc_caller_ns) and x0 = !(rc.rc_extract_s) in
+    let merge_ns = ref 0L and merge_caller = ref 0. in
+    let merge f =
+      let f0 = now () and fc0 = !(rc.rc_caller_ns) in
+      f ();
+      merge_ns := Int64.add !merge_ns (Int64.sub (now ()) f0);
+      merge_caller := !merge_caller +. (!(rc.rc_caller_ns) -. fc0)
+    in
+    let inflight = Queue.create () and forced = Queue.create () in
+    let out = ref None and replayed = ref 0 in
+    let replay () =
+      if Option.is_none !out then
+        out :=
+          Option.map
+            (fun (n, back_of) -> (Array.make n (-1), back_of))
+            (source.resolve ());
+      Option.iter
+        (fun (colors, back_of) ->
+          Queue.iter
+            (fun (key, pc) ->
+              let back = back_of key in
+              Array.iteri (fun j v -> colors.(v) <- pc.(j)) back;
+              Option.iter (fun f -> f !replayed back pc) on_component;
+              incr replayed)
+            forced;
+          Queue.clear forced)
+        !out
+    in
+    let conflicts = ref 0 and stitches = ref 0 and scaled = ref 0 in
+    let force_one () =
+      check_cancel ();
+      merge (fun () ->
+          let cell, ((piece : Decomp_graph.t), key) = Queue.pop inflight in
+          let pc, local = Mpl_engine.Engine.force t cell in
+          let c = Coloring.evaluate ~alpha:params.alpha piece pc in
+          conflicts := !conflicts + c.Coloring.conflicts;
+          stitches := !stitches + c.Coloring.stitches;
+          scaled := !scaled + c.Coloring.scaled;
+          add_division_stats rc.rc_stats local;
+          keep key pc c;
+          Queue.add (key, pc) forced;
+          replay ())
+    in
+    source.produce (fun piece key ->
+        check_cancel ();
+        incr pushed;
+        let item = (piece, key) in
+        Queue.add (Mpl_engine.Engine.push t item, item) inflight;
+        if Queue.length inflight > lag then force_one ());
+    flush ();
+    while not (Queue.is_empty inflight) do
+      force_one ()
+    done;
+    merge replay;
+    let engine = Mpl_engine.Engine.finish t in
+    let s ns = Int64.to_float ns /. 1e9 in
+    let merge_s = max 0. (s !merge_ns -. !merge_caller) in
+    let division_s =
+      max 0.
+        (s (Int64.sub (now ()) t0)
+        -. (!(rc.rc_caller_ns) -. c0)
+        -. merge_s
+        -. (!(rc.rc_extract_s) -. x0))
+    in
+    let cost =
+      {
+        Coloring.conflicts = !conflicts;
+        stitches = !stitches;
+        scaled = !scaled;
+      }
+    in
+    ( fst (Option.get !out),
+      cost,
+      engine,
+      {
+        extract_s = !(rc.rc_extract_s);
+        division_s;
+        solve_s = float_of_int (Atomic.get rc.rc_solve_ns) /. 1e9;
+        merge_s;
+      } )
+  in
+  let colors, cost, engine, phases =
     match ext_pool with
-    | Some pool -> f pool
+    | Some pool -> drive pool
     | None ->
       Mpl_engine.Pool.with_pool ~obs ~fault:rc.rc_fault
-        ~jobs:(max 1 params.jobs) f
+        ~jobs:(max 1 params.jobs) drive
   in
-  run_with_pool (fun pool ->
-      let emit_leaf, flush = leaf_emitter ~params ~solver:rc.rc_solver pool in
-      let plant item =
-        let local = Division.fresh_stats () in
-        let join =
-          Division.plan ~obs ~stages:params.stages ~stats:local
-            ~extract_s:rc.rc_extract_s ~k:params.k ~alpha:params.alpha
-            ~emit:emit_leaf (graph item)
-        in
-        fun () -> (join (), local)
-      in
-      let t =
-        Mpl_engine.Engine.stream ~obs ?cache ~signature ~validate ~recover
-          ~plant ()
-      in
-      let r = drive t flush in
-      (r, Option.map Mpl_engine.Cache.stats cache))
-
-(* Streaming parallel/cached assignment of a whole graph: split off the
-   independent components (the same split the division pipeline
-   performs first) and push each through one {!with_stream}. Components
-   are the reuse unit precisely because they share no edge with the
-   rest of the graph: substituting any valid coloring of a component
-   can never change a crossing cost, so cache reuse is cost-exact by
-   construction. *)
-let engine_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
-    ~on_component (g : Decomp_graph.t) =
-  let caller_ns = rc.rc_caller_ns and extract_s = rc.rc_extract_s in
-  let check_cancel = check_cancel params in
-  let comps =
-    if params.stages.Division.use_components then
-      Mpl_obs.Obs.span obs "division.components" (fun () ->
-          Mpl_graph.Connectivity.components (Decomp_graph.union_graph g))
-    else [| Array.init g.Decomp_graph.n (fun v -> v) |]
-  in
-  let pieces = Division.extract ~obs ~extract_s g comps in
-  let (colors, estats, phases), cstats =
-    with_stream ~obs ~params ~rc ~ext_pool ~shared_cache ~graph:fst
-    @@ fun t flush ->
-    Mpl_obs.Obs.span obs "engine.batch"
-      ~args:
-        (rid_args params [ ("pieces", Mpl_obs.Sink.Int (Array.length pieces)) ])
-    @@ fun () ->
-    let t0 = Mpl_util.Timer.now_ns () and c0 = !caller_ns in
-    let x0 = !extract_s in
-    let cells =
-      Array.map
-        (fun p ->
-          check_cancel ();
-          Mpl_engine.Engine.push t p)
-        pieces
-    in
-    flush ();
-    let t1 = Mpl_util.Timer.now_ns () and c1 = !caller_ns in
-    let x1 = !extract_s in
-    (* Cells are forced in push (= component index) order, so the
-       [on_component] stream is deterministic regardless of which
-       worker finished which piece first — the serving layer relies
-       on this to keep streamed replies reproducible. *)
-    let results =
-      Array.mapi
-        (fun i cell ->
-          check_cancel ();
-          let ((pc, _local) as r) = Mpl_engine.Engine.force t cell in
-          (match on_component with
-          | Some f -> f i (snd pieces.(i)) pc
-          | None -> ());
-          r)
-        cells
-    in
-    let t2 = Mpl_util.Timer.now_ns () and c2 = !caller_ns in
-    let estats = Mpl_engine.Engine.finish t in
-    let colors = Array.make g.Decomp_graph.n (-1) in
-    Array.iteri
-      (fun i (pc, local) ->
-        Array.iteri (fun j v -> colors.(v) <- pc.(j)) (snd pieces.(i));
-        add_division_stats rc.rc_stats local)
-      results;
-    let s ns = Int64.to_float ns /. 1e9 in
-    let division_s =
-      max 0. (s (Int64.sub t1 t0) -. (c1 -. c0) -. (x1 -. x0))
-    in
-    let merge_s = max 0. (s (Int64.sub t2 t1) -. (c2 -. c1)) in
-    (colors, estats, run_phases rc ~division_s ~merge_s)
-  in
-  (colors, estats, cstats, phases)
+  (colors, cost, engine, Option.map Mpl_engine.Cache.stats cache, phases)
 
 (* The report of a finished run: the driver's own results plus what
    [rc] accumulated (timeout flag, division stats, resilience) and the
-   metrics snapshot. *)
+   metrics snapshot; the entry points fill in [balance] and [eco]. *)
 let make_report ~obs ~params ~(rc : run_ctx) algorithm ~colors ~cost
-    ~elapsed_s ~phases ~engine ~cache ~balance ~eco =
+    ~elapsed_s ~phases ~engine ~cache =
   assert (Coloring.is_complete colors);
   assert (Coloring.check_range ~k:params.k colors);
   let m = obs.Mpl_obs.Obs.metrics in
@@ -808,84 +946,65 @@ let make_report ~obs ~params ~(rc : run_ctx) algorithm ~colors ~cost
     metrics =
       (if Mpl_obs.Metrics.enabled m then Some (Mpl_obs.Metrics.snapshot m)
        else None);
-    balance;
-    eco;
+    balance = None;
+    eco = None;
   }
 
-let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
-    algorithm g =
-  let obs = match obs with Some o -> o | None -> make_obs params in
+(* One run of the driver under an [assign] span carrying [arg]: a fresh
+   run context, the component source [source rc], then [post colors
+   cost] — whole-graph passes over the streamed coloring — inside the
+   timed span. *)
+let run_assign ~obs ~params ~pool ~shared_cache ~on_component ~post
+    algorithm arg source =
   let rc = make_run_ctx ~obs ~params algorithm in
-  (* Any server-supplied machinery (shared pool, cross-request cache,
-     streaming callback) forces the engine path even at jobs = 1. *)
-  let use_engine =
-    params.jobs > 1 || params.cache || Option.is_some pool
-    || Option.is_some shared_cache
-    || Option.is_some on_component
-    || Option.is_some params.cancel
-  in
-  let (colors, engine, cache, phases), elapsed_s =
+  let (colors, cost, engine, cache, phases), elapsed_s =
     Mpl_util.Timer.time (fun () ->
         Mpl_obs.Obs.span obs "assign"
           ~args:
             (rid_args params
                [
                  ("algorithm", Mpl_obs.Sink.Str (algorithm_name algorithm));
-                 ("n", Mpl_obs.Sink.Int g.Decomp_graph.n);
+                 arg;
                ])
         @@ fun () ->
-        let colors, engine, cache, phases =
-          (* jobs = 1 without the cache plans and solves inline on this
-             thread ({!Division.assign}); anything else streams through
-             the engine. Both run the one division recursion with the
-             same deterministic emit order, so they are output-identical;
-             the inline form skips the pool, futures and per-piece
-             closures, which keeps it the cheapest sequential path. *)
-          if not use_engine then begin
-            let a0 = Mpl_util.Timer.now_ns () in
-            let colors =
-              Division.assign ~obs ~stages:params.stages ~stats:rc.rc_stats
-                ~extract_s:rc.rc_extract_s ~k:params.k ~alpha:params.alpha
-                ~solver:rc.rc_solver g
-            in
-            let wall =
-              Int64.to_float (Int64.sub (Mpl_util.Timer.now_ns ()) a0) /. 1e9
-            in
-            let p = run_phases rc ~division_s:0. ~merge_s:0. in
-            ( colors,
-              None,
-              None,
-              { p with division_s = max 0. (wall -. p.solve_s -. p.extract_s) }
-            )
-          end
-          else begin
-            let colors, estats, cstats, p =
-              engine_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
-                ~on_component g
-            in
-            (colors, Some estats, cstats, p)
-          end
+        let colors, cost, engine, cache, phases =
+          stream_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
+            ~on_component (source rc)
         in
-        let colors =
-          match params.post with
-          | No_post -> colors
-          | Local_search ->
-            Mpl_obs.Obs.span obs "post.local_search" (fun () ->
-                Refine.local_search ~k:params.k ~alpha:params.alpha g colors)
-        in
-        let colors =
-          if params.balance then
-            Mpl_obs.Obs.span obs "post.balance" (fun () ->
-                Balance.rebalance ~k:params.k ~alpha:params.alpha g colors)
-          else colors
-        in
-        (colors, engine, cache, phases))
+        let colors, cost = post colors cost in
+        (colors, cost, engine, cache, phases))
   in
-  make_report ~obs ~params ~rc algorithm ~colors
-    ~cost:(Coloring.evaluate ~alpha:params.alpha g colors)
-    ~elapsed_s ~phases ~engine ~cache
-    ~balance:(Some (compute_balance ~k:params.k g colors))
-    ~eco:None
+  make_report ~obs ~params ~rc algorithm ~colors ~cost ~elapsed_s ~phases
+    ~engine ~cache
+
+let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
+    algorithm g =
+  let obs = match obs with Some o -> o | None -> make_obs params in
+  let post colors cost =
+    let polished =
+      match params.post with
+      | No_post -> colors
+      | Local_search ->
+        Mpl_obs.Obs.span obs "post.local_search" (fun () ->
+            Refine.local_search ~k:params.k ~alpha:params.alpha g colors)
+    in
+    let polished =
+      if params.balance then
+        Mpl_obs.Obs.span obs "post.balance" (fun () ->
+            Balance.rebalance ~k:params.k ~alpha:params.alpha g polished)
+      else polished
+    in
+    (* The streamed cost stands unless a pass replaced the coloring. *)
+    if polished == colors then (colors, cost)
+    else (polished, Coloring.evaluate ~alpha:params.alpha g polished)
+  in
+  let r =
+    run_assign ~obs ~params ~pool ~shared_cache ~on_component ~post algorithm
+      ("n", Mpl_obs.Sink.Int g.Decomp_graph.n)
+      (fun rc ->
+        graph_source ~obs ~params ~rc ~n:g.Decomp_graph.n ~remap:Fun.id g)
+  in
+  { r with balance = Some (compute_balance ~k:params.k g r.colors) }
 
 let decompose ?(params = default_params) ?pool ?shared_cache ?on_component
     ?max_stitches_per_feature ~min_s algorithm layout =
@@ -895,155 +1014,6 @@ let decompose ?(params = default_params) ?pool ?shared_cache ?on_component
   let g = Decomp_graph.of_layout ~obs ?max_stitches_per_feature layout ~min_s in
   (g, assign ~params ~obs ?pool ?shared_cache ?on_component algorithm g)
 
-(* Sharded streaming front-end (the million-feature path): cut the
-   layout into geometric windows with [min_s + hp]-wide halos
-   ({!Shard.plan}), build each window's decomposition graph
-   independently — bounding the resident graph-construction working set
-   to O(window) — and stream every globally closed component through
-   the same division/engine machinery as {!engine_assign}. Interior
-   components are pushed window by window; border-straddling
-   components are reconciled at feature granularity and rebuilt
-   bit-identically from canonical owner-window shapes, then pushed
-   last. Each border piece flows through the normal division pipeline,
-   whose GH-cut merge reconnects the window-spanning halves by Lemma 1
-   color rotation ({!Division.best_rotation}) via the same
-   deterministic replay-merge thunks an unsharded run uses.
-
-   Forcing lags pushing by a bounded number of cells, and a forced
-   cell retains only its coloring and back maps — the piece graph is
-   dropped — so peak residency is O(window) + O(output), not
-   O(layout).
-
-   Output bit-identity with the unsharded path: pieces are
-   bit-identical to the unsharded components (see {!Shard}), each
-   piece's division and solve are deterministic in the piece alone,
-   and the final coloring is a scatter through the canonical
-   (feature, segment) vertex order. Only the *emission order* of
-   components differs (windows first, border classes last), which the
-   cost cannot observe: every conflict and stitch edge is
-   intra-component, so the total is the sum of per-piece costs.
-   (Caveat: the shared-budget algorithms, Ilp/Exact, may trip their
-   budget at a different piece than an unsharded run under time
-   pressure — the bit-identity contract is for the self-contained
-   solvers.) *)
-let force_lag = 64
-
-let sharded_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
-    ~on_component ?max_stitches_per_feature ~min_s
-    (layout : Mpl_layout.Layout.t) =
-  let check_cancel = check_cancel params in
-  let hp = layout.Mpl_layout.Layout.tech.Mpl_layout.Layout.half_pitch in
-  let halo = min_s + hp in
-  let sh =
-    Mpl_obs.Obs.span obs "shard.plan"
-      ~args:
-        (rid_args params
-           [
-             ( "features",
-               Mpl_obs.Sink.Int (Array.length layout.Mpl_layout.Layout.features)
-             );
-           ])
-      (fun () ->
-        Shard.plan ?window_nm:params.window_nm ~windows:params.windows ~halo
-          layout)
-  in
-  let m = obs.Mpl_obs.Obs.metrics in
-  Mpl_obs.Metrics.add
-    (Mpl_obs.Metrics.counter m "shard.windows")
-    (Array.length sh.Shard.windows);
-  let (colors, cost, estats, phases), cstats =
-    with_stream ~obs ~params ~rc ~ext_pool ~shared_cache
-      ~graph:(fun (p : Shard.piece) -> p.Shard.graph)
-    @@ fun t flush ->
-    Mpl_obs.Obs.span obs "engine.batch"
-      ~args:
-        (rid_args params
-           [ ("windows", Mpl_obs.Sink.Int (Array.length sh.Shard.windows)) ])
-    @@ fun () ->
-    let t0 = Mpl_util.Timer.now_ns () and c0 = !(rc.rc_caller_ns) in
-    let x0 = !(rc.rc_extract_s) in
-    let acc = Shard.fresh_acc sh in
-    let inflight = Queue.create () in
-    let done_rev = ref [] in
-    let cost_conf = ref 0 and cost_st = ref 0 and cost_sc = ref 0 in
-    let merge_ns = ref 0L and merge_caller = ref 0. in
-    (* Forcing a cell is merge work: it reassembles a component's
-       coloring and folds its cost and division stats, then drops the
-       piece graph, keeping only (colors, back maps). *)
-    let force_one () =
-      let cell, (p : Shard.piece) = Queue.pop inflight in
-      check_cancel ();
-      let f0 = Mpl_util.Timer.now_ns () and fc0 = !(rc.rc_caller_ns) in
-      let pc, local = Mpl_engine.Engine.force t cell in
-      let c = Coloring.evaluate ~alpha:params.alpha p.Shard.graph pc in
-      cost_conf := !cost_conf + c.Coloring.conflicts;
-      cost_st := !cost_st + c.Coloring.stitches;
-      cost_sc := !cost_sc + c.Coloring.scaled;
-      add_division_stats rc.rc_stats local;
-      done_rev := (pc, p.Shard.back_feature, p.Shard.back_seg) :: !done_rev;
-      merge_ns := Int64.add !merge_ns (Int64.sub (Mpl_util.Timer.now_ns ()) f0);
-      merge_caller := !merge_caller +. (!(rc.rc_caller_ns) -. fc0)
-    in
-    let push_piece (p : Shard.piece) =
-      check_cancel ();
-      let cell = Mpl_engine.Engine.push t p in
-      Queue.add (cell, p) inflight;
-      if Queue.length inflight > force_lag then force_one ()
-    in
-    Array.iter
-      (fun w ->
-        List.iter push_piece
-          (Shard.scan_window ~obs ~extract_s:rc.rc_extract_s
-             ?max_stitches_per_feature ~acc ~min_s ~hp layout w))
-      sh.Shard.windows;
-    let border = Shard.border_pieces ~obs acc ~min_s ~hp in
-    Mpl_obs.Metrics.add
-      (Mpl_obs.Metrics.counter m "shard.border_pieces")
-      (List.length border);
-    List.iter push_piece border;
-    flush ();
-    while not (Queue.is_empty inflight) do
-      force_one ()
-    done;
-    let estats = Mpl_engine.Engine.finish t in
-    let off, n = Shard.offsets acc in
-    let colors = Array.make n (-1) in
-    let m0 = Mpl_util.Timer.now_ns () in
-    (* Scatter in emission (= push) order; [on_component] therefore
-       streams deterministically, exactly like the unsharded engine
-       path. Back maps translate to global vertex ids through the
-       canonical feature-major offsets. *)
-    List.iteri
-      (fun i (pc, bf, bs) ->
-        match on_component with
-        | Some f ->
-          let back =
-            Array.init (Array.length bf) (fun j -> off.(bf.(j)) + bs.(j))
-          in
-          Array.iteri (fun j v -> colors.(v) <- pc.(j)) back;
-          f i back pc
-        | None ->
-          Array.iteri (fun j c -> colors.(off.(bf.(j)) + bs.(j)) <- c) pc)
-      (List.rev !done_rev);
-    merge_ns := Int64.add !merge_ns (Int64.sub (Mpl_util.Timer.now_ns ()) m0);
-    let t1 = Mpl_util.Timer.now_ns () and c1 = !(rc.rc_caller_ns) in
-    let x1 = !(rc.rc_extract_s) in
-    let s ns = Int64.to_float ns /. 1e9 in
-    let merge_s = max 0. (s !merge_ns -. !merge_caller) in
-    let division_s =
-      max 0. (s (Int64.sub t1 t0) -. (c1 -. c0) -. merge_s -. (x1 -. x0))
-    in
-    let cost =
-      {
-        Coloring.conflicts = !cost_conf;
-        stitches = !cost_st;
-        scaled = !cost_sc;
-      }
-    in
-    (colors, cost, estats, run_phases rc ~division_s ~merge_s)
-  in
-  (colors, cost, estats, cstats, phases)
-
 let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
     ?on_component ?max_stitches_per_feature ~min_s algorithm layout =
   if params.post <> No_post then
@@ -1051,25 +1021,15 @@ let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
   if params.balance then
     invalid_arg "decompose_sharded: balance needs the whole graph";
   let obs = match obs with Some o -> o | None -> make_obs params in
-  let rc = make_run_ctx ~obs ~params algorithm in
-  let (colors, cost, estats, cstats, phases), elapsed_s =
-    Mpl_util.Timer.time (fun () ->
-        Mpl_obs.Obs.span obs "assign"
-          ~args:
-            (rid_args params
-               [
-                 ("algorithm", Mpl_obs.Sink.Str (algorithm_name algorithm));
-                 ("windows", Mpl_obs.Sink.Int params.windows);
-               ])
-        @@ fun () ->
-        sharded_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
-          ~on_component ?max_stitches_per_feature ~min_s layout)
-  in
   (* The sharded path never materializes the whole graph, so the
      per-mask tallies (which want every vertex's area) are skipped —
      same reason the balance *pass* is rejected above. *)
-  make_report ~obs ~params ~rc algorithm ~colors ~cost ~elapsed_s ~phases
-    ~engine:(Some estats) ~cache:cstats ~balance:None ~eco:None
+  run_assign ~obs ~params ~pool ~shared_cache ~on_component
+    ~post:(fun colors cost -> (colors, cost))
+    algorithm
+    ("windows", Mpl_obs.Sink.Int params.windows)
+    (fun rc ->
+      window_source ~obs ~params ~rc ?max_stitches_per_feature ~min_s layout)
 
 let pp_report ppf r =
   Format.fprintf ppf
@@ -1078,12 +1038,11 @@ let pp_report ppf r =
     r.cost.Coloring.stitches
     (float_of_int r.cost.Coloring.scaled /. 1000.)
     r.elapsed_s r.division.Division.pieces r.division.Division.largest_piece
-    (match r.engine with
-    | Some e when r.params.cache ->
-      Printf.sprintf " cache=%d/%d"
-        (e.Mpl_engine.Engine.hits + e.Mpl_engine.Engine.reused)
-        e.Mpl_engine.Engine.pieces
-    | Some _ | None -> "")
+    (if r.params.cache then
+       Printf.sprintf " cache=%d/%d"
+         (r.engine.Mpl_engine.Engine.hits + r.engine.Mpl_engine.Engine.reused)
+         r.engine.Mpl_engine.Engine.pieces
+     else "")
     (if r.resilience.degraded > 0 then
        Printf.sprintf " degraded=%d" r.resilience.degraded
      else "")
@@ -1093,13 +1052,11 @@ let pp_report ppf r =
 (* Incremental (ECO) re-decomposition                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One component of an ECO session: [colors] restricted to the
-   component's ascending vertex list [vs], that coloring's cost on the
-   extracted [piece], and the feature ids [feature_of] gives its
-   vertices — vertices are feature-major, so one scan dedups them. *)
-let eco_comp ~alpha ~feature_of colors (piece, vs) =
-  let pc = Array.map (fun v -> colors.(v)) vs in
-  let cost = Coloring.evaluate ~alpha piece pc in
+(* One component of an ECO session: its coloring [pc] over the
+   component's ascending vertex list [vs], that coloring's [cost], and
+   the feature ids [feature_of] gives its vertices — vertices are
+   feature-major, so one scan dedups them. *)
+let eco_comp ~feature_of vs pc (cost : Coloring.cost) =
   let feats = ref [] in
   Array.iter
     (fun v ->
@@ -1114,6 +1071,15 @@ let eco_comp ~alpha ~feature_of colors (piece, vs) =
     scaled = cost.Coloring.scaled;
   }
 
+(* A session over [layout]: its canonical text and digest, under an
+   [eco.session] span, and the per-feature segment counts and
+   components of the run that colored it. *)
+let make_session ~obs ~min_s ~salt ~seg_counts ~comps layout =
+  Mpl_obs.Obs.span obs "eco.session" @@ fun () ->
+  let layout_text = Mpl_layout.Layout_io.to_string layout in
+  let layout_hash = Digest.to_hex (Digest.string layout_text) in
+  { Eco.layout_text; layout_hash; min_s; salt; seg_counts; comps }
+
 (* Capture everything a later [redecompose] needs from a finished run.
    Component colorings are stored in (feature, segment) order restricted
    to each component's ascending vertex list — exactly the order
@@ -1126,23 +1092,18 @@ let snapshot ?(params = default_params) ?(obs = Mpl_obs.Obs.null) ~min_s
   Array.iter
     (fun f -> seg_counts.(f) <- seg_counts.(f) + 1)
     g.Decomp_graph.feature;
-  let comps =
-    Mpl_graph.Connectivity.components (Decomp_graph.union_graph g)
-  in
-  let comp_of =
-    eco_comp ~alpha:params.alpha
-      ~feature_of:(fun v -> g.Decomp_graph.feature.(v))
-      report.colors
-  in
-  let layout_text = Mpl_layout.Layout_io.to_string layout in
-  {
-    Eco.layout_text;
-    layout_hash = Digest.to_hex (Digest.string layout_text);
-    min_s;
-    salt = params_salt ~params algorithm;
-    seg_counts;
-    comps = Array.map comp_of (Division.extract ~obs g comps);
-  }
+  let comps = ref [] in
+  iter_components ~obs ~params g (fun piece vs ->
+      let pc = Array.map (fun v -> report.colors.(v)) vs in
+      comps :=
+        eco_comp
+          ~feature_of:(fun v -> g.Decomp_graph.feature.(v))
+          vs pc
+          (Coloring.evaluate ~alpha:params.alpha piece pc)
+        :: !comps);
+  make_session ~obs ~min_s ~salt:(params_salt ~params algorithm) ~seg_counts
+    ~comps:(Array.of_list (List.rev !comps))
+    layout
 
 (* The core of [redecompose], after all validation has passed. Runs
    under the caller's span; returns [Ok (edited, report, session)]. *)
@@ -1158,90 +1119,65 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
   let hp = base.L.tech.L.half_pitch in
   let min_s = prev.Eco.min_s in
   let halo = min_s + hp in
-  (* --- dirty window: base features within [halo] of any edited rect.
-     The Grid_index query is a superset; the polygon distance refine
-     uses the same integer predicate as graph construction, so the
-     touched set is exactly the features whose incident edges (or
-     stitch splits) the edit could have changed. --- *)
-  let touched = Array.make nf_old false in
-  let drects = Eco.dirty_rects base edits in
-  if nf_old > 0 && drects <> [] then begin
-    (* Index only the features near the edit, not the whole die: a
-       feature can be touched only if its bbox meets the dilated
-       bounding box of all dirty rects, and on a localized ECO that
-       window holds a few percent of the layout. The full pass is one
-       cheap bbox test per feature; the index build is proportional to
-       the window. *)
-    let win =
-      List.fold_left Geo.Rect.union_bbox (List.hd drects) (List.tl drects)
-    in
-    let win = Geo.Rect.inflate win halo in
-    let idx = Geo.Grid_index.create ~cell:(max halo 16) in
+  let comp_dirty, dirty_mark, dirty_new =
+    Mpl_obs.Obs.span obs "eco.dirty" @@ fun () ->
+    (* --- dirty previous components: those with a base feature within
+       [halo] of an edited rect. The Grid_index query is a superset; the
+       polygon distance refine uses the same integer predicate as graph
+       construction, so a feature is touched exactly when the edit could
+       have changed its incident edges (or stitch split). --- *)
+    let comp_dirty = Array.make (Array.length prev.Eco.comps) false in
+    let drects = Eco.dirty_rects base edits in
+    if nf_old > 0 && drects <> [] then begin
+      (* Index only the features near the edit, not the whole die: a
+         feature can be touched only if its bbox meets the dilated
+         bounding box of all dirty rects, and on a localized ECO that
+         window holds a few percent of the layout. The full pass is one
+         cheap bbox test per feature; the index build is proportional to
+         the window. *)
+      let win =
+        List.fold_left Geo.Rect.union_bbox (List.hd drects) (List.tl drects)
+      in
+      let win = Geo.Rect.inflate win halo in
+      let idx = Geo.Grid_index.create ~cell:(max halo 16) in
+      Array.iteri
+        (fun i p ->
+          let bb = Geo.Polygon.bbox p in
+          if Geo.Rect.overlaps bb win || Geo.Rect.touches bb win then
+            Geo.Grid_index.add idx i bb)
+        base.L.features;
+      let halo2 = halo * halo in
+      List.iter
+        (fun r ->
+          let rp = Geo.Polygon.of_rect r in
+          List.iter
+            (fun i ->
+              let c = comp_of_feature.(i) in
+              if
+                (not comp_dirty.(c))
+                && Geo.Polygon.distance2 base.L.features.(i) rp <= halo2
+              then comp_dirty.(c) <- true)
+            (Geo.Grid_index.query idx r ~radius:halo))
+        drects
+    end;
+    (* --- dirty features of the *edited* layout, ascending: every
+       feature but the survivors of clean components — survivors of
+       dirty components keep their relative order, and every added
+       feature (appended by [Eco.apply]) is dirty by definition --- *)
+    let dirty_mark = Array.make nf_new true in
     Array.iteri
-      (fun i p ->
-        let bb = Geo.Polygon.bbox p in
-        if Geo.Rect.overlaps bb win || Geo.Rect.touches bb win then
-          Geo.Grid_index.add idx i bb)
-      base.L.features;
-    let halo2 = halo * halo in
-    List.iter
-      (fun r ->
-        let rp = Geo.Polygon.of_rect r in
-        List.iter
-          (fun i ->
-            if
-              (not touched.(i))
-              && Geo.Polygon.distance2 base.L.features.(i) rp <= halo2
-            then touched.(i) <- true)
-          (Geo.Grid_index.query idx r ~radius:halo))
-      drects
-  end;
-  (* --- dirty vs. clean previous components --- *)
-  let ncomps_old = Array.length prev.Eco.comps in
-  let comp_dirty = Array.make ncomps_old false in
-  Array.iteri
-    (fun f t -> if t then comp_dirty.(comp_of_feature.(f)) <- true)
-    touched;
-  let nclean = ref 0 in
-  Array.iter (fun d -> if not d then incr nclean) comp_dirty;
-  let nclean = !nclean in
-  (* --- dirty features of the *edited* layout, ascending: survivors of
-     dirty components keep their relative order, and every added
-     feature (appended by [Eco.apply]) is dirty by definition --- *)
-  let dirty_mark = Array.make nf_new false in
-  Array.iteri
-    (fun f o ->
-      match o with
-      | Some j when comp_dirty.(comp_of_feature.(f)) -> dirty_mark.(j) <- true
-      | _ -> ())
-    new_of_old;
-  let n_surv =
-    Array.fold_left
-      (fun a o -> match o with Some _ -> a + 1 | None -> a)
-      0 new_of_old
+      (fun f o ->
+        match o with
+        | Some j when not comp_dirty.(comp_of_feature.(f)) ->
+          dirty_mark.(j) <- false
+        | _ -> ())
+      new_of_old;
+    let dirty = ref [] in
+    for j = nf_new - 1 downto 0 do
+      if dirty_mark.(j) then dirty := j :: !dirty
+    done;
+    (comp_dirty, dirty_mark, Array.of_list !dirty)
   in
-  for j = n_surv to nf_new - 1 do
-    dirty_mark.(j) <- true
-  done;
-  let ndirty_f = ref 0 in
-  Array.iter (fun d -> if d then incr ndirty_f) dirty_mark;
-  let dirty_new = Array.make !ndirty_f 0 in
-  let w = ref 0 in
-  Array.iteri
-    (fun j d ->
-      if d then begin
-        dirty_new.(!w) <- j;
-        incr w
-      end)
-    dirty_mark;
-  let ndirty_f = !ndirty_f in
-  let m = obs.Mpl_obs.Obs.metrics in
-  Mpl_obs.Metrics.add
-    (Mpl_obs.Metrics.counter m "eco.reused_components")
-    nclean;
-  Mpl_obs.Metrics.add
-    (Mpl_obs.Metrics.counter m "eco.dirty_features")
-    ndirty_f;
   (* --- dirty sub-layout and its graph. Feature order is ascending
      edited-layout order, so each rebuilt component is byte-identical
      to the [subgraph] extraction a cold run on the whole edited layout
@@ -1260,40 +1196,27 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
   let engine_cache = component_cache ~obs ~params shared_cache in
   Option.iter
     (fun cch ->
+      Mpl_obs.Obs.span obs "eco.seed" @@ fun () ->
       let old_dirty = ref [] in
       for f = nf_old - 1 downto 0 do
         if comp_dirty.(comp_of_feature.(f)) then old_dirty := f :: !old_dirty
       done;
       let old_dirty = Array.of_list !old_dirty in
-      if Array.length old_dirty > 0 then begin
-        let sub_old =
-          L.make ~name:base.L.name base.L.tech
-            (Array.to_list (Array.map (fun f -> base.L.features.(f)) old_dirty))
-        in
-        let g_old = Decomp_graph.of_layout ~obs sub_old ~min_s in
-        let comps_old =
-          Mpl_graph.Connectivity.components (Decomp_graph.union_graph g_old)
-        in
-        Array.iter
-          (fun ((piece : Decomp_graph.t), vs) ->
-            let ci =
-              comp_of_feature.(old_dirty.(g_old.Decomp_graph.feature.(vs.(0))))
-            in
-            let c = prev.Eco.comps.(ci) in
-            if
-              Array.length c.Eco.colors = piece.Decomp_graph.n
-              && Coloring.is_complete c.Eco.colors
-              && Coloring.check_range ~k:params.k c.Eco.colors
-            then
-              Option.iter
-                (fun s ->
-                  let st = Division.fresh_stats () in
-                  st.Division.pieces <- 1;
-                  st.Division.largest_piece <- piece.Decomp_graph.n;
-                  Mpl_engine.Cache.store cch s (c.Eco.colors, st))
-                (piece_signature ~salt piece))
-          (Division.extract ~obs ~extract_s:seed_extract_s g_old comps_old)
-      end)
+      let sub_old =
+        L.make ~name:base.L.name base.L.tech
+          (Array.to_list (Array.map (fun f -> base.L.features.(f)) old_dirty))
+      in
+      let g_old = Decomp_graph.of_layout ~obs sub_old ~min_s in
+      iter_components ~obs ~params ~extract_s:seed_extract_s g_old
+        (fun piece vs ->
+          let ci =
+            comp_of_feature.(old_dirty.(g_old.Decomp_graph.feature.(vs.(0))))
+          in
+          Option.iter
+            (fun s ->
+              Mpl_engine.Cache.store cch s
+                (prev.Eco.comps.(ci).Eco.colors, whole_piece_stats piece))
+            (piece_signature ~salt piece)))
     engine_cache;
   (* --- segment bookkeeping of the edited layout: clean features keep
      their previous split (the min_s-neighborhood fact), dirty features
@@ -1305,139 +1228,98 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
       | Some j when not dirty_mark.(j) -> new_seg.(j) <- prev.Eco.seg_counts.(f)
       | _ -> ())
     new_of_old;
+  let seg = Array.make g_d.Decomp_graph.n 0 in
   for v = 0 to g_d.Decomp_graph.n - 1 do
     let gid = dirty_new.(g_d.Decomp_graph.feature.(v)) in
+    seg.(v) <- new_seg.(gid);
     new_seg.(gid) <- new_seg.(gid) + 1
   done;
   let off = Array.make (nf_new + 1) 0 in
   for j = 0 to nf_new - 1 do
     off.(j + 1) <- off.(j) + new_seg.(j)
   done;
-  let n_new = off.(nf_new) in
   (* dirty-graph vertex -> edited-layout (full-graph) vertex *)
-  let vmap = Array.make g_d.Decomp_graph.n 0 in
-  let run_start = ref 0 and cur_f = ref (-1) in
-  for v = 0 to g_d.Decomp_graph.n - 1 do
-    let fd = g_d.Decomp_graph.feature.(v) in
-    if fd <> !cur_f then begin
-      cur_f := fd;
-      run_start := v
-    end;
-    vmap.(v) <- off.(dirty_new.(fd)) + (v - !run_start)
-  done;
-  (* --- solve only the dirty graph through the standard engine path,
-     streaming dirty components remapped to edited-layout vertex ids --- *)
+  let full v = off.(dirty_new.(g_d.Decomp_graph.feature.(v))) + seg.(v) in
+  (* --- solve only the components of the dirty graph, scattered and
+     streamed through [full] into edited-layout vertex ids; the driver
+     hands each one back, in [g_d] ids, for the next session --- *)
   let rc = make_run_ctx ~obs ~params algorithm in
   rc.rc_extract_s := !seed_extract_s;
-  let on_component =
-    Option.map
-      (fun f i back pc -> f i (Array.map (fun v -> vmap.(v)) back) pc)
-      on_component
+  let dirty_comps = ref [] in
+  let keep vs pc cost =
+    dirty_comps :=
+      eco_comp
+        ~feature_of:(fun v -> dirty_new.(g_d.Decomp_graph.feature.(v)))
+        vs pc cost
+      :: !dirty_comps
   in
-  let colors_d, estats, cstats, phases =
-    engine_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache:engine_cache
-      ~on_component g_d
+  let colors, cost_d, engine, cache, phases =
+    stream_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache:engine_cache
+      ~on_component ~keep
+      (graph_source ~obs ~params ~rc ~n:off.(nf_new)
+         ~remap:(Array.map full)
+         g_d)
   in
-  let comps_d =
-    Mpl_graph.Connectivity.components (Decomp_graph.union_graph g_d)
-  in
-  Mpl_obs.Metrics.add
-    (Mpl_obs.Metrics.counter m "eco.dirty_components")
-    (Array.length comps_d);
-  (* --- assemble the full coloring: dirty vertices scattered through
-     [vmap], clean components blitted verbatim --- *)
-  let colors_full = Array.make n_new (-1) in
-  for v = 0 to g_d.Decomp_graph.n - 1 do
-    colors_full.(vmap.(v)) <- colors_d.(v)
-  done;
-  Array.iteri
-    (fun ci (c : Eco.comp) ->
-      if not comp_dirty.(ci) then begin
-        let cur = ref 0 in
-        Array.iter
-          (fun f ->
-            let j = Option.get new_of_old.(f) in
-            let len = prev.Eco.seg_counts.(f) in
-            Array.blit c.Eco.colors !cur colors_full off.(j) len;
-            cur := !cur + len)
-          c.Eco.features
-      end)
-    prev.Eco.comps;
-  (* --- total cost: clean components contribute their recorded costs
-     (no edge ever crosses a component boundary), dirty ones are
-     re-evaluated on [g_d] --- *)
-  let cost_d = Coloring.evaluate ~alpha:params.alpha g_d colors_d in
+  (* --- the clean components: blitted verbatim into the coloring,
+     their recorded costs added (no edge ever crosses a component
+     boundary), remapped to edited-layout feature ids for the next
+     session, so edits chain --- *)
   let conflicts = ref cost_d.Coloring.conflicts
   and stitches = ref cost_d.Coloring.stitches
   and scaled = ref cost_d.Coloring.scaled in
+  let comps = ref !dirty_comps in
   Array.iteri
     (fun ci (c : Eco.comp) ->
       if not comp_dirty.(ci) then begin
+        let features =
+          Array.map (fun f -> Option.get new_of_old.(f)) c.Eco.features
+        in
+        let cur = ref 0 in
+        Array.iteri
+          (fun i f ->
+            let len = prev.Eco.seg_counts.(f) in
+            Array.blit c.Eco.colors !cur colors off.(features.(i)) len;
+            cur := !cur + len)
+          c.Eco.features;
         conflicts := !conflicts + c.Eco.conflicts;
         stitches := !stitches + c.Eco.stitches;
-        scaled := !scaled + c.Eco.scaled
+        scaled := !scaled + c.Eco.scaled;
+        comps := { c with Eco.features } :: !comps
       end)
     prev.Eco.comps;
-  (* --- next session, so edits chain: clean components remapped to
-     edited-layout feature ids, dirty ones captured fresh --- *)
-  let clean_comps = ref [] in
-  Array.iteri
-    (fun ci (c : Eco.comp) ->
-      if not comp_dirty.(ci) then
-        clean_comps :=
-          {
-            c with
-            Eco.features =
-              Array.map (fun f -> Option.get new_of_old.(f)) c.Eco.features;
-          }
-          :: !clean_comps)
-    prev.Eco.comps;
-  let dirty_comps =
-    Array.map
-      (eco_comp ~alpha:params.alpha
-         ~feature_of:(fun v -> dirty_new.(g_d.Decomp_graph.feature.(v)))
-         colors_d)
-      (Division.extract ~obs ~extract_s:rc.rc_extract_s g_d comps_d)
-  in
-  let comps =
-    Array.append (Array.of_list (List.rev !clean_comps)) dirty_comps
-  in
+  let comps = Array.of_list !comps in
   Array.sort
     (fun (a : Eco.comp) (b : Eco.comp) ->
       compare a.Eco.features.(0) b.Eco.features.(0))
     comps;
-  let layout_text = Mpl_layout.Layout_io.to_string edited in
   let session =
+    make_session ~obs ~min_s ~salt ~seg_counts:new_seg ~comps edited
+  in
+  let cost =
+    { Coloring.conflicts = !conflicts; stitches = !stitches; scaled = !scaled }
+  in
+  let eco =
     {
-      Eco.layout_text;
-      layout_hash = Digest.to_hex (Digest.string layout_text);
-      min_s;
-      salt;
-      seg_counts = new_seg;
-      comps;
+      dirty_components = List.length !dirty_comps;
+      reused_components =
+        Array.fold_left (fun a d -> if d then a else a + 1) 0 comp_dirty;
+      dirty_features = Array.length dirty_new;
     }
   in
+  let m = obs.Mpl_obs.Obs.metrics in
+  List.iter
+    (fun (name, n) -> Mpl_obs.Metrics.add (Mpl_obs.Metrics.counter m name) n)
+    [
+      ("eco.dirty_components", eco.dirty_components);
+      ("eco.reused_components", eco.reused_components);
+      ("eco.dirty_features", eco.dirty_features);
+    ];
   let report =
-    make_report ~obs ~params ~rc algorithm ~colors:colors_full
-      ~cost:
-        {
-          Coloring.conflicts = !conflicts;
-          stitches = !stitches;
-          scaled = !scaled;
-        }
+    make_report ~obs ~params ~rc algorithm ~colors ~cost
       ~elapsed_s:(Mpl_util.Timer.elapsed_s t0)
-      (* extraction also covers the cache seeding and session capture *)
-      ~phases:{ phases with extract_s = !(rc.rc_extract_s) }
-      ~engine:(Some estats) ~cache:cstats ~balance:None
-      ~eco:
-        (Some
-           {
-             dirty_components = Array.length comps_d;
-             reused_components = nclean;
-             dirty_features = ndirty_f;
-           })
+      ~phases ~engine ~cache
   in
-  Ok (edited, report, session)
+  Ok (edited, { report with eco = Some eco }, session)
 
 (* Re-decompose after an edit, reusing every component the edit cannot
    have touched. Correctness argument (DESIGN.md §15, in brief): every
@@ -1492,14 +1374,11 @@ let redecompose ?(params = default_params) ?obs ?pool ?shared_cache
           | Error m -> Error m
           | Ok (edited, new_of_old) ->
             let obs = match obs with Some o -> o | None -> make_obs params in
-            let result =
-              Mpl_obs.Obs.span obs "redecompose"
-                ~args:
-                  (rid_args params
-                     [ ("edits", Mpl_obs.Sink.Int (List.length edits)) ])
-              @@ fun () ->
-              redecompose_run ~params ~obs ~pool ~shared_cache ~on_component
-                ~prev ~base ~edited ~new_of_old ~comp_of_feature ~salt
-                ~edits algorithm
-            in
-            result)
+            Mpl_obs.Obs.span obs "redecompose"
+              ~args:
+                (rid_args params
+                   [ ("edits", Mpl_obs.Sink.Int (List.length edits)) ])
+            @@ fun () ->
+            redecompose_run ~params ~obs ~pool ~shared_cache ~on_component
+              ~prev ~base ~edited ~new_of_old ~comp_of_feature ~salt ~edits
+              algorithm)

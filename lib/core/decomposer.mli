@@ -11,9 +11,13 @@
     {!Mpl_engine.Cache}. Both knobs are pure performance controls: the
     cache only serves byte-identical pieces and the engine schedules
     deterministically, so costs and colorings are identical at every
-    [jobs]/[cache] setting. Every setting runs the one division
-    recursion ({!Division.plan}); [jobs = 1] without the cache solves
-    each leaf inline as it is carved out instead of through the pool.
+    [jobs]/[cache] setting. Every entry point runs the one stream
+    driver: a component source (the whole graph, geometric windows, or
+    an ECO dirty region) is pushed component by component through
+    {!Mpl_engine.Engine.stream}, each fresh component runs the one
+    division recursion ({!Division.plan}), and its leaves go to the
+    pool — at [jobs = 1] a pool without worker domains, whose leaves the
+    calling thread solves as it forces them.
 
     Solving is fault-tolerant per piece: a leaf solver that raises, or
     that is cut short by the shared budget or the node cap, degrades
@@ -50,14 +54,13 @@ type params = {
   post : post_pass;  (** optional global refinement after division *)
   balance : bool;  (** cost-free mask-density rebalancing ({!Balance}) *)
   jobs : int;
-      (** concurrent piece solvers; 1 (without the cache or a server
-          hook) solves every leaf inline on the calling thread *)
+      (** concurrent piece solvers: the pool runs [jobs - 1] worker
+          domains plus the calling thread *)
   priority_bias : int;
-      (** added to every pool-submission priority on the engine path
-          (default 0). A server maps per-request priorities onto the
-          shared pool with this: requests with a higher bias get their
-          pieces dequeued first. Scheduling only — never changes any
-          result. *)
+      (** added to every pool-submission priority (default 0). A
+          server maps per-request priorities onto the shared pool with
+          this: requests with a higher bias get their pieces dequeued
+          first. Scheduling only — never changes any result. *)
   cache : bool;
       (** memoize solved components by their salted serialization; a
           component is reused only when it is byte-identical to a
@@ -80,14 +83,14 @@ type params = {
           Purely observational: never affects outputs or cache
           signatures ([None], the default, adds nothing) *)
   cancel : Mpl_engine.Pool.token option;
-      (** cancellation token for mid-run teardown (forces the engine
-          path). The coordinator checks it at every leaf emission,
-          component push, and component force, and attaches it to every
-          pool submission: once {!Mpl_engine.Pool.cancel} is called,
-          queued pieces are dropped at dequeue without running, the
-          running ones finish but their results are discarded, and
-          {!assign} raises {!Mpl_engine.Pool.Cancelled}. [None] (the
-          default) adds one branch per checkpoint and nothing else *)
+      (** cancellation token for mid-run teardown. The coordinator
+          checks it at every leaf emission, component push, and
+          component force, and attaches it to every pool submission:
+          once {!Mpl_engine.Pool.cancel} is called, queued pieces are
+          dropped at dequeue without running, the running ones finish
+          but their results are discarded, and {!assign} raises
+          {!Mpl_engine.Pool.Cancelled}. [None] (the default) adds one
+          branch per checkpoint and nothing else *)
   deadline_s : float option;
       (** per-request deadline in seconds, measured from the start of
           {!assign} on the monotonic clock. Soft, ladder-aware: each
@@ -146,20 +149,20 @@ type phases = {
       (** coordinator wall spent cutting pieces out of their parent
           graph ({!Division.extract}): the top-level component split
           plus every division stage's pieces, one O(n + E) pass per
-          batch; for {!redecompose} also the cache seeding and session
-          capture *)
+          batch; for {!redecompose} also the cache seeding *)
   division_s : float;
-      (** coordinator wall spent on structural division (component
-          scan, peel, biconnected, GH trees), extraction and solver
-          work excluded *)
+      (** coordinator wall of the stream driver outside [merge_s]:
+          structural division (component scan, peel, biconnected, GH
+          trees) and, for {!decompose_sharded}, window graph builds;
+          extraction and solver work excluded *)
   solve_s : float;
       (** leaf-solver wall summed over every domain — can exceed the
           elapsed wall when [jobs > 1] *)
   merge_s : float;
-      (** coordinator wall spent joining and reassembling colorings,
-          solver work the coordinator picked up while helping the pool
-          excluded; 0 when every leaf was solved inline, where the
-          join is counted in [division_s] *)
+      (** coordinator wall spent forcing components — joining leaf
+          colorings, reassembling, costing — and scattering them into
+          the output, solver work the coordinator picked up while
+          helping the pool excluded *)
 }
 
 type balance = {
@@ -190,9 +193,9 @@ type report = {
   timed_out : bool;  (** exact solver hit its budget: treat as N/A *)
   division : Division.stats;
   phases : phases;  (** wall-clock breakdown of this assignment *)
-  engine : Mpl_engine.Engine.stats option;
-      (** pool/cache statistics; [None] when every leaf was solved
-          inline ([jobs = 1], no cache, no server hook) *)
+  engine : Mpl_engine.Engine.stats;
+      (** component routing statistics of the stream: components
+          pushed, solved fresh, served from the cache, deduplicated *)
   cache : Mpl_engine.Cache.stats option;
       (** size + traffic snapshot of the component cache taken as this
           run finished — the *shared* table's totals when one was
@@ -227,8 +230,7 @@ val assign :
     an [assign] span; each leaf solve under a [solve.<algorithm>] span;
     post passes under [post.local_search] / [post.balance].
 
-    The three server hooks all force the engine path (even at
-    [jobs = 1], which otherwise solves every leaf inline):
+    The three server hooks:
 
     - [pool]: solve on this caller-owned {!Mpl_engine.Pool} instead of
       spinning up a private one — the serving daemon shares one pool
@@ -245,7 +247,12 @@ val assign :
       independent component, in deterministic component-index order, as
       soon as its coloring is forced — [back.(j)] is the original
       vertex of the component's vertex [j]. Streaming replies hang off
-      this. Called on the coordinating thread. *)
+      this. Called on the coordinating thread.
+
+    Components are forced at most 64 pushes behind the last push, so a
+    forced component's piece graph is dropped while later components
+    are still being divided; on a private pool at [jobs = 1], which has
+    no worker to overlap with, each is forced right after its push. *)
 
 val decompose :
   ?params:params ->
@@ -290,8 +297,7 @@ val decompose_sharded :
     For the self-contained algorithms (Linear, SDP, and unbudgeted
     runs) the resulting coloring is bit-identical to
     [snd (decompose ...)] at every [windows]/[jobs]/[cache] setting.
-    The engine path is always used (even at [jobs = 1]); cost is the
-    sum of per-component costs, which equals the global
+    The cost is the sum of per-component costs, which equals the global
     {!Coloring.evaluate} because every conflict/stitch edge is
     intra-component. [on_component] streams components in
     deterministic emission order: window strips in geometric order,
@@ -315,7 +321,9 @@ val snapshot :
     coloring (in the component's ascending vertex order — exactly what
     {!Decomp_graph.subgraph} extracts) and cost. [params], [min_s],
     [algorithm], [g] and [layout] must be the ones the report came
-    from. The components are extracted in one {!Division.extract}
+    from. The components are split as the stream driver splits them
+    (the whole graph as one component when [params.stages] turns the
+    component stage off) and extracted in one {!Division.extract}
     batch, under a [division.extract] span when [obs] traces. *)
 
 val redecompose :
@@ -339,9 +347,14 @@ val redecompose :
     neighbors within [min_s]; DESIGN.md §15 gives the full argument).
     Dirty components are rebuilt as a sub-layout — bit-identical to the
     pieces a cold run on the whole edited layout would solve — and
-    streamed through the standard division → engine pipeline, with the
-    previous colorings seeded into the component cache when [cache] is
-    on (hits skip unchanged-graph re-solves).
+    are the component source of the same stream driver as {!assign},
+    with the previous colorings seeded into the component cache when
+    [cache] is on (hits skip unchanged-graph re-solves). The next
+    session's dirty components, and their costs, are the ones the
+    driver hands back — nothing is extracted or evaluated twice.
+    Under the caller's [redecompose] span, [eco.dirty] covers the dirty
+    marking, [eco.seed] the cache seeding and [eco.session] the
+    edited layout's serialization and digest.
 
     At the deterministic settings (no fault injection) the full
     coloring is bit-identical to a cold {!decompose} of the

@@ -151,7 +151,9 @@ let extract ?(obs = Mpl_obs.Obs.null) ?extract_s (g : Decomp_graph.t) vss =
    are promoted and swept by the major GC, which made the sequential
    [assign] of a 120k-feature synth ~1.35x dearer (DESIGN.md §10). *)
 let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
-    ?(bounded_cuts = true) ?extract_s ~k ~alpha ~emit (g : Decomp_graph.t) =
+    ?(bounded_cuts = true) ?extract_s ?connected:(is_connected = false) ~k
+    ~alpha ~emit
+    (g : Decomp_graph.t) =
   if k < 2 then invalid_arg "Division.plan: k < 2";
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   (* Metric handles resolve to no-ops on a null registry. The stage
@@ -396,7 +398,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
     end
     else leaf sub
   in
-  conquer g
+  if is_connected then connected g else conquer g
 
 (* [plan] with an [emit] that solves inline, then the join. *)
 let assign ?obs ?stages ?stats ?bounded_cuts ?extract_s ~k ~alpha ~solver g =

@@ -47,6 +47,7 @@ val plan :
   ?stats:stats ->
   ?bounded_cuts:bool ->
   ?extract_s:float ref ->
+  ?connected:bool ->
   k:int ->
   alpha:float ->
   emit:(Decomp_graph.t -> unit -> int array) ->
@@ -64,7 +65,8 @@ val plan :
     the leaf colorings, not on when or on which domain the emitted work
     actually runs — this is what lets the decomposer overlap division
     of later components with solving of earlier pieces, and what makes
-    {!assign} (the inline emitter) output-identical to it.
+    {!assign} (the inline emitter) output-identical to the
+    decomposer.
 
     The merge thunk holds no leaf piece: once [emit]'s thunk drops its
     piece, the piece is garbage even while the join is pending. Piece
@@ -73,7 +75,12 @@ val plan :
     core). A peel that leaves no core colors its pops at plan time.
 
     [stats] fields [pieces], [largest_piece], [peeled] and [cuts] are
-    all fully counted by the time [plan] returns. *)
+    all fully counted by the time [plan] returns.
+
+    [connected] (default [false]) declares [g] connected, so the
+    top-level component scan — which would find [g] itself — is
+    skipped; the result is the same. The decomposer's stream driver
+    plans components its source has already split. *)
 
 val assign :
   ?obs:Mpl_obs.Obs.t ->
@@ -88,7 +95,9 @@ val assign :
   int array
 (** Divide, color every piece with [solver], reassemble. The result
     assigns every vertex a color in [0..k-1]. This is {!plan} with an
-    [emit] that solves inline at emission, followed by the join.
+    [emit] that solves inline at emission, followed by the join: the
+    reference oracle that tests and the bench hold the decomposer's
+    stream driver to. No library path calls it.
 
     [bounded_cuts] (default [true]) caps every Gusfield max-flow of the
     GH-tree stage at [k]: only cuts strictly below [k] are actionable

@@ -7,19 +7,6 @@ type stats = {
   rejected : int;
 }
 
-let no_stats =
-  { pieces = 0; solved = 0; hits = 0; reused = 0; failed = 0; rejected = 0 }
-
-let add_stats a b =
-  {
-    pieces = a.pieces + b.pieces;
-    solved = a.solved + b.solved;
-    hits = a.hits + b.hits;
-    reused = a.reused + b.reused;
-    failed = a.failed + b.failed;
-    rejected = a.rejected + b.rejected;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Streaming driver. A [stream] accepts items one at a time ([push]),
    decides each item's resolution plan immediately — cache hit, batch
@@ -165,22 +152,3 @@ let finish t =
     failed = t.n_failed;
     rejected = t.n_rejected;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Batch driver, kept as the simple all-at-once entry point: push every
-   piece (submitting leaders to the pool), then force in index order.
-   Identical plan/store order to pushing-and-forcing interleaved. *)
-
-let solve_pieces ?(obs = Mpl_obs.Obs.null) ~pool ?cache ?signature
-    ?(validate = fun _ _ -> true) ?recover ~solve pieces =
-  Mpl_obs.Obs.span obs "engine.batch"
-    ~args:[ ("pieces", Mpl_obs.Sink.Int (List.length pieces)) ]
-  @@ fun () ->
-  let plant item =
-    let fut = Pool.submit pool (fun () -> solve item) in
-    fun () -> Pool.await pool fut
-  in
-  let t = stream ~obs ?cache ?signature ~validate ?recover ~plant () in
-  let cells = List.map (push t) pieces in
-  let out = List.map (force t) cells in
-  (out, finish t)

@@ -20,10 +20,6 @@ type stats = {
   rejected : int;  (** cache hits discarded by [validate] *)
 }
 
-val no_stats : stats
-
-val add_stats : stats -> stats -> stats
-
 type ('a, 'v) t
 (** A piece stream. Not thread-safe: push and force from the
     coordinating thread only (worker parallelism lives behind the
@@ -45,8 +41,20 @@ val stream :
     item that must be solved fresh (cache miss that is not a follower of
     an earlier pushed item); it starts the work — typically by
     submitting to a {!Pool} — and returns the join thunk {!force} later
-    calls for the result. [signature], [validate] and [recover] have the
-    same semantics as in {!solve_pieces}. *)
+    calls for the result.
+
+    [signature item] is the item's cache key ([None]: never cached).
+    [validate item colors] (default: always [true]) vets every cache
+    hit before reuse; a rejected hit counts in [stats.rejected] and the
+    item is re-solved as if it had missed.
+
+    [recover item exn bt] isolates failures per item: when a leader's
+    join raises, the exception is confined to that item and [recover]
+    supplies a substitute result (which followers of the same leader
+    also reuse, but which is never stored into the cache). The item
+    counts in [stats.failed]. Without [recover] the failing leader's
+    exception is re-raised from {!force} with its original
+    backtrace. *)
 
 val push : ('a, 'v) t -> 'a -> ('a, 'v) cell
 (** Route one piece: probe the cache, elect or follow a batch leader,
@@ -71,31 +79,3 @@ val finish : ('a, 'v) t -> stats
     [engine.batch_reused] / [engine.piece_failures] /
     [engine.cache_rejects] counters of [obs]. Call once, after the last
     {!force}. *)
-
-val solve_pieces :
-  ?obs:Mpl_obs.Obs.t ->
-  pool:Pool.t ->
-  ?cache:'v Cache.t ->
-  ?signature:('a -> Cache.signature option) ->
-  ?validate:('a -> int array -> bool) ->
-  ?recover:('a -> exn -> Printexc.raw_backtrace -> int array * 'v) ->
-  solve:('a -> int array * 'v) ->
-  'a list ->
-  (int array * 'v) list * stats
-(** Batch entry point on top of {!stream}: push every piece (planting
-    leaders as pool submissions), then force in input order. Returns
-    the solved colorings in input order plus the stream's {!stats}.
-
-    [validate piece colors] (default: always [true]) vets every cache
-    hit before reuse; a rejected hit counts in [stats.rejected] and the
-    piece is re-solved as if it had missed.
-
-    [recover piece exn bt] isolates solver failures per piece: when a
-    leader's [solve] raises, the exception is confined to that piece and
-    [recover] supplies a substitute result (which followers of the same
-    leader also reuse, but which is never stored into the cache). The
-    piece counts in [stats.failed]. Without [recover] the first failing
-    leader's exception is re-raised with its original backtrace — the
-    pre-existing all-or-nothing contract.
-
-    With [obs], the whole batch runs under an [engine.batch] span. *)

@@ -700,9 +700,7 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
                   elapsed_s = report.Mpl.Decomposer.elapsed_s;
                   timed_out = report.Mpl.Decomposer.timed_out;
                 });
-           (match report.Mpl.Decomposer.engine with
-           | Some e -> send cio (Proto.engine_line e)
-           | None -> ());
+           send cio (Proto.engine_line report.Mpl.Decomposer.engine);
            let res = report.Mpl.Decomposer.resilience in
            send cio
              (Proto.resilience_line
@@ -735,12 +733,9 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
            let solve_ns = elapsed_solve () in
            Mpl_obs.Metrics.observe t.latency_h (Int64.to_float solve_ns);
            Mpl_obs.Metrics.incr t.served_c;
-           let pieces, cache_hits =
-             match report.Mpl.Decomposer.engine with
-             | Some e -> (e.Mpl_engine.Engine.pieces, e.Mpl_engine.Engine.hits)
-             | None -> (0, 0)
-           in
-           finish ~circuit ~solve_ns ~pieces ~cache_hits
+           let e = report.Mpl.Decomposer.engine in
+           finish ~circuit ~solve_ns ~pieces:e.Mpl_engine.Engine.pieces
+             ~cache_hits:e.Mpl_engine.Engine.hits
              ~degraded:res.Mpl.Decomposer.degraded ~outcome:"ok" ~sink;
            let served =
              Mutex.lock t.lock;

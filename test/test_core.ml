@@ -518,6 +518,46 @@ let prop_k_patterning_general =
       report.D.cost.C.conflicts
       = Mpl_graph.Oracle.chromatic_cost (G.conflict_graph g) ~k)
 
+(* The reference oracle of the stream driver: the division recursion
+   with an inline emitter ({!Mpl.Division.assign}), which no library
+   path runs. Every jobs x cache setting of [Decomposer.assign] must
+   reproduce its coloring, cost and piece count. *)
+let test_assign_matches_division_oracle () =
+  let p = D.default_params in
+  let k = p.D.k and alpha = p.D.alpha in
+  let solver = function
+    | D.Sdp_backtrack ->
+      fun (piece : G.t) ->
+        if piece.G.n <= 1 then Array.make piece.G.n 0
+        else
+          Mpl.Sdp_color.backtrack ~tth:p.D.tth ~node_cap:p.D.node_cap ~k
+            ~alpha
+            (Mpl.Sdp_color.relax ~options:p.D.sdp_options ~k ~alpha piece)
+            piece
+    | _ -> Mpl.Linear_color.solve ~k ~alpha
+  in
+  List.iter
+    (fun (circuit, algo) ->
+      let g = G.of_layout (Mpl_layout.Benchgen.circuit circuit) ~min_s:80 in
+      let stats = Mpl.Division.fresh_stats () in
+      let oracle =
+        Mpl.Division.assign ~stats ~k ~alpha ~solver:(solver algo) g
+      in
+      List.iter
+        (fun (jobs, cache) ->
+          let r = D.assign ~params:{ p with D.jobs; cache } algo g in
+          let what =
+            Printf.sprintf "%s %s jobs=%d cache=%b: " circuit
+              (D.algorithm_name algo) jobs cache
+          in
+          Alcotest.(check (array int)) (what ^ "colors") oracle r.D.colors;
+          Alcotest.(check bool) (what ^ "cost") true
+            (C.evaluate g oracle = r.D.cost);
+          Alcotest.(check int) (what ^ "pieces") stats.Mpl.Division.pieces
+            r.D.division.Mpl.Division.pieces)
+        [ (1, false); (1, true); (2, false); (2, true) ])
+    [ ("C432", D.Linear); ("S15850", D.Linear); ("C432", D.Sdp_backtrack) ]
+
 let test_rotation_lemma () =
   (* Lemma 1: two K5s joined by a 3-cut. Every vertex has conflict degree
      >= 4, so peeling leaves the graph intact and the GH-tree stage must
@@ -666,6 +706,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bounded_cuts_invariant;
     QCheck_alcotest.to_alcotest prop_k_patterning_general;
     Alcotest.test_case "rotation lemma (3-cut)" `Quick test_rotation_lemma;
+    Alcotest.test_case "assign = Division.assign oracle" `Quick
+      test_assign_matches_division_oracle;
     Alcotest.test_case "plan drops leaves before the join" `Quick
       test_plan_drops_leaves;
     Alcotest.test_case "report consistency" `Quick test_report_consistency;

@@ -1,7 +1,7 @@
 (* Tests for the mpl_engine subsystem: the work-stealing domain pool
    (ordering, exception propagation), the piece cache (a byte-identical
-   piece hits, every other labeling is its own entry), the batch
-   driver's deduplication, the atomic shared solver budget, and the
+   piece hits, every other labeling is its own entry), the stream's
+   deduplication, the atomic shared solver budget, and the
    end-to-end determinism / cache-correctness property: on random
    layouts, every algorithm produces identical (cn#, st#) and identical
    colorings at every jobs / cache setting. *)
@@ -280,7 +280,19 @@ let test_cache_labelings_are_entries () =
     (Cache.hits cache, Cache.misses cache)
 
 (* ------------------------------------------------------------------ *)
-(* Engine batch driver *)
+(* Engine stream *)
+
+(* Push every piece through one [Engine.stream] whose plant submits the
+   piece's solve to [pool], then force the cells in push order. *)
+let stream_all ~pool ?cache ?signature ?validate ?recover ~solve pieces =
+  let plant piece =
+    let fut = Pool.submit pool (fun () -> solve piece) in
+    fun () -> Pool.await pool fut
+  in
+  let t = Engine.stream ?cache ?signature ?validate ?recover ~plant () in
+  let cells = List.map (Engine.push t) pieces in
+  let results = List.map (Engine.force t) cells in
+  (results, Engine.finish t)
 
 let test_engine_dedup () =
   (* Five pieces, two distinct labeled graphs: the driver must solve
@@ -299,7 +311,7 @@ let test_engine_dedup () =
   Pool.with_pool ~jobs:2 (fun pool ->
       let cache = Cache.create () in
       let results, stats =
-        Engine.solve_pieces ~pool ~cache ~signature ~solve pieces
+        stream_all ~pool ~cache ~signature ~solve pieces
       in
       Alcotest.(check int) "five results" 5 (List.length results);
       (* [path 0 1 2] appears three times (one leader + two reuses);
@@ -318,13 +330,13 @@ let test_engine_prepopulated_cache () =
   let cache = Cache.create () in
   Pool.with_pool ~jobs:1 (fun pool ->
       let _, s1 =
-        Engine.solve_pieces ~pool ~cache ~signature
+        stream_all ~pool ~cache ~signature
           ~solve:(fun (n, _) -> (Array.make n 0, ()))
           [ piece ]
       in
       Alcotest.(check int) "first run solves" 1 s1.Engine.solved;
       let _, s2 =
-        Engine.solve_pieces ~pool ~cache ~signature
+        stream_all ~pool ~cache ~signature
           ~solve:(fun _ -> Alcotest.fail "must not re-solve")
           [ piece; piece ]
       in
@@ -345,7 +357,7 @@ let test_engine_recover () =
   in
   Pool.with_pool ~jobs:2 (fun pool ->
       let results, stats =
-        Engine.solve_pieces ~pool ~recover ~solve pieces
+        stream_all ~pool ~recover ~solve pieces
       in
       Alcotest.(check int) "one failure" 1 stats.Engine.failed;
       (match results with
@@ -354,7 +366,7 @@ let test_engine_recover () =
       | _ -> Alcotest.fail "unexpected batch results");
       (* Without [recover] the exception still escapes. *)
       match
-        Engine.solve_pieces ~pool ~solve [ (3, [ (0, 1); (1, 2) ]) ]
+        stream_all ~pool ~solve [ (3, [ (0, 1); (1, 2) ]) ]
       with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom 3 -> ())
@@ -375,7 +387,7 @@ let test_engine_validate_rejects () =
   let validate _ colors = Array.for_all (fun c -> c >= 0 && c < 4) colors in
   Pool.with_pool ~jobs:1 (fun pool ->
       let results, stats =
-        Engine.solve_pieces ~pool ~cache ~signature ~validate ~solve [ piece ]
+        stream_all ~pool ~cache ~signature ~validate ~solve [ piece ]
       in
       Alcotest.(check int) "hit rejected" 1 stats.Engine.rejected;
       Alcotest.(check int) "no accepted hit" 0 stats.Engine.hits;
@@ -563,7 +575,7 @@ let test_cache_persist_roundtrip_corruption () =
 (* Phase breakdown *)
 
 let test_phases_report () =
-  (* Dense-enough layout that solving does real work on both paths. *)
+  (* Dense-enough layout that solving does real work at both settings. *)
   let spec =
     {
       Mpl_layout.Benchgen.name = "phases";
@@ -592,17 +604,97 @@ let test_phases_report () =
     && p.D.merge_s >= 0.
   in
   Alcotest.(check bool) "sequential phases sane" true (sane seq.D.phases);
-  (* Extraction is split out of the division wall, not counted twice. *)
+  (* One accounting at every setting: extraction and the solver work
+     the coordinator ran are split out of the division and merge walls,
+     so at jobs = 1 (every solve on the calling thread) the four phases
+     add up to no more than the wall. *)
   let p = seq.D.phases in
   Alcotest.(check bool) "sequential phases within the wall" true
-    (p.D.extract_s +. p.D.division_s +. p.D.solve_s <= seq.D.elapsed_s);
-  Alcotest.(check bool) "sequential path has no merge phase" true
-    (seq.D.phases.D.merge_s = 0.);
+    (p.D.extract_s +. p.D.division_s +. p.D.solve_s +. p.D.merge_s
+    <= seq.D.elapsed_s);
   Alcotest.(check bool) "streamed phases sane" true (sane par.D.phases);
   Alcotest.(check bool) "streamed run solved something" true
     (par.D.phases.D.solve_s > 0.);
-  Alcotest.(check (array int)) "same coloring both paths" seq.D.colors
+  Alcotest.(check (array int)) "same coloring both settings" seq.D.colors
     par.D.colors
+
+(* ------------------------------------------------------------------ *)
+(* Streamed components *)
+
+(* [on_component] in process, at every source of the stream driver. *)
+let test_on_component_stream () =
+  let min_s = 80 in
+  let layout = Mpl_layout.Benchgen.circuit "C432" in
+  let g = G.of_layout layout ~min_s in
+  let params jobs cache = { D.default_params with D.jobs; cache } in
+  let streamed run =
+    let acc = ref [] in
+    let r = run (fun i back colors -> acc := (i, back, colors) :: !acc) in
+    (List.rev !acc, r)
+  in
+  let whole jobs cache =
+    streamed (fun on_component ->
+        D.assign ~params:(params jobs cache) ~on_component D.Linear g)
+  in
+  let reference, r0 = whole 1 false in
+  List.iter
+    (fun (jobs, cache) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "same stream at jobs=%d cache=%b" jobs cache)
+        true
+        (fst (whole jobs cache) = reference))
+    [ (1, true); (2, false); (2, true) ];
+  Alcotest.(check (list int)) "indices in push order"
+    (List.init (List.length reference) Fun.id)
+    (List.map (fun (i, _, _) -> i) reference);
+  let scattered = Array.make g.G.n (-1) in
+  List.iter
+    (fun (_, back, colors) ->
+      Array.iteri (fun j v -> scattered.(v) <- colors.(j)) back)
+    reference;
+  Alcotest.(check (array int)) "scatter reproduces report.colors"
+    r0.D.colors scattered;
+  (* Windows emit the same components in another order. *)
+  let canon stream =
+    List.sort compare
+      (List.map
+         (fun (_, back, colors) ->
+           let vc = Array.mapi (fun j v -> (v, colors.(j))) back in
+           Array.sort compare vc;
+           (Array.map fst vc, Array.map snd vc))
+         stream)
+  in
+  let windowed, _ =
+    streamed (fun on_component ->
+        D.decompose_sharded
+          ~params:{ (params 1 false) with D.windows = 4 }
+          ~on_component ~min_s D.Linear layout)
+  in
+  Alcotest.(check bool) "windows stream the same components" true
+    (canon windowed = canon reference);
+  (* An ECO run streams its dirty components, in edited-layout ids. *)
+  let prev = D.snapshot ~params:(params 1 false) ~min_s D.Linear g layout r0 in
+  let edits = Mpl.Eco.generate ~seed:3 ~count:6 layout in
+  let dirty, rep =
+    streamed (fun on_component ->
+        match
+          D.redecompose ~params:(params 1 false) ~on_component ~prev ~edits
+            D.Linear
+        with
+        | Ok (_, rep, _) -> rep
+        | Error m -> Alcotest.failf "redecompose failed: %s" m)
+  in
+  Alcotest.(check int) "one streamed component per dirty component"
+    (Option.get rep.D.eco).D.dirty_components (List.length dirty);
+  Alcotest.(check bool) "some component is dirty" true (dirty <> []);
+  List.iter
+    (fun (_, back, colors) ->
+      Array.iteri
+        (fun j v ->
+          Alcotest.(check int) "streamed color = report color"
+            rep.D.colors.(v) colors.(j))
+        back)
+    dirty
 
 (* ------------------------------------------------------------------ *)
 (* Shared atomic budget *)
@@ -706,6 +798,8 @@ let suite =
       test_pool_cancel_at_dequeue;
     Alcotest.test_case "pool: argument validation" `Quick test_pool_invalid;
     Alcotest.test_case "decomposer: phase breakdown" `Quick test_phases_report;
+    Alcotest.test_case "decomposer: on_component stream" `Quick
+      test_on_component_stream;
     Alcotest.test_case "cache: inequivalent miss" `Quick test_cache_inequivalent_miss;
     Alcotest.test_case "cache: exact labeling policy" `Quick
       test_cache_exact_requires_same_labeling;

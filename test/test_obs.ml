@@ -464,8 +464,8 @@ let prop_trace_is_pure_observation =
                   "graph.stitch_split";
                   "graph.neighbor_search";
                   "division.components";
+                  "engine.batch";
                 ]
-                @ (if jobs > 1 then [ "engine.batch" ] else [])
               in
               let valid =
                 match Export.validate_chrome ~required chrome with

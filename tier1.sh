@@ -6,6 +6,16 @@ cd "$(dirname "$0")"
 dune build @all
 dune runtest
 
+# Information only, not a gate: the size the ROADMAP tracks — source
+# lines under lib/ and bin/, fields of Decomposer.params, and distinct
+# mpld option definitions.
+loc=$(find lib bin \( -name '*.ml' -o -name '*.mli' -o -name dune \) \
+  -exec cat {} + | wc -l)
+fields=$(awk '/^type params = \{/,/^\}/' lib/core/decomposer.ml |
+  grep -c ' : ' || true)
+flags=$(grep -o 'info \[ "[^]]*\]' bin/mpld.ml | sort -u | wc -l || true)
+echo "tier1: size: lib+bin lines $loc, params fields $fields, mpld flags $flags"
+
 # Smoke: end-to-end decompose through the mpl_engine path (2 domains,
 # cache on by default in the CLI).
 dune exec bin/mpld.exe -- decompose C880 -a linear -j 2
@@ -16,11 +26,11 @@ dune exec bin/mpld.exe -- decompose C880 -a linear -j 2
 # structure, identical end-to-end colorings).
 dune exec bench/main.exe -- --kernels --check
 
-# Smoke: streamed-pipeline parity on a real S-circuit. jobs is a pure
-# performance knob: the streamed run (-j 2, pool emitter) must report the
-# identical cn#/st#/pieces line and write the byte-identical coloring as
-# the sequential reference (-j 1, cache off, inline emitter) — the two
-# emitters of the one division recursion.
+# Smoke: jobs parity on a real S-circuit. jobs is a pure performance
+# knob: the two-domain run (-j 2) must report the identical
+# cn#/st#/pieces line and write the byte-identical coloring as the
+# one-domain run (-j 1, cache off), in which the calling thread solves
+# every leaf of the same stream driver.
 seq_cols=$(mktemp /tmp/mpld-seq.XXXXXX)
 par_cols=$(mktemp /tmp/mpld-par.XXXXXX)
 seq_line=$(dune exec bin/mpld.exe -- decompose S15850 -a linear -j 1 --no-cache \
