@@ -581,13 +581,12 @@ let kernels_check () =
 
 let parallel_circuits = [ "S38417"; "S35932"; "S38584"; "S15850" ]
 
-(* The ECO pair warns when the incremental run is less than this many
+(* The ECO rows warn when an incremental run is less than this many
    times faster than the cold one. Three runs on a 2-core VM read
-   2.4-2.9x (1% edit of the 120k synth: 617 of 17,729 components
-   re-solved, and about a third of the incremental wall is the edited
-   layout's serialization); the floor sits below that spread, so it
-   flags a regression rather than noise. *)
-let eco_speedup_floor = 1.5
+   5.8-6.6x with the cache off and 4.2-4.8x with it on (1% edit of the
+   120k synth: 617 of 17,729 components re-solved); the floor sits
+   below that spread, so it flags a regression rather than noise. *)
+let eco_speedup_floor = 3.0
 
 type parallel_row = {
   p_circuit : string;
@@ -885,10 +884,13 @@ let parallel () =
   Format.printf "sharded coloring identical to whole-graph reference@.";
   (* ECO pair: a ~1%-of-features edit of the same 120k layout, cold
      decompose of the edited layout vs incremental redecompose from the
-     whole-graph run's session. Deterministic settings, so the
-     incremental coloring must be bit-identical to the cold one — any
-     divergence is fatal. The two rows share a circuit name; the
-     incremental row's "eco_reused" field keys it apart ("|eco"). *)
+     whole-graph run's session, the incremental side once with the cache
+     off and once on (the cache-on run seeds its cache from the previous
+     dirty colorings under [eco.seed], as the server and perfbench do).
+     Deterministic settings, so each incremental coloring must be
+     bit-identical to the cold one — any divergence is fatal. The rows
+     share a circuit name; the incremental rows' "eco_reused" field keys
+     them apart ("|eco"), and their cache flag from each other. *)
   Format.printf
     "@.=== ECO: cold vs incremental re-decomposition (1%% edit, Linear, \
      jobs=2) ===@.";
@@ -900,58 +902,65 @@ let parallel () =
   let edits = Mpl.Eco.generate ~seed:42 ~count:n_edits layout in
   (* Traced, so the line can split out the ECO-specific spans; only the
      dirty region is divided and solved, so the trace stays small. *)
-  let eco_sink = Mpl_obs.Sink.create () in
-  let eco_res, eco_wall =
-    Mpl_util.Timer.time (fun () ->
-        D.redecompose
-          ~params:{ eco_params with D.trace = Some eco_sink }
-          ~prev:session ~edits D.Linear)
-  in
-  (match eco_res with
-  | Error msg ->
-    Format.printf "!! redecompose failed: %s@." msg;
-    exit 1
-  | Ok (edited, r_eco, _next) ->
-    let g_cold, cold_build_s =
+  let incremental cache =
+    let sink = Mpl_obs.Sink.create () in
+    let res, wall =
       Mpl_util.Timer.time (fun () ->
-          Mpl.Decomp_graph.of_layout edited ~min_s:80)
+          D.redecompose
+            ~params:{ eco_params with D.cache; trace = Some sink }
+            ~prev:session ~edits D.Linear)
     in
-    let r_cold = D.assign ~params:eco_params D.Linear g_cold in
-    if r_eco.D.colors <> r_cold.D.colors then begin
-      Format.printf
-        "!! incremental coloring diverged from the cold run after %d \
-         edits on %s@."
-        n_edits synth_name;
+    match res with
+    | Error msg ->
+      Format.printf "!! redecompose (cache=%b) failed: %s@." cache msg;
       exit 1
-    end;
-    let reused, dirty, dfeats =
-      match r_eco.D.eco with
-      | Some e ->
-        (e.D.reused_components, e.D.dirty_components, e.D.dirty_features)
-      | None -> (0, 0, 0)
-    in
-    let cold_wall = cold_build_s +. r_cold.D.elapsed_s in
-    let totals = Mpl_obs.Export.phase_totals (Mpl_obs.Sink.events eco_sink) in
-    let span name =
-      Option.fold ~none:0. ~some:snd (List.assoc_opt name totals)
-    in
-    Format.printf
-      "cold=%.3fs (build %.3fs + assign %.3fs) incremental=%.3fs \
-       [dirty %.3fs seed %.3fs session %.3fs] speedup=%.1fx reused=%d \
-       dirty=%d dirty_features=%d@."
-      cold_wall cold_build_s r_cold.D.elapsed_s eco_wall (span "eco.dirty")
-      (span "eco.seed") (span "eco.session")
-      (if eco_wall > 0. then cold_wall /. eco_wall else 0.)
-      reused dirty dfeats;
-    if eco_wall > 0. && cold_wall /. eco_wall < eco_speedup_floor then
-      Format.printf "warning: incremental speedup below the %.0fx floor@."
-        eco_speedup_floor;
-    Format.printf "incremental coloring identical to cold reference@.";
-    let circuit = synth_name ^ "-eco" in
-    rows :=
-      row_of_report ~circuit ~build_s:0. ~wall_s:eco_wall r_eco
-      :: row_of_report ~circuit ~build_s:cold_build_s r_cold
-      :: !rows);
+    | Ok (edited, r, _next) ->
+      (edited, r, wall, Mpl_obs.Export.phase_totals (Mpl_obs.Sink.events sink))
+  in
+  let edited, _, _, _ as off = incremental false in
+  let on = incremental true in
+  let g_cold, cold_build_s =
+    Mpl_util.Timer.time (fun () -> Mpl.Decomp_graph.of_layout edited ~min_s:80)
+  in
+  let r_cold = D.assign ~params:eco_params D.Linear g_cold in
+  let cold_wall = cold_build_s +. r_cold.D.elapsed_s in
+  Format.printf "cold=%.3fs (build %.3fs + assign %.3fs)@." cold_wall
+    cold_build_s r_cold.D.elapsed_s;
+  let circuit = synth_name ^ "-eco" in
+  rows := row_of_report ~circuit ~build_s:cold_build_s r_cold :: !rows;
+  List.iter
+    (fun (_, r_eco, eco_wall, totals) ->
+      let cache = r_eco.D.params.D.cache in
+      if r_eco.D.colors <> r_cold.D.colors then begin
+        Format.printf
+          "!! incremental (cache=%b) coloring diverged from the cold run \
+           after %d edits on %s@."
+          cache n_edits synth_name;
+        exit 1
+      end;
+      let reused, dirty, dfeats =
+        match r_eco.D.eco with
+        | Some e ->
+          (e.D.reused_components, e.D.dirty_components, e.D.dirty_features)
+        | None -> (0, 0, 0)
+      in
+      let span name =
+        Option.fold ~none:0. ~some:snd (List.assoc_opt name totals)
+      in
+      let speedup = if eco_wall > 0. then cold_wall /. eco_wall else 0. in
+      Format.printf
+        "incremental cache=%-3s %.3fs [dirty %.3fs seed %.3fs] \
+         speedup=%.1fx reused=%d dirty=%d dirty_features=%d@."
+        (if cache then "on" else "off")
+        eco_wall (span "eco.dirty") (span "eco.seed") speedup reused dirty
+        dfeats;
+      if eco_wall > 0. && speedup < eco_speedup_floor then
+        Format.printf
+          "warning: incremental (cache=%b) speedup below the %.0fx floor@."
+          cache eco_speedup_floor;
+      rows := row_of_report ~circuit ~build_s:0. ~wall_s:eco_wall r_eco :: !rows)
+    [ off; on ];
+  Format.printf "incremental colorings identical to cold reference@.";
   (* Fault-injection overhead: the same run clean and with an armed
      solver fault. The injected run pays the fallback ladder for the
      struck piece; the delta bounds what arming the probe costs. *)

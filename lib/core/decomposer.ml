@@ -1071,15 +1071,6 @@ let eco_comp ~feature_of vs pc (cost : Coloring.cost) =
     scaled = cost.Coloring.scaled;
   }
 
-(* A session over [layout]: its canonical text and digest, under an
-   [eco.session] span, and the per-feature segment counts and
-   components of the run that colored it. *)
-let make_session ~obs ~min_s ~salt ~seg_counts ~comps layout =
-  Mpl_obs.Obs.span obs "eco.session" @@ fun () ->
-  let layout_text = Mpl_layout.Layout_io.to_string layout in
-  let layout_hash = Digest.to_hex (Digest.string layout_text) in
-  { Eco.layout_text; layout_hash; min_s; salt; seg_counts; comps }
-
 (* Capture everything a later [redecompose] needs from a finished run.
    Component colorings are stored in (feature, segment) order restricted
    to each component's ascending vertex list — exactly the order
@@ -1101,9 +1092,13 @@ let snapshot ?(params = default_params) ?(obs = Mpl_obs.Obs.null) ~min_s
           vs pc
           (Coloring.evaluate ~alpha:params.alpha piece pc)
         :: !comps);
-  make_session ~obs ~min_s ~salt:(params_salt ~params algorithm) ~seg_counts
-    ~comps:(Array.of_list (List.rev !comps))
-    layout
+  {
+    Eco.layout;
+    min_s;
+    salt = params_salt ~params algorithm;
+    seg_counts;
+    comps = Array.of_list (List.rev !comps);
+  }
 
 (* The core of [redecompose], after all validation has passed. Runs
    under the caller's span; returns [Ok (edited, report, session)]. *)
@@ -1293,7 +1288,7 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
       compare a.Eco.features.(0) b.Eco.features.(0))
     comps;
   let session =
-    make_session ~obs ~min_s ~salt ~seg_counts:new_seg ~comps edited
+    { Eco.layout = edited; min_s; salt; seg_counts = new_seg; comps }
   in
   let cost =
     { Coloring.conflicts = !conflicts; stitches = !stitches; scaled = !scaled }
@@ -1347,38 +1342,35 @@ let redecompose ?(params = default_params) ?obs ?pool ?shared_cache
   else if params.balance then
     Error "redecompose: balance pass needs the whole graph"
   else
-    match Mpl_layout.Layout_io.of_string prev.Eco.layout_text with
-    | exception Mpl_layout.Layout_io.Parse_error { line; msg } ->
-      err "redecompose: session layout line %d: %s" line msg
-    | base -> (
-      let nf_old = Array.length base.L.features in
-      if Array.length prev.Eco.seg_counts <> nf_old then
-        Error "redecompose: session corrupt (seg_counts/features mismatch)"
+    let base = prev.Eco.layout in
+    let nf_old = Array.length base.L.features in
+    if Array.length prev.Eco.seg_counts <> nf_old then
+      Error "redecompose: session corrupt (seg_counts/features mismatch)"
+    else
+      (* every base feature must belong to exactly one session comp *)
+      let comp_of_feature = Array.make nf_old (-1) in
+      let dup = ref false in
+      Array.iteri
+        (fun ci (c : Eco.comp) ->
+          Array.iter
+            (fun f ->
+              if f < 0 || f >= nf_old || comp_of_feature.(f) >= 0 then
+                dup := true
+              else comp_of_feature.(f) <- ci)
+            c.Eco.features)
+        prev.Eco.comps;
+      if !dup || Array.exists (fun c -> c < 0) comp_of_feature then
+        Error "redecompose: session corrupt (component cover)"
       else
-        (* every base feature must belong to exactly one session comp *)
-        let comp_of_feature = Array.make nf_old (-1) in
-        let dup = ref false in
-        Array.iteri
-          (fun ci (c : Eco.comp) ->
-            Array.iter
-              (fun f ->
-                if f < 0 || f >= nf_old || comp_of_feature.(f) >= 0 then
-                  dup := true
-                else comp_of_feature.(f) <- ci)
-              c.Eco.features)
-          prev.Eco.comps;
-        if !dup || Array.exists (fun c -> c < 0) comp_of_feature then
-          Error "redecompose: session corrupt (component cover)"
-        else
-          match Eco.apply base edits with
-          | Error m -> Error m
-          | Ok (edited, new_of_old) ->
-            let obs = match obs with Some o -> o | None -> make_obs params in
-            Mpl_obs.Obs.span obs "redecompose"
-              ~args:
-                (rid_args params
-                   [ ("edits", Mpl_obs.Sink.Int (List.length edits)) ])
-            @@ fun () ->
-            redecompose_run ~params ~obs ~pool ~shared_cache ~on_component
-              ~prev ~base ~edited ~new_of_old ~comp_of_feature ~salt ~edits
-              algorithm)
+        match Eco.apply base edits with
+        | Error m -> Error m
+        | Ok (edited, new_of_old) ->
+          let obs = match obs with Some o -> o | None -> make_obs params in
+          Mpl_obs.Obs.span obs "redecompose"
+            ~args:
+              (rid_args params
+                 [ ("edits", Mpl_obs.Sink.Int (List.length edits)) ])
+          @@ fun () ->
+          redecompose_run ~params ~obs ~pool ~shared_cache ~on_component
+            ~prev ~base ~edited ~new_of_old ~comp_of_feature ~salt ~edits
+            algorithm

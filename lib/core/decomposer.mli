@@ -316,7 +316,8 @@ val snapshot :
   report ->
   Eco.session
 (** Capture a finished {!decompose} run as a persistable {!Eco.session}
-    for later {!redecompose}: the canonical layout text, the per-feature
+    for later {!redecompose}: [layout] itself (held, not copied or
+    serialized — see {!Eco.session} on sharing), the per-feature
     stitch-segment counts, and each connected component's feature set,
     coloring (in the component's ascending vertex order — exactly what
     {!Decomp_graph.subgraph} extracts) and cost. [params], [min_s],
@@ -353,8 +354,12 @@ val redecompose :
     session's dirty components, and their costs, are the ones the
     driver hands back — nothing is extracted or evaluated twice.
     Under the caller's [redecompose] span, [eco.dirty] covers the dirty
-    marking, [eco.seed] the cache seeding and [eco.session] the
-    edited layout's serialization and digest.
+    marking and [eco.seed] the cache seeding. The base layout is read
+    from [prev.layout] and the edited one becomes the next session's
+    layout as is: no whole-layout parse, serialization or digest runs
+    here (those happen only in {!Eco.save}/{!Eco.load} and a server's
+    session key), and clean features keep their polygons shared with
+    the base.
 
     At the deterministic settings (no fault injection) the full
     coloring is bit-identical to a cold {!decompose} of the
@@ -363,8 +368,15 @@ val redecompose :
     [back] remapped to edited-layout vertex ids. Returns the edited
     layout, the report ([report.eco] set, [report.balance] absent —
     the whole graph is never built), and the next session, so edits
-    chain. Errors (rather than raising) on a parameter fingerprint
-    mismatch with the session, a corrupt session, an invalid edit
-    script, or a requested global post/balance pass. *)
+    chain. Returns [Error msg] (rather than raising) on:
+    - a parameter fingerprint mismatch with the session
+      (["redecompose: session solved under different parameters ..."]);
+    - a requested global post or balance pass;
+    - a corrupt session: [seg_counts] not one entry per base feature,
+      or components that do not cover every base feature exactly once
+      (["redecompose: session corrupt (...)"]) — checks that guard
+      sessions built by hand; a session file whose layout does not
+      parse is refused earlier, by {!Eco.load};
+    - an edit script {!Eco.apply} rejects (its message as is). *)
 
 val pp_report : Format.formatter -> report -> unit

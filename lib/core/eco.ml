@@ -295,15 +295,15 @@ type comp = {
 }
 
 type session = {
-  layout_text : string;
-  layout_hash : string;
+  layout : Layout.t;
   min_s : int;
   salt : string;
   seg_counts : int array;
   comps : comp array;
 }
 
-let hash_layout layout = Digest.to_hex (Digest.string (Layout_io.to_string layout))
+let hash_text text = Digest.to_hex (Digest.string text)
+let hash_layout layout = hash_text (Layout_io.to_string layout)
 
 exception Bad_file of string
 
@@ -323,15 +323,16 @@ let ints_line tag arr =
   Buffer.contents b
 
 let body_of_session s =
-  let b = Buffer.create (String.length s.layout_text + 4096) in
+  let layout_text = Layout_io.to_string s.layout in
+  let b = Buffer.create (String.length layout_text + 4096) in
   Buffer.add_string b (magic ^ "\n");
-  Buffer.add_string b (Printf.sprintf "hash %s\n" s.layout_hash);
+  Buffer.add_string b (Printf.sprintf "hash %s\n" (hash_text layout_text));
   Buffer.add_string b (Printf.sprintf "mins %d\n" s.min_s);
   Buffer.add_string b (Printf.sprintf "salt %s\n" s.salt);
   Buffer.add_string b (ints_line "segs" s.seg_counts);
   Buffer.add_string b
-    (Printf.sprintf "layout %d\n" (String.length s.layout_text));
-  Buffer.add_string b s.layout_text;
+    (Printf.sprintf "layout %d\n" (String.length layout_text));
+  Buffer.add_string b layout_text;
   Buffer.add_char b '\n';
   Buffer.add_string b (Printf.sprintf "comps %d\n" (Array.length s.comps));
   Array.iter
@@ -345,7 +346,7 @@ let body_of_session s =
 
 let save s path =
   let body = body_of_session s in
-  let sum = Digest.to_hex (Digest.string body) in
+  let sum = hash_text body in
   (* Atomic publish: write to a sibling temp file, then rename. *)
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
@@ -433,7 +434,7 @@ let load path =
     String.trim (String.sub raw sum_off (String.length raw - sum_off))
   in
   let sum = expect_tag "sum" sum_line in
-  if Digest.to_hex (Digest.string body) <> sum then bad "checksum mismatch";
+  if hash_text body <> sum then bad "checksum mismatch";
   let cur = { buf = body; pos = 0 } in
   if read_line cur <> magic then bad "not an mpld eco session file";
   let layout_hash = expect_tag "hash" (read_line cur) in
@@ -445,8 +446,12 @@ let load path =
   in
   let layout_text = read_raw cur nbytes in
   if read_line cur <> "" then bad "layout block not newline-terminated";
-  if Digest.to_hex (Digest.string layout_text) <> layout_hash then
-    bad "layout hash mismatch";
+  if hash_text layout_text <> layout_hash then bad "layout hash mismatch";
+  let layout =
+    try Layout_io.of_string layout_text
+    with Layout_io.Parse_error { line; msg } ->
+      bad "session layout line %d: %s" line msg
+  in
   let ncomps = parse_int "comps" (expect_tag "comps" (read_line cur)) in
   if ncomps < 0 then bad "negative component count";
   let nf = Array.length seg_counts in
@@ -476,4 +481,4 @@ let load path =
           bad "component colors/segments mismatch";
         { features; colors; conflicts; stitches; scaled })
   in
-  { layout_text; layout_hash; min_s; salt; seg_counts; comps }
+  { layout; min_s; salt; seg_counts; comps }

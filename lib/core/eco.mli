@@ -90,30 +90,44 @@ type comp = {
 }
 
 type session = {
-  layout_text : string;  (** canonical [Layout_io] text of the base *)
-  layout_hash : string;  (** MD5 hex of [layout_text] *)
+  layout : Mpl_layout.Layout.t;  (** the base layout the colors are for *)
   min_s : int;
   salt : string;  (** parameter fingerprint; must match to reuse *)
   seg_counts : int array;  (** stitch segments per base feature *)
   comps : comp array;
 }
 (** Everything [Decomposer.redecompose] needs to reuse a previous run:
-    the exact base layout (so edits resolve against the same bytes the
-    colors were computed for), the stitch-segment count per feature (to
-    place reused colors without re-splitting clean features), and each
-    connected component's features, coloring and cost. *)
+    the exact base layout (so edits resolve against the same features
+    the colors were computed for), the stitch-segment count per feature
+    (to place reused colors without re-splitting clean features), and
+    each connected component's features, coloring and cost.
+
+    A session holds its layout parsed, never as text: text and digest
+    are made only where a session leaves or enters the process
+    ({!save}, {!load}, a server's session key). Polygons are immutable,
+    but the [features] array is not: callers must not mutate
+    [session.layout] or any layout {!apply} derived from it, since the
+    edited layout shares its polygons with the base and
+    [Decomposer.redecompose] returns it as the next session's layout. *)
 
 val hash_layout : Mpl_layout.Layout.t -> string
-(** MD5 hex of the layout's canonical [Layout_io] text — the key under
-    which servers index sessions. *)
+(** MD5 hex of the layout's canonical [Layout_io] text. This is the key
+    a server indexes its sessions by, and the key a client names a
+    base layout by in a REDECOMPOSE; it is also the [hash] line of a
+    session file. Costs one whole-layout serialization. *)
 
 exception Bad_file of string
 (** Raised by {!load} on a missing/corrupt/foreign session file. *)
 
 val save : session -> string -> unit
-(** Atomic write (temp file + rename) with a whole-file checksum. *)
+(** Atomic write (temp file + rename) with a whole-file checksum. The
+    layout block is the layout's canonical [Layout_io] text, preceded
+    by its {!hash_layout}; the format is [mpld-eco-session 1]. *)
 
 val load : string -> session
-(** Inverse of {!save}; validates the checksum and all array lengths.
-    @raise Bad_file on any structural damage.
+(** Inverse of {!save}; validates the checksum, the layout hash and all
+    array lengths, and parses the layout block.
+    @raise Bad_file on any structural damage; a layout block that does
+    not parse raises [Bad_file "session layout line N: msg"], [N] the
+    1-based line within the block.
     @raise Sys_error if the file cannot be read. *)

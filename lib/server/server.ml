@@ -415,10 +415,16 @@ let rec take_drop n = function
     let keep, drop = take_drop (n - 1) tl in
     (x :: keep, drop)
 
-let session_store t (s : Mpl.Eco.session) =
+(* Sessions are keyed by the canonical layout MD5, the name clients give
+   a base layout by. The key costs one whole-layout serialization, so it
+   is made before taking the server lock and under its own span. *)
+let session_store t ~obs (s : Mpl.Eco.session) =
   let cap = t.config.sessions in
   if cap > 0 then begin
-    let key = s.Mpl.Eco.layout_hash in
+    let key =
+      Mpl_obs.Obs.span obs "server.session_key" @@ fun () ->
+      Mpl.Eco.hash_layout s.Mpl.Eco.layout
+    in
     Mutex.lock t.lock;
     Hashtbl.replace t.sessions_tbl key s;
     let keep, drop =
@@ -830,7 +836,7 @@ let run_request t cio (rp : Proto.request) (tm : req_timing) body =
              REDECOMPOSE against this layout can reuse every component
              the edit does not touch. *)
           if t.config.sessions > 0 then
-            session_store t
+            session_store t ~obs:req_obs
               (Mpl.Decomposer.snapshot ~params ~obs:req_obs ~min_s
                  rp.Proto.algo g layout report);
           (report, [])
@@ -875,7 +881,7 @@ let run_redecompose t cio ~hash (rp : Proto.request) (tm : req_timing) body =
             with
             | Error msg -> raise (Rejected { code = "session"; msg })
             | Ok (_edited, report, next) ->
-              session_store t next;
+              session_store t ~obs:req_obs next;
               let reused, dirty, features =
                 match report.Mpl.Decomposer.eco with
                 | Some e ->

@@ -33,6 +33,34 @@ let redecompose_exn p prev edits =
   | Ok r -> r
   | Error m -> Alcotest.failf "redecompose failed: %s" m
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
+
+let with_temp f =
+  let path = Filename.temp_file "mpld-eco" ".session" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+(* [Eco.save] then [Eco.load]: the session a file-backed chain resumes
+   from. *)
+let through_file s =
+  with_temp (fun path ->
+      E.save s path;
+      E.load path)
+
+let saved_bytes s =
+  with_temp (fun path ->
+      E.save s path;
+      read_file path)
+
 (* ------------------------------------------------------------------ *)
 (* Edit scripts *)
 
@@ -103,14 +131,12 @@ let test_apply_mapping () =
 let test_session_roundtrip () =
   let layout = Benchgen.circuit "C432" in
   let s, _rep = session_of (params ()) layout in
-  let path = Filename.temp_file "mpld-eco" ".session" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_temp (fun path ->
       E.save s path;
       let s' = E.load path in
-      Alcotest.(check string) "layout text" s.E.layout_text s'.E.layout_text;
-      Alcotest.(check string) "hash" s.E.layout_hash s'.E.layout_hash;
+      Alcotest.(check bool) "layout" true (s.E.layout = s'.E.layout);
+      Alcotest.(check string) "hash" (E.hash_layout s.E.layout)
+        (E.hash_layout s'.E.layout);
       Alcotest.(check int) "min_s" s.E.min_s s'.E.min_s;
       Alcotest.(check string) "salt" s.E.salt s'.E.salt;
       Alcotest.(check (array int)) "seg counts" s.E.seg_counts s'.E.seg_counts;
@@ -124,22 +150,54 @@ let test_session_roundtrip () =
           Alcotest.(check int) "scaled" c.E.scaled c'.E.scaled)
         s.E.comps;
       (* flipping one byte anywhere must be detected *)
-      let raw =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let flip = Bytes.of_string raw in
+      let flip = Bytes.of_string (read_file path) in
       let mid = Bytes.length flip / 2 in
       Bytes.set flip mid
         (if Bytes.get flip mid = 'x' then 'y' else 'x');
-      let oc = open_out_bin path in
-      output_bytes oc flip;
-      close_out oc;
+      write_file path (Bytes.to_string flip);
       match E.load path with
       | _ -> Alcotest.fail "expected Bad_file on tampered session"
       | exception E.Bad_file _ -> ())
+
+(* A layout block that passes both digests but does not parse is
+   rejected at load, naming the line within the block. *)
+let test_session_layout_parse_error () =
+  let layout = Benchgen.circuit "C432" in
+  let s, _rep = session_of (params ()) layout in
+  with_temp (fun path ->
+      E.save s path;
+      let raw = read_file path in
+      let lines = Array.of_list (String.split_on_char '\n' raw) in
+      let find p =
+        let rec go i = if p lines.(i) then i else go (i + 1) in
+        go 0
+      in
+      let layout_at = find (fun l -> String.starts_with ~prefix:"layout " l) in
+      let r_at = find (fun l -> String.starts_with ~prefix:"R " l) in
+      lines.(r_at) <- "R 1 1 1 1" (* degenerate: Rect.make rejects it *);
+      let hash_at = find (fun l -> String.starts_with ~prefix:"hash " l) in
+      let comps_at = find (fun l -> String.starts_with ~prefix:"comps " l) in
+      (* the block ends with "END\n", then save's extra newline *)
+      let block =
+        String.concat "\n"
+          (Array.to_list
+             (Array.sub lines (layout_at + 1) (comps_at - layout_at - 2)))
+        ^ "\n"
+      in
+      lines.(hash_at) <- "hash " ^ Digest.to_hex (Digest.string block);
+      lines.(layout_at) <- Printf.sprintf "layout %d" (String.length block);
+      let sum_at = find (fun l -> String.starts_with ~prefix:"sum " l) in
+      let body =
+        String.concat "\n" (Array.to_list (Array.sub lines 0 sum_at)) ^ "\n"
+      in
+      write_file path
+        (body ^ Printf.sprintf "sum %s\n" (Digest.to_hex (Digest.string body)));
+      let want = Printf.sprintf "session layout line %d: " (r_at - layout_at) in
+      match E.load path with
+      | _ -> Alcotest.fail "expected Bad_file on an unparseable layout block"
+      | exception E.Bad_file msg ->
+        if not (String.starts_with ~prefix:want msg) then
+          Alcotest.failf "Bad_file %S does not name %S" msg want)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned unit: an edit inside one component leaves every other
@@ -196,9 +254,9 @@ let check_matches_cold p prev edits =
   let cold_snap = D.snapshot ~params:p ~min_s algo g_cold edited cold in
   Alcotest.(check (array int)) "seg counts chain" cold_snap.E.seg_counts
     next.E.seg_counts;
-  Alcotest.(check string) "layout hash chains" cold_snap.E.layout_hash
-    next.E.layout_hash;
-  next
+  Alcotest.(check bool) "next session holds the edited layout" true
+    (next.E.layout == edited);
+  (rep, next)
 
 let test_matrix_bit_identity () =
   let layout = Benchgen.circuit "C499" in
@@ -207,16 +265,24 @@ let test_matrix_bit_identity () =
       let p = params ~jobs ~cache () in
       let s0, _ = session_of p layout in
       let edits = E.generate ~seed:5 ~count:4 layout in
-      let s1 = check_matches_cold p s0 edits in
-      (* chain a second edit on the updated session *)
-      let layout1 =
-        match Layout_io.of_string s1.E.layout_text with
-        | l -> l
-        | exception Layout_io.Parse_error _ ->
-          Alcotest.fail "chained session layout unparseable"
-      in
-      let edits2 = E.generate ~seed:6 ~count:3 layout1 in
-      ignore (check_matches_cold p s1 edits2))
+      let _, s1 = check_matches_cold p s0 edits in
+      (* chain a second edit on the updated session, once from the
+         in-memory session and once from its saved file: both must
+         reach the same colors, cost and next session *)
+      let edits2 = E.generate ~seed:6 ~count:3 s1.E.layout in
+      let rep_mem, mem = check_matches_cold p s1 edits2 in
+      let s1_file = through_file s1 in
+      Alcotest.(check bool) "file-backed layout" true
+        (s1_file.E.layout = s1.E.layout);
+      Alcotest.(check string) "file-backed layout hash"
+        (E.hash_layout s1.E.layout) (E.hash_layout s1_file.E.layout);
+      let _, rep_file, file = redecompose_exn p s1_file edits2 in
+      if rep_mem.D.colors <> rep_file.D.colors then
+        Alcotest.fail "file-backed chain colors differ from in-memory chain";
+      Alcotest.(check int) "file-backed chain cost"
+        rep_mem.D.cost.Mpl.Coloring.scaled rep_file.D.cost.Mpl.Coloring.scaled;
+      Alcotest.(check string) "file-backed chain session bytes"
+        (saved_bytes mem) (saved_bytes file))
     [ (1, false); (1, true); (2, false); (2, true) ]
 
 let test_salt_mismatch () =
@@ -303,6 +369,24 @@ let test_synth_layout_io_roundtrip () =
     Alcotest.(check string) "re-serialization identical" text
       (Layout_io.to_string back)
 
+(* The fact that makes a file-backed ECO chain agree with an in-memory
+   one: a [gen synth] layout and every [Eco.apply] result of it survive
+   a Layout_io round trip structurally, polygon bounding boxes included. *)
+let prop_layout_io_roundtrip =
+  QCheck.Test.make ~count:12 ~name:"Layout_io round trip = identity on synth + apply"
+    QCheck.(
+      make
+        ~print:(fun (seed, features, edits) ->
+          Printf.sprintf "seed=%d features=%d edits=%d" seed features edits)
+        Gen.(triple (int_range 0 10_000) (int_range 200 3_000) (int_range 0 40)))
+    (fun (seed, features, count) ->
+      let layout = Benchgen.generate (Benchgen.synth ~seed ~features ()) in
+      let round l = Layout_io.of_string (Layout_io.to_string l) = l in
+      let edits = E.generate ~seed ~count layout in
+      match E.apply layout edits with
+      | Error m -> QCheck.Test.fail_reportf "apply: %s" m
+      | Ok (edited, _) -> round layout && round edited)
+
 let suite =
   [
     Alcotest.test_case "edit script round-trip" `Quick test_edit_roundtrip;
@@ -310,6 +394,8 @@ let suite =
     Alcotest.test_case "apply mapping" `Quick test_apply_mapping;
     Alcotest.test_case "session save/load + tamper" `Quick
       test_session_roundtrip;
+    Alcotest.test_case "session layout parse error" `Quick
+      test_session_layout_parse_error;
     Alcotest.test_case "untouched component verbatim (pinned)" `Quick
       test_pinned_untouched_verbatim;
     Alcotest.test_case "bit-identity across jobs x cache" `Slow
@@ -318,4 +404,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_redecompose_matches_cold;
     Alcotest.test_case "synth round-trips through Layout_io" `Quick
       test_synth_layout_io_roundtrip;
+    QCheck_alcotest.to_alcotest prop_layout_io_roundtrip;
   ]

@@ -400,13 +400,22 @@ rm -f "$shref" "$shgot"
 # layout capturing a session, generate a deterministic edit script,
 # redecompose incrementally, and cold-decompose the edited layout: the
 # colorings must be byte-identical and the incremental run must have
-# reused at least one untouched component verbatim.
+# reused at least one untouched component verbatim. A second step
+# resumes from the first step's saved session file (sessions hold
+# their layout parsed in memory, so a file is the only place a session
+# layout round-trips through text) and must match a cold decompose of
+# the twice-edited layout too.
 esynth=$(mktemp /tmp/mpld-eco-base.XXXXXX)
 eedits=$(mktemp /tmp/mpld-eco-edits.XXXXXX)
 esess=$(mktemp /tmp/mpld-eco-sess.XXXXXX)
 eedited=$(mktemp /tmp/mpld-eco-edited.XXXXXX)
 ecoref=$(mktemp /tmp/mpld-eco-ref.XXXXXX)
 ecogot=$(mktemp /tmp/mpld-eco-got.XXXXXX)
+eedits2=$(mktemp /tmp/mpld-eco-edits2.XXXXXX)
+esess2=$(mktemp /tmp/mpld-eco-sess2.XXXXXX)
+eedited2=$(mktemp /tmp/mpld-eco-edited2.XXXXXX)
+ecoref2=$(mktemp /tmp/mpld-eco-ref2.XXXXXX)
+ecogot2=$(mktemp /tmp/mpld-eco-got2.XXXXXX)
 dune exec bin/mpld.exe -- gen synth "$esynth" --features 20000 --seed 3 \
   > /dev/null
 dune exec bin/mpld.exe -- decompose "$esynth" -a linear -j 2 \
@@ -414,7 +423,8 @@ dune exec bin/mpld.exe -- decompose "$esynth" -a linear -j 2 \
 dune exec bin/mpld.exe -- gen edits "$eedits" --layout "$esynth" \
   --count 40 --seed 5 > /dev/null
 ecoout=$(dune exec bin/mpld.exe -- redecompose "$esess" "$eedits" \
-  -a linear -j 2 --save-layout "$eedited" --colors "$ecogot" 2>/dev/null)
+  -a linear -j 2 --save-layout "$eedited" --colors "$ecogot" \
+  --session "$esess2" 2>/dev/null)
 echo "$ecoout" | grep -Eq "eco: reused=[1-9]" || {
   echo "tier1: redecompose reused no component" >&2
   echo "$ecoout" >&2
@@ -426,6 +436,24 @@ cmp -s "$ecoref" "$ecogot" || {
   echo "tier1: incremental coloring diverged from the cold run" >&2
   exit 1
 }
+dune exec bin/mpld.exe -- gen edits "$eedits2" --layout "$eedited" \
+  --count 40 --seed 6 > /dev/null
+ecoout=$(dune exec bin/mpld.exe -- redecompose "$esess2" "$eedits2" \
+  -a linear -j 2 --save-layout "$eedited2" --colors "$ecogot2" 2>/dev/null) \
+  || { echo "tier1: chained redecompose from a session file failed" >&2
+       exit 1; }
+echo "$ecoout" | grep -Eq "eco: reused=[1-9]" || {
+  echo "tier1: chained redecompose reused no component" >&2
+  echo "$ecoout" >&2
+  exit 1
+}
+dune exec bin/mpld.exe -- decompose "$eedited2" -a linear -j 2 \
+  --colors "$ecoref2" > /dev/null 2>&1
+cmp -s "$ecoref2" "$ecogot2" || {
+  echo "tier1: chained incremental coloring diverged from the cold run" >&2
+  exit 1
+}
+rm -f "$eedits2" "$esess2" "$eedited2" "$ecoref2" "$ecogot2"
 
 # The same contract over a socket: a DECOMPOSE captures the session
 # server-side (--sessions defaults to 8), then a REDECOMPOSE of the
