@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- --figures
      dune exec bench/main.exe -- --ablation
      dune exec bench/main.exe -- --beyond      (K=6 generalization)
-     dune exec bench/main.exe -- --extensions  (LB / refine / balance)
+     dune exec bench/main.exe -- --extensions  (LB / balance)
      dune exec bench/main.exe -- --parallel    (engine speedup + cache;
                                                writes bench/results/latest.json,
                                                kernel rows included)
@@ -274,19 +274,29 @@ let ablation () =
     [ "C6288"; "S38417" ];
   Format.printf "@.=== Ablation: SDP solver mode (one hard block, k=4) ===@.";
   let g = hardblock_graph () in
+  let p = D.default_params in
   List.iter
     (fun (name, mode) ->
-      let sdp_options = { Mpl_numeric.Sdp.default_options with mode } in
-      let params = { D.default_params with D.sdp_options } in
-      let r, secs =
-        Mpl_util.Timer.time (fun () -> D.assign ~params D.Sdp_backtrack g)
+      let options = { Mpl_numeric.Sdp.default_options with mode } in
+      let solver (piece : Mpl.Decomp_graph.t) =
+        if piece.Mpl.Decomp_graph.n <= 1 then
+          Array.make piece.Mpl.Decomp_graph.n 0
+        else
+          Mpl.Sdp_color.backtrack ~tth:p.D.tth ~node_cap:p.D.node_cap
+            ~k:p.D.k ~alpha:p.D.alpha
+            (Mpl.Sdp_color.relax ~options ~k:p.D.k ~alpha:p.D.alpha piece)
+            piece
       in
-      Format.printf "%-12s cn#=%d st#=%d CPU=%.3fs@." name
-        r.D.cost.C.conflicts r.D.cost.C.stitches secs)
+      let colors, secs =
+        Mpl_util.Timer.time (fun () ->
+            Mpl.Division.assign ~k:p.D.k ~alpha:p.D.alpha ~solver g)
+      in
+      let cost = C.evaluate g colors in
+      Format.printf "%-12s cn#=%d st#=%d CPU=%.3fs@." name cost.C.conflicts
+        cost.C.stitches secs)
     [
       ("projected", Mpl_numeric.Sdp.Projected);
       ("lagrangian", Mpl_numeric.Sdp.Lagrangian);
-      ("penalty", Mpl_numeric.Sdp.Penalty);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -313,32 +323,22 @@ let beyond () =
     ~algorithms rows
 
 (* ------------------------------------------------------------------ *)
-(* Extensions: certified lower bounds and post passes.                 *)
+(* Extensions: certified lower bounds and cost-free mask balancing.    *)
 
 let extensions () =
-  Format.printf
-    "@.=== Extensions: clique lower bounds, refinement, balance ===@.";
+  Format.printf "@.=== Extensions: clique lower bounds, balance ===@.";
   List.iter
     (fun name ->
       let g = build_graph ~min_s:80 name in
       let lb = Mpl.Lower_bound.conflict_lower_bound ~k:4 g in
       let base = D.assign D.Linear g in
-      let refined =
-        D.assign
-          ~params:{ D.default_params with D.post = D.Local_search }
-          D.Linear g
-      in
-      let balanced =
-        D.assign ~params:{ D.default_params with D.balance = true } D.Linear g
-      in
+      let balanced = Mpl.Balance.rebalance ~k:4 ~alpha:0.1 g base.D.colors in
       Format.printf
-        "%-8s LB=%-3d linear cn#=%-3d (gap %d) refined cn#=%-3d imbalance \
-         %.3f -> %.3f@."
-        name lb base.D.cost.C.conflicts
+        "%-8s LB=%-3d linear cn#=%-3d (gap %d) imbalance %.3f -> %.3f@." name
+        lb base.D.cost.C.conflicts
         (base.D.cost.C.conflicts - lb)
-        refined.D.cost.C.conflicts
         (Mpl.Balance.imbalance ~k:4 base.D.colors)
-        (Mpl.Balance.imbalance ~k:4 balanced.D.colors))
+        (Mpl.Balance.imbalance ~k:4 balanced))
     [ "C6288"; "C7552"; "S38417" ]
 
 (* ------------------------------------------------------------------ *)
@@ -885,8 +885,7 @@ let parallel () =
   (* ECO pair: a ~1%-of-features edit of the same 120k layout, cold
      decompose of the edited layout vs incremental redecompose from the
      whole-graph run's session, the incremental side once with the cache
-     off and once on (the cache-on run seeds its cache from the previous
-     dirty colorings under [eco.seed], as the server and perfbench do).
+     off and once on (as the server and perfbench run it).
      Deterministic settings, so each incremental coloring must be
      bit-identical to the cold one — any divergence is fatal. The rows
      share a circuit name; the incremental rows' "eco_reused" field keys
@@ -949,11 +948,10 @@ let parallel () =
       in
       let speedup = if eco_wall > 0. then cold_wall /. eco_wall else 0. in
       Format.printf
-        "incremental cache=%-3s %.3fs [dirty %.3fs seed %.3fs] \
-         speedup=%.1fx reused=%d dirty=%d dirty_features=%d@."
+        "incremental cache=%-3s %.3fs [dirty %.3fs] speedup=%.1fx reused=%d \
+         dirty=%d dirty_features=%d@."
         (if cache then "on" else "off")
-        eco_wall (span "eco.dirty") (span "eco.seed") speedup reused dirty
-        dfeats;
+        eco_wall (span "eco.dirty") speedup reused dirty dfeats;
       if eco_wall > 0. && speedup < eco_speedup_floor then
         Format.printf
           "warning: incremental (cache=%b) speedup below the %.0fx floor@."

@@ -133,14 +133,6 @@ let verbose_arg =
   let doc = "Print per-phase timing summaries to stderr." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let refine_arg =
-  let doc = "Run a local-search refinement pass after division." in
-  Arg.(value & flag & info [ "refine" ] ~doc)
-
-let balance_arg =
-  let doc = "Rebalance mask densities (cost-free) after assignment." in
-  Arg.(value & flag & info [ "balance" ] ~doc)
-
 let colors_arg =
   let doc =
     "Write the final coloring to $(docv), one color per line in vertex \
@@ -156,13 +148,6 @@ let windows_arg =
      1 (the default) decomposes whole-layout."
   in
   Arg.(value & opt int 1 & info [ "windows" ] ~docv:"N" ~doc)
-
-let window_size_arg =
-  let doc =
-    "Target window strip width in nm for sharding (takes precedence \
-     over --windows)."
-  in
-  Arg.(value & opt (some int) None & info [ "window-size" ] ~docv:"NM" ~doc)
 
 let max_heap_arg =
   let doc =
@@ -239,19 +224,12 @@ let session_out_arg =
   Arg.(value & opt (some string) None & info [ "session" ] ~docv:"FILE" ~doc)
 
 let decompose_cmd =
-  let run source k min_s algo budget refine balance jobs no_cache inject
-      trace metrics verbose colors_out windows window_nm max_heap_mb
-      session_out =
+  let run source k min_s algo budget jobs no_cache inject trace metrics
+      verbose colors_out windows max_heap_mb session_out =
     arm_heap_budget max_heap_mb;
     let layout = load_layout source in
     let min_s = resolve_min_s ~k ~min_s in
-    let sharded = windows > 1 || window_nm <> None in
-    if sharded && (refine || balance) then begin
-      Printf.eprintf
-        "error: --windows is incompatible with --refine/--balance (global \
-         passes need the whole graph)\n";
-      exit 2
-    end;
+    let sharded = windows > 1 in
     if sharded && session_out <> None then begin
       Printf.eprintf
         "error: --session is incompatible with --windows (the snapshot \
@@ -268,15 +246,10 @@ let decompose_cmd =
           Mpl.Decomposer.default_params with
           k;
           solver_budget_s = budget;
-          post =
-            (if refine then Mpl.Decomposer.Local_search
-             else Mpl.Decomposer.No_post);
-          balance;
           trace = sink;
           metrics;
           fault = inject;
           windows;
-          window_nm;
         }
     in
     Format.printf "%a@." Mpl_layout.Layout.pp_summary layout;
@@ -286,11 +259,8 @@ let decompose_cmd =
           Mpl.Decomposer.decompose_sharded ~params ~min_s algo layout
         in
         Format.printf
-          "sharded: windows=%s vertices=%d peak_heap=%.1fMB (min_s=%d, k=%d)@."
-          (match window_nm with
-          | Some nm -> Printf.sprintf "%dnm" nm
-          | None -> string_of_int windows)
-          (Array.length report.Mpl.Decomposer.colors)
+          "sharded: windows=%d vertices=%d peak_heap=%.1fMB (min_s=%d, k=%d)@."
+          windows (Array.length report.Mpl.Decomposer.colors)
           (peak_heap_mb ()) min_s k;
         report
       end
@@ -319,12 +289,6 @@ let decompose_cmd =
         "resilience: degraded=%d piece_failures=%d fallbacks=%d fired=%b@."
         res.Mpl.Decomposer.degraded res.Mpl.Decomposer.piece_failures
         res.Mpl.Decomposer.fallback_attempts res.Mpl.Decomposer.fault_fired;
-    if balance then
-      Format.printf "mask usage: %s@."
-        (String.concat " "
-           (Array.to_list
-              (Array.map string_of_int
-                 (Mpl.Balance.usage ~k report.Mpl.Decomposer.colors))));
     (match colors_out with
     | Some path ->
       write_colors path report.Mpl.Decomposer.colors;
@@ -353,9 +317,9 @@ let decompose_cmd =
   let term =
     Term.(
       const run $ circuit_arg $ k_arg $ min_s_arg $ algo_arg $ budget_arg
-      $ refine_arg $ balance_arg $ jobs_arg $ no_cache_arg $ inject_arg
-      $ trace_arg $ metrics_arg $ verbose_arg $ colors_arg $ windows_arg
-      $ window_size_arg $ max_heap_arg $ session_out_arg)
+      $ jobs_arg $ no_cache_arg $ inject_arg $ trace_arg $ metrics_arg
+      $ verbose_arg $ colors_arg $ windows_arg $ max_heap_arg
+      $ session_out_arg)
   in
   Cmd.v (Cmd.info "decompose" ~doc:"Decompose a layout and report cost") term
 
@@ -1153,8 +1117,8 @@ let client_cmd =
     Arg.(value & opt int 100 & info [ "backoff-ms" ] ~docv:"MS" ~doc)
   in
   let run socket host port layout k min_s algo priority no_cache inject
-      deadline_ms retries backoff_ms colors_out windows window_nm
-      do_stats do_metrics do_ping do_quit http_path edits_path =
+      deadline_ms retries backoff_ms colors_out windows do_stats do_metrics
+      do_ping do_quit http_path edits_path =
     let fail e =
       Printf.eprintf "error: %s\n" (Mpl_server.Client.error_to_string e);
       exit
@@ -1261,7 +1225,6 @@ let client_cmd =
               inject;
               deadline_ms;
               windows;
-              window_nm;
             }
           in
           (* Retry loop: each attempt opens a fresh connection (a BUSY
@@ -1361,8 +1324,8 @@ let client_cmd =
       const run $ socket_arg $ host_arg $ port_arg $ layout_arg $ k_arg
       $ min_s_arg $ algo_arg $ priority_cl_arg $ no_cache_arg $ inject_arg
       $ deadline_arg $ retries_arg $ backoff_arg $ colors_arg $ windows_arg
-      $ window_size_arg $ stats_flag $ metrics_flag $ ping_flag $ quit_flag
-      $ http_arg $ edits_arg)
+      $ stats_flag $ metrics_flag $ ping_flag $ quit_flag $ http_arg
+      $ edits_arg)
   in
   Cmd.v
     (Cmd.info "client"

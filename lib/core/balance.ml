@@ -20,6 +20,25 @@ let weighted_usage ~k ~weights colors =
     colors;
   counts
 
+(* Scaled-cost delta of recoloring vertex [v] to [c] ([ws] = stitch
+   weight in milli-units). *)
+let move_delta ~ws (g : Decomp_graph.t) colors v c =
+  let wc = Coloring.weight_conflict in
+  let old_c = colors.(v) in
+  if c = old_c then 0
+  else begin
+    let delta = ref 0 in
+    Decomp_graph.iter g.Decomp_graph.conflict v (fun u ->
+        if colors.(u) = old_c then delta := !delta - wc
+        else if colors.(u) = c then delta := !delta + wc);
+    Decomp_graph.iter g.Decomp_graph.stitch v (fun u ->
+        if colors.(u) >= 0 then begin
+          if colors.(u) = old_c then delta := !delta + ws
+          else if colors.(u) = c then delta := !delta - ws
+        end);
+    !delta
+  end
+
 let rebalance ?(max_passes = 5) ?weights ~k ~alpha (g : Decomp_graph.t) colors
     =
   let n = g.Decomp_graph.n in
@@ -51,7 +70,7 @@ let rebalance ?(max_passes = 5) ?weights ~k ~alpha (g : Decomp_graph.t) colors
           if
             c <> current
             && counts.(c) + weights.(v) < counts.(!best)
-            && Refine.move_delta ~ws g colors v c = 0
+            && move_delta ~ws g colors v c = 0
           then best := c
         done;
         if !best <> current then begin

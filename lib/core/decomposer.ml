@@ -7,18 +7,13 @@ let algorithm_name = function
   | Sdp_greedy -> "SDP+Greedy"
   | Linear -> "Linear"
 
-type post_pass = No_post | Local_search
-
 type params = {
   k : int;
   alpha : float;
   tth : float;
-  sdp_options : Mpl_numeric.Sdp.options;
   solver_budget_s : float;
   node_cap : int;
   stages : Division.stages;
-  post : post_pass;
-  balance : bool;
   jobs : int;
   priority_bias : int;
   cache : bool;
@@ -29,7 +24,6 @@ type params = {
   cancel : Mpl_engine.Pool.token option;
   deadline_s : float option;
   windows : int;
-  window_nm : int option;
 }
 
 let default_params =
@@ -37,12 +31,9 @@ let default_params =
     k = 4;
     alpha = 0.1;
     tth = 0.9;
-    sdp_options = Mpl_numeric.Sdp.default_options;
     solver_budget_s = 60.;
     node_cap = 2_000_000;
     stages = Division.all_stages;
-    post = No_post;
-    balance = false;
     jobs = 1;
     priority_bias = 0;
     cache = false;
@@ -53,7 +44,6 @@ let default_params =
     cancel = None;
     deadline_s = None;
     windows = 1;
-    window_nm = None;
   }
 
 (* Stamp the serving request id onto a span's arguments, so even the
@@ -258,18 +248,14 @@ let solve_once ~obs ~params ~budget ?warm algorithm (piece : Decomp_graph.t) =
   | Sdp_greedy ->
     if piece.Decomp_graph.n <= 1 then (Array.make piece.Decomp_graph.n 0, true)
     else begin
-      let sol =
-        Sdp_color.relax ~options:params.sdp_options ?warm ~k ~alpha piece
-      in
+      let sol = Sdp_color.relax ?warm ~k ~alpha piece in
       observe_sdp sol;
       (Sdp_color.greedy_map ~k sol piece, true)
     end
   | Sdp_backtrack ->
     if piece.Decomp_graph.n <= 1 then (Array.make piece.Decomp_graph.n 0, true)
     else begin
-      let sol =
-        Sdp_color.relax ~options:params.sdp_options ?warm ~k ~alpha piece
-      in
+      let sol = Sdp_color.relax ?warm ~k ~alpha piece in
       observe_sdp sol;
       ( Sdp_color.backtrack ~obs ~tth:params.tth ~node_cap:params.node_cap ~k
           ~alpha sol piece,
@@ -557,12 +543,12 @@ let check_cancel params () =
    per-run table otherwise, none with the cache off. Reuse from either
    is cost-exact: the salt partitions entries by solver parameters, and
    a hit requires a byte-identical piece. *)
-let component_cache ~obs ~(params : params) ?fault shared_cache =
+let component_cache ~obs ~(params : params) ~fault shared_cache =
   if not params.cache then None
   else
     match shared_cache with
     | Some _ -> shared_cache
-    | None -> Some (Mpl_engine.Cache.create ~obs ?fault ())
+    | None -> Some (Mpl_engine.Cache.create ~obs ~fault ())
 
 (* Tiny leaves (n < [chunk_below]) are buffered and submitted
    [chunk_len] at a time as one pool task ({!Pool.submit_group}):
@@ -708,8 +694,7 @@ let window_source ~obs ~params ~(rc : run_ctx) ?max_stitches_per_feature
              );
            ])
       (fun () ->
-        Shard.plan ?window_nm:params.window_nm ~windows:params.windows
-          ~halo:(min_s + hp) layout)
+        Shard.plan ~windows:params.windows ~halo:(min_s + hp) layout)
   in
   let m = obs.Mpl_obs.Obs.metrics in
   Mpl_obs.Metrics.add
@@ -951,11 +936,10 @@ let make_report ~obs ~params ~(rc : run_ctx) algorithm ~colors ~cost
   }
 
 (* One run of the driver under an [assign] span carrying [arg]: a fresh
-   run context, the component source [source rc], then [post colors
-   cost] — whole-graph passes over the streamed coloring — inside the
-   timed span. *)
-let run_assign ~obs ~params ~pool ~shared_cache ~on_component ~post
-    algorithm arg source =
+   run context and the component source [source rc], inside the timed
+   span. *)
+let run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm arg
+    source =
   let rc = make_run_ctx ~obs ~params algorithm in
   let (colors, cost, engine, cache, phases), elapsed_s =
     Mpl_util.Timer.time (fun () ->
@@ -967,12 +951,8 @@ let run_assign ~obs ~params ~pool ~shared_cache ~on_component ~post
                  arg;
                ])
         @@ fun () ->
-        let colors, cost, engine, cache, phases =
-          stream_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
-            ~on_component (source rc)
-        in
-        let colors, cost = post colors cost in
-        (colors, cost, engine, cache, phases))
+        stream_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
+          ~on_component (source rc))
   in
   make_report ~obs ~params ~rc algorithm ~colors ~cost ~elapsed_s ~phases
     ~engine ~cache
@@ -980,26 +960,8 @@ let run_assign ~obs ~params ~pool ~shared_cache ~on_component ~post
 let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
     algorithm g =
   let obs = match obs with Some o -> o | None -> make_obs params in
-  let post colors cost =
-    let polished =
-      match params.post with
-      | No_post -> colors
-      | Local_search ->
-        Mpl_obs.Obs.span obs "post.local_search" (fun () ->
-            Refine.local_search ~k:params.k ~alpha:params.alpha g colors)
-    in
-    let polished =
-      if params.balance then
-        Mpl_obs.Obs.span obs "post.balance" (fun () ->
-            Balance.rebalance ~k:params.k ~alpha:params.alpha g polished)
-      else polished
-    in
-    (* The streamed cost stands unless a pass replaced the coloring. *)
-    if polished == colors then (colors, cost)
-    else (polished, Coloring.evaluate ~alpha:params.alpha g polished)
-  in
   let r =
-    run_assign ~obs ~params ~pool ~shared_cache ~on_component ~post algorithm
+    run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm
       ("n", Mpl_obs.Sink.Int g.Decomp_graph.n)
       (fun rc ->
         graph_source ~obs ~params ~rc ~n:g.Decomp_graph.n ~remap:Fun.id g)
@@ -1014,19 +976,12 @@ let decompose ?(params = default_params) ?pool ?shared_cache ?on_component
   let g = Decomp_graph.of_layout ~obs ?max_stitches_per_feature layout ~min_s in
   (g, assign ~params ~obs ?pool ?shared_cache ?on_component algorithm g)
 
+(* The sharded path never materializes the whole graph, so the report
+   carries no per-mask tallies (which want every vertex's area). *)
 let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
     ?on_component ?max_stitches_per_feature ~min_s algorithm layout =
-  if params.post <> No_post then
-    invalid_arg "decompose_sharded: post passes need the whole graph";
-  if params.balance then
-    invalid_arg "decompose_sharded: balance needs the whole graph";
   let obs = match obs with Some o -> o | None -> make_obs params in
-  (* The sharded path never materializes the whole graph, so the
-     per-mask tallies (which want every vertex's area) are skipped —
-     same reason the balance *pass* is rejected above. *)
-  run_assign ~obs ~params ~pool ~shared_cache ~on_component
-    ~post:(fun colors cost -> (colors, cost))
-    algorithm
+  run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm
     ("windows", Mpl_obs.Sink.Int params.windows)
     (fun rc ->
       window_source ~obs ~params ~rc ?max_stitches_per_feature ~min_s layout)
@@ -1182,37 +1137,6 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
       (Array.to_list (Array.map (fun j -> edited.L.features.(j)) dirty_new))
   in
   let g_d = Decomp_graph.of_layout ~obs sub ~min_s in
-  (* --- seed the component cache from the previous colorings of the
-     dirty components: hits skip byte-identical re-solves —
-     repeated-pattern comps and comps whose graph the edit left
-     unchanged. The previous dirty sub-layout rebuilds those components
-     bit-identically for the same reason [g_d] does. --- *)
-  let seed_extract_s = ref 0. in
-  let engine_cache = component_cache ~obs ~params shared_cache in
-  Option.iter
-    (fun cch ->
-      Mpl_obs.Obs.span obs "eco.seed" @@ fun () ->
-      let old_dirty = ref [] in
-      for f = nf_old - 1 downto 0 do
-        if comp_dirty.(comp_of_feature.(f)) then old_dirty := f :: !old_dirty
-      done;
-      let old_dirty = Array.of_list !old_dirty in
-      let sub_old =
-        L.make ~name:base.L.name base.L.tech
-          (Array.to_list (Array.map (fun f -> base.L.features.(f)) old_dirty))
-      in
-      let g_old = Decomp_graph.of_layout ~obs sub_old ~min_s in
-      iter_components ~obs ~params ~extract_s:seed_extract_s g_old
-        (fun piece vs ->
-          let ci =
-            comp_of_feature.(old_dirty.(g_old.Decomp_graph.feature.(vs.(0))))
-          in
-          Option.iter
-            (fun s ->
-              Mpl_engine.Cache.store cch s
-                (prev.Eco.comps.(ci).Eco.colors, whole_piece_stats piece))
-            (piece_signature ~salt piece)))
-    engine_cache;
   (* --- segment bookkeeping of the edited layout: clean features keep
      their previous split (the min_s-neighborhood fact), dirty features
      take theirs from [g_d] --- *)
@@ -1239,7 +1163,6 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
      streamed through [full] into edited-layout vertex ids; the driver
      hands each one back, in [g_d] ids, for the next session --- *)
   let rc = make_run_ctx ~obs ~params algorithm in
-  rc.rc_extract_s := !seed_extract_s;
   let dirty_comps = ref [] in
   let keep vs pc cost =
     dirty_comps :=
@@ -1249,8 +1172,8 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
       :: !dirty_comps
   in
   let colors, cost_d, engine, cache, phases =
-    stream_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache:engine_cache
-      ~on_component ~keep
+    stream_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache ~on_component
+      ~keep
       (graph_source ~obs ~params ~rc ~n:off.(nf_new)
          ~remap:(Array.map full)
          g_d)
@@ -1337,10 +1260,6 @@ let redecompose ?(params = default_params) ?obs ?pool ?shared_cache
   if salt <> prev.Eco.salt then
     err "redecompose: session solved under different parameters (%s vs %s)"
       prev.Eco.salt salt
-  else if params.post <> No_post then
-    Error "redecompose: post passes need the whole graph"
-  else if params.balance then
-    Error "redecompose: balance pass needs the whole graph"
   else
     let base = prev.Eco.layout in
     let nf_old = Array.length base.L.features in

@@ -36,23 +36,16 @@ type algorithm =
 
 val algorithm_name : algorithm -> string
 
-type post_pass =
-  | No_post
-  | Local_search  (** steepest-descent recoloring ({!Refine}) *)
-
 type params = {
   k : int;  (** number of masks; 4 = QPLD *)
   alpha : float;  (** stitch weight, paper: 0.1 *)
   tth : float;  (** SDP merge threshold, paper: 0.9 *)
-  sdp_options : Mpl_numeric.Sdp.options;
   solver_budget_s : float;
       (** total wall-clock budget for exact solvers (Ilp / Exact) across
           all components — shared by all pool workers through an
           atomic-latched deadline; <= 0 means unlimited *)
   node_cap : int;  (** branch-and-bound node cap per piece *)
   stages : Division.stages;
-  post : post_pass;  (** optional global refinement after division *)
-  balance : bool;  (** cost-free mask-density rebalancing ({!Balance}) *)
   jobs : int;
       (** concurrent piece solvers: the pool runs [jobs - 1] worker
           domains plus the calling thread *)
@@ -110,10 +103,6 @@ type params = {
           layout). Ignored by {!decompose}/{!assign}. A pure
           memory/locality knob: the sharded output is bit-identical at
           every setting *)
-  window_nm : int option;
-      (** {!decompose_sharded}: target window strip width in nm; takes
-          precedence over [windows] when set. [None] (default) sizes by
-          [windows] *)
 }
 
 val default_params : params
@@ -149,7 +138,7 @@ type phases = {
       (** coordinator wall spent cutting pieces out of their parent
           graph ({!Division.extract}): the top-level component split
           plus every division stage's pieces, one O(n + E) pass per
-          batch; for {!redecompose} also the cache seeding *)
+          batch *)
   division_s : float;
       (** coordinator wall of the stream driver outside [merge_s]:
           structural division (component scan, peel, biconnected, GH
@@ -227,8 +216,7 @@ val assign :
     [params.metrics] unless one is passed explicitly ([obs] then takes
     precedence; {!decompose} uses this to share one context between
     graph construction and assignment). The whole assignment runs under
-    an [assign] span; each leaf solve under a [solve.<algorithm>] span;
-    post passes under [post.local_search] / [post.balance].
+    an [assign] span; each leaf solve under a [solve.<algorithm>] span.
 
     The three server hooks:
 
@@ -281,8 +269,8 @@ val decompose_sharded :
   Mpl_layout.Layout.t ->
   report
 (** Memory-bounded decomposition for very large layouts: cut the layout
-    into [params.windows] geometric window strips (or strips of
-    [params.window_nm] nm) with [min_s + half_pitch]-wide halo overlaps
+    into [params.windows] geometric window strips with
+    [min_s + half_pitch]-wide halo overlaps
     ({!Shard}), build each window's decomposition graph independently,
     and stream every connected component through the same
     division/solve/cache machinery as {!decompose} — components
@@ -301,10 +289,9 @@ val decompose_sharded :
     {!Coloring.evaluate} because every conflict/stitch edge is
     intra-component. [on_component] streams components in
     deterministic emission order: window strips in geometric order,
-    then border-straddling components by smallest feature id.
-
-    @raise Invalid_argument when [params.post] or [params.balance]
-    request a global refinement pass — those need the whole graph. *)
+    then border-straddling components by smallest feature id. The
+    report carries no per-mask tallies ([report.balance] is [None]):
+    they want the whole graph. *)
 
 val snapshot :
   ?params:params ->
@@ -348,13 +335,13 @@ val redecompose :
     neighbors within [min_s]; DESIGN.md §15 gives the full argument).
     Dirty components are rebuilt as a sub-layout — bit-identical to the
     pieces a cold run on the whole edited layout would solve — and
-    are the component source of the same stream driver as {!assign},
-    with the previous colorings seeded into the component cache when
-    [cache] is on (hits skip unchanged-graph re-solves). The next
+    are the component source of the same stream driver as {!assign}
+    (with [cache] on, a dirty component byte-identical to one already
+    in the cache is served from it, as in any run). The next
     session's dirty components, and their costs, are the ones the
     driver hands back — nothing is extracted or evaluated twice.
     Under the caller's [redecompose] span, [eco.dirty] covers the dirty
-    marking and [eco.seed] the cache seeding. The base layout is read
+    marking. The base layout is read
     from [prev.layout] and the edited one becomes the next session's
     layout as is: no whole-layout parse, serialization or digest runs
     here (those happen only in {!Eco.save}/{!Eco.load} and a server's
@@ -371,7 +358,6 @@ val redecompose :
     chain. Returns [Error msg] (rather than raising) on:
     - a parameter fingerprint mismatch with the session
       (["redecompose: session solved under different parameters ..."]);
-    - a requested global post or balance pass;
     - a corrupt session: [seg_counts] not one entry per base feature,
       or components that do not cover every base feature exactly once
       (["redecompose: session corrupt (...)"]) — checks that guard

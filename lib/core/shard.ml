@@ -9,7 +9,7 @@ type window = { members : int array; core : bool array }
 
 type plan = { n_features : int; halo : int; windows : window array }
 
-let plan ?window_nm ?(windows = 1) ~halo (layout : Layout.t) =
+let plan ?(windows = 1) ~halo (layout : Layout.t) =
   let feats = layout.Layout.features in
   let nf = Array.length feats in
   if nf = 0 then { n_features = 0; halo; windows = [||] }
@@ -20,12 +20,7 @@ let plan ?window_nm ?(windows = 1) ~halo (layout : Layout.t) =
     let lo, hi =
       if horiz then (bb.Rect.x0, bb.Rect.x1) else (bb.Rect.y0, bb.Rect.y1)
     in
-    let count =
-      match window_nm with
-      | Some w when w > 0 -> max 1 (((hi - lo) + w - 1) / w)
-      | Some _ | None -> max 1 windows
-    in
-    let count = min count nf in
+    let count = min (max 1 windows) nf in
     if count <= 1 then
       {
         n_features = nf;

@@ -58,10 +58,9 @@ type plan = {
           are dropped *)
 }
 
-val plan : ?window_nm:int -> ?windows:int -> halo:int -> Mpl_layout.Layout.t -> plan
-(** Cut the layout into strips along the longer bounding-box axis:
-    [window_nm] (strip width in nm) takes precedence, else [windows]
-    equal strips (default 1). Each feature is owned by the strip holding
+val plan : ?windows:int -> halo:int -> Mpl_layout.Layout.t -> plan
+(** Cut the layout into [windows] strips (default 1) along the longer
+    bounding-box axis. Each feature is owned by the strip holding
     its bounding-box center; each window's member set is its core plus
     every feature within [halo] of the union bounding box of its core.
     Deterministic in the layout alone. *)

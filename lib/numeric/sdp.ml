@@ -11,7 +11,7 @@ type problem = {
   alpha : float;
 }
 
-type mode = Auto | Projected | Lagrangian | Penalty
+type mode = Auto | Projected | Lagrangian
 
 type options = {
   mode : mode;
@@ -24,7 +24,6 @@ type options = {
   tol : float;
   outer_rounds : int;
   dual_step : float;
-  penalties : float list;
   seed : int;
 }
 
@@ -40,7 +39,6 @@ let default_options =
     tol = 1e-4;
     outer_rounds = 12;
     dual_step = 1.0;
-    penalties = [ 0.; 2.; 8. ];
     seed = 2014;
   }
 
@@ -303,7 +301,7 @@ let simplex_vectors ~r ~k =
           if d >= k then 0.
           else scale *. ((if d = c then 1. else 0.) -. shift)))
 
-let solve_factorized ~options ~lagrangian ?warm p =
+let solve_factorized ~options ?warm p =
   let r =
     match options.rank with Some r -> max 2 r | None -> max (p.k - 1) 8
   in
@@ -323,42 +321,20 @@ let solve_factorized ~options ~lagrangian ?warm p =
   let ne = Array.length p.conflict_edges in
   let coeff = Array.make ne 1.0 in
   let sweeps = ref 0 in
-  if lagrangian then begin
-    let lambda = Array.make ne 0.0 in
-    for _ = 1 to options.outer_rounds do
-      run_inner ~max_sweeps:options.max_sweeps ~tol:options.tol ~sweeps p adj
-        vectors coeff g;
-      Array.iteri
-        (fun e (i, j) ->
-          let x = Vec.dot vectors.(i) vectors.(j) in
-          lambda.(e) <-
-            max 0. (lambda.(e) +. (options.dual_step *. (bound -. x)));
-          coeff.(e) <- 1. -. lambda.(e))
-        p.conflict_edges
-    done;
+  let lambda = Array.make ne 0.0 in
+  for _ = 1 to options.outer_rounds do
     run_inner ~max_sweeps:options.max_sweeps ~tol:options.tol ~sweeps p adj
-      vectors coeff g
-  end
-  else
-    List.iter
-      (fun mu ->
-        let rec go s =
-          if s < options.max_sweeps then begin
-            Array.iteri
-              (fun e (i, j) ->
-                let x = Vec.dot vectors.(i) vectors.(j) in
-                let violation = bound -. x in
-                coeff.(e) <-
-                  (if violation > 0. then 1. -. (2. *. mu *. violation)
-                   else 1.))
-              p.conflict_edges;
-            let moved = sweep p adj vectors coeff g in
-            incr sweeps;
-            if moved > options.tol then go (s + 1)
-          end
-        in
-        go 0)
-      options.penalties;
+      vectors coeff g;
+    Array.iteri
+      (fun e (i, j) ->
+        let x = Vec.dot vectors.(i) vectors.(j) in
+        lambda.(e) <-
+          max 0. (lambda.(e) +. (options.dual_step *. (bound -. x)));
+        coeff.(e) <- 1. -. lambda.(e))
+      p.conflict_edges
+  done;
+  run_inner ~max_sweeps:options.max_sweeps ~tol:options.tol ~sweeps p adj
+    vectors coeff g;
   let gram = flat_gram_of_vectors p.n vectors in
   {
     gram;
@@ -378,11 +354,10 @@ let solve ?(options = default_options) ?warm p =
   else begin
     match options.mode with
     | Projected -> solve_projected ~options ?warm p
-    | Lagrangian -> solve_factorized ~options ~lagrangian:true ?warm p
-    | Penalty -> solve_factorized ~options ~lagrangian:false ?warm p
+    | Lagrangian -> solve_factorized ~options ?warm p
     | Auto ->
       if p.n <= options.projected_max then solve_projected ~options ?warm p
-      else solve_factorized ~options ~lagrangian:true ?warm p
+      else solve_factorized ~options ?warm p
   end
 
 let gram s i j =
@@ -392,9 +367,9 @@ let gram s i j =
 (* ------------------------------------------------------------------ *)
 (* Dense reference kernel: the original boxed [float array array]
    projected solver, kept verbatim for parity tests and the
-   [bench kernels] dense-vs-flat comparison. The factorized modes never
-   had a dense variant (they were always edge-sparse), so they are
-   shared with [solve]. *)
+   [bench kernels] dense-vs-flat comparison. The factorized
+   ([Lagrangian]) mode never had a dense variant (it was always
+   edge-sparse), so it is shared with [solve]. *)
 
 let objective_of_gram p x =
   let s = ref 0. in
@@ -486,9 +461,8 @@ let solve_dense ?(options = default_options) p =
   else begin
     match options.mode with
     | Projected -> solve_projected_dense ~options p
-    | Lagrangian -> solve_factorized ~options ~lagrangian:true p
-    | Penalty -> solve_factorized ~options ~lagrangian:false p
+    | Lagrangian -> solve_factorized ~options p
     | Auto ->
       if p.n <= options.projected_max then solve_projected_dense ~options p
-      else solve_factorized ~options ~lagrangian:true p
+      else solve_factorized ~options p
   end

@@ -21,8 +21,6 @@
       Burer-Monteiro factorization optimized by Mixing-method coordinate
       descent, with augmented-Lagrangian multipliers for the conflict
       inequality.
-    - [Penalty]: the one-sided quadratic-penalty variant, kept for the
-      ablation bench.
 
     The production kernels run on a flat row-major [floatarray] Gram
     with edge-sparse gradient accumulation and preallocated scratch (the
@@ -47,7 +45,6 @@ type mode =
   | Auto  (** [Projected] up to [projected_max] vertices, else [Lagrangian] *)
   | Projected
   | Lagrangian
-  | Penalty
 
 type options = {
   mode : mode;
@@ -60,7 +57,6 @@ type options = {
   tol : float;  (** movement tolerance; default 1e-4 *)
   outer_rounds : int;  (** BM Lagrangian dual updates; default 12 *)
   dual_step : float;  (** BM dual ascent step; default 1.0 *)
-  penalties : float list;  (** penalty-mode schedule; default [0;2;8] *)
   seed : int;  (** deterministic initialization *)
 }
 
@@ -72,7 +68,7 @@ type solution = {
   objective : float;  (** paper objective (2)/(3) value at X *)
   iterations : int;
       (** work performed: projected-gradient steps ([Projected]) or
-          Mixing-method sweeps (factorized modes) *)
+          Mixing-method sweeps ([Lagrangian]) *)
   warm : bool;  (** whether a warm-start coloring actually seeded the solve *)
 }
 
@@ -82,7 +78,7 @@ val solve : ?options:options -> ?warm:int array -> problem -> solution
     that coloring's ideal Gram matrix — X_ij = 1 on same-color pairs and
     -1/(K-1) across colors, which is PSD and feasible — instead of the
     identity ([Projected]) or from the corresponding simplex color
-    vectors instead of random ones (factorized modes, when the rank
+    vectors instead of random ones ([Lagrangian], when the rank
     admits it). Warm-started [Projected] solves may additionally stop
     early once the per-step movement drops below [tol]; the cold path
     always runs the full schedule, keeping its output bit-identical to
@@ -93,7 +89,7 @@ val solve_dense : ?options:options -> problem -> solution
 (** Reference implementation of the [Projected] kernel on boxed
     [float array array] matrices with per-iteration allocation — the
     original code path, kept for parity testing and [bench kernels].
-    Factorized modes are shared with {!solve} (they were always
+    The [Lagrangian] mode is shared with {!solve} (it was always
     edge-sparse). The returned Gram is flattened for a uniform
     [solution] type. *)
 

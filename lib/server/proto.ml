@@ -8,7 +8,6 @@ type request = {
   inject : Mpl_engine.Fault.spec option;
   deadline_ms : int option;
   windows : int;
-  window_nm : int option;
 }
 
 let default_request =
@@ -22,7 +21,6 @@ let default_request =
     inject = None;
     deadline_ms = None;
     windows = 1;
-    window_nm = None;
   }
 
 let algorithm_of_name = function
@@ -70,9 +68,6 @@ let encode_request_with ~verb ?hash r ~body_len =
   | None -> ());
   if r.windows <> 1 then
     Buffer.add_string b (Printf.sprintf " windows=%d" r.windows);
-  (match r.window_nm with
-  | Some nm -> Buffer.add_string b (Printf.sprintf " window_nm=%d" nm)
-  | None -> ());
   Buffer.add_char b '\n';
   Buffer.contents b
 
@@ -122,12 +117,6 @@ let apply_field r tok =
       | Some n when n >= 1 -> Ok { r with windows = n }
       | Some _ -> Error "field windows: must be >= 1"
       | None -> Error (Printf.sprintf "field windows: not an integer: %S" v))
-    | "window_nm" -> (
-      match int_of v with
-      | Some nm when nm > 0 -> Ok { r with window_nm = Some nm }
-      | Some _ -> Error "field window_nm: must be positive nanometers"
-      | None ->
-        Error (Printf.sprintf "field window_nm: not an integer: %S" v))
     | "algo" -> (
       match algorithm_of_name v with
       | Some algo -> Ok { r with algo }

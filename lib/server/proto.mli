@@ -67,9 +67,6 @@ type request = {
           ({!Mpl.Decomposer.decompose_sharded}), bounding the server's
           per-request graph residency to the largest window. Output is
           bit-identical to an unsharded run (default 1) *)
-  window_nm : int option;
-      (** window strip width in nm for sharding; takes precedence over
-          [windows] when set *)
 }
 
 val default_request : request

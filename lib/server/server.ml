@@ -615,7 +615,6 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
         deadline_s =
           Option.map (fun ms -> float_of_int ms /. 1000.) rp.Proto.deadline_ms;
         windows = rp.Proto.windows;
-        window_nm = rp.Proto.window_nm;
       }
     in
     let shared_cache = if rp.Proto.cache then Some t.cache else None in
@@ -822,7 +821,7 @@ let run_request t cio (rp : Proto.request) (tm : req_timing) body =
         (* Sharded requests never build the whole-layout graph: the
            server's per-request residency stays bounded by the largest
            window even for very large bodies. *)
-        if rp.Proto.windows > 1 || rp.Proto.window_nm <> None then
+        if rp.Proto.windows > 1 then
           ( Mpl.Decomposer.decompose_sharded ~params ~obs:req_obs ~pool:t.pool
               ?shared_cache ~on_component ~min_s rp.Proto.algo layout,
             [] )
@@ -854,7 +853,7 @@ let run_redecompose t cio ~hash (rp : Proto.request) (tm : req_timing) body =
     finish_request t rp tm ~body_len ~circuit:"" ~solve_ns:0L ~pieces:0
       ~cache_hits:0 ~degraded:0 ~outcome ~sink:None
   in
-  if rp.Proto.windows > 1 || rp.Proto.window_nm <> None then
+  if rp.Proto.windows > 1 then
     fail ~code:"proto" ~outcome:"error"
       "REDECOMPOSE does not take windows (the dirty sub-layout is already \
        bounded)"

@@ -532,7 +532,7 @@ let test_assign_matches_division_oracle () =
         else
           Mpl.Sdp_color.backtrack ~tth:p.D.tth ~node_cap:p.D.node_cap ~k
             ~alpha
-            (Mpl.Sdp_color.relax ~options:p.D.sdp_options ~k ~alpha piece)
+            (Mpl.Sdp_color.relax ~k ~alpha piece)
             piece
     | _ -> Mpl.Linear_color.solve ~k ~alpha
   in
@@ -656,30 +656,10 @@ let test_decomposer_deterministic () =
         a.D.colors b.D.colors)
     [ D.Exact; D.Sdp_backtrack; D.Sdp_greedy; D.Linear ]
 
-let test_post_passes () =
-  let layout = Mpl_layout.Benchgen.circuit "C432" in
-  let graph = G.of_layout layout ~min_s:80 in
-  let base = D.assign D.Linear graph in
-  List.iter
-    (fun post ->
-      let params = { D.default_params with D.post } in
-      let r = D.assign ~params D.Linear graph in
-      Alcotest.(check bool) "post pass never worse" true
-        (r.D.cost.C.scaled <= base.D.cost.C.scaled))
-    [ D.No_post; D.Local_search ];
-  let params = { D.default_params with D.balance = true } in
-  let r = D.assign ~params D.Linear graph in
-  Alcotest.(check int) "balance keeps cost" base.D.cost.C.scaled
-    r.D.cost.C.scaled;
-  Alcotest.(check bool) "balance helps imbalance" true
-    (Mpl.Balance.imbalance ~k:4 r.D.colors
-    <= Mpl.Balance.imbalance ~k:4 base.D.colors +. 1e-9)
-
 let suite =
   [
     Alcotest.test_case "decomposer deterministic" `Quick
       test_decomposer_deterministic;
-    Alcotest.test_case "post passes" `Quick test_post_passes;
     Alcotest.test_case "of_edges validation" `Quick test_of_edges_validation;
     Alcotest.test_case "degrees and lookup" `Quick test_degrees_and_lookup;
     Alcotest.test_case "subgraph" `Quick test_subgraph;

@@ -258,14 +258,23 @@ let check_matches_cold p prev edits =
     (next.E.layout == edited);
   (rep, next)
 
+(* A report's division stats: pieces, largest piece, peeled, cuts. *)
+let division_of (r : D.report) =
+  let d = r.D.division in
+  Mpl.Division.[ d.pieces; d.largest_piece; d.peeled; d.cuts ]
+
 let test_matrix_bit_identity () =
   let layout = Benchgen.circuit "C499" in
+  (* every cell must report the division stats of the first cell: the
+     cache serves colorings, never made-up stats *)
+  let first = ref None in
   List.iter
     (fun (jobs, cache) ->
+      let cell = Printf.sprintf "jobs=%d cache=%b" jobs cache in
       let p = params ~jobs ~cache () in
       let s0, _ = session_of p layout in
       let edits = E.generate ~seed:5 ~count:4 layout in
-      let _, s1 = check_matches_cold p s0 edits in
+      let rep1, s1 = check_matches_cold p s0 edits in
       (* chain a second edit on the updated session, once from the
          in-memory session and once from its saved file: both must
          reach the same colors, cost and next session *)
@@ -282,7 +291,13 @@ let test_matrix_bit_identity () =
       Alcotest.(check int) "file-backed chain cost"
         rep_mem.D.cost.Mpl.Coloring.scaled rep_file.D.cost.Mpl.Coloring.scaled;
       Alcotest.(check string) "file-backed chain session bytes"
-        (saved_bytes mem) (saved_bytes file))
+        (saved_bytes mem) (saved_bytes file);
+      let divisions = List.map division_of [ rep1; rep_mem; rep_file ] in
+      match !first with
+      | None -> first := Some divisions
+      | Some d0 ->
+        Alcotest.(check (list (list int)))
+          (cell ^ ": division stats") d0 divisions)
     [ (1, false); (1, true); (2, false); (2, true) ]
 
 let test_salt_mismatch () =

@@ -1,5 +1,5 @@
-(* Tests for the extension modules: clique lower bounds, refinement,
-   density balancing, and SVG rendering. *)
+(* Tests for the extension modules: clique lower bounds, density
+   balancing, and SVG rendering. *)
 
 module G = Mpl.Decomp_graph
 module C = Mpl.Coloring
@@ -80,26 +80,6 @@ let test_lower_bound_tight_on_cliques () =
         (Mpl.Lower_bound.excess_pairs n 4)
         (Mpl.Lower_bound.conflict_lower_bound ~k:4 (clique n)))
     [ 4; 5; 6; 7; 8 ]
-
-(* --------------------------- refine ------------------------------ *)
-
-let prop_local_search_never_worse =
-  QCheck.Test.make ~name:"local search never increases cost" ~count:200
-    (QCheck.pair dg_arb QCheck.small_int)
-    (fun ((n, ce), seed) ->
-      let g = G.of_edges ~n ce in
-      let rng = Mpl_util.Rng.create seed in
-      let colors = Array.init n (fun _ -> Mpl_util.Rng.int rng 4) in
-      let refined = Mpl.Refine.local_search ~k:4 ~alpha:0.1 g colors in
-      (C.evaluate g refined).C.scaled <= (C.evaluate g colors).C.scaled)
-
-let test_local_search_fixes_bad_coloring () =
-  (* A path colored all-0 has n-1 conflicts; one pass fixes them all. *)
-  let n = 10 in
-  let g = G.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1))) in
-  let refined = Mpl.Refine.local_search ~k:4 ~alpha:0.1 g (Array.make n 0) in
-  Alcotest.(check int) "path becomes conflict-free" 0
-    (C.evaluate g refined).C.conflicts
 
 (* --------------------------- balance ----------------------------- *)
 
@@ -266,9 +246,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lower_bound_sound;
     Alcotest.test_case "LB tight on cliques" `Quick
       test_lower_bound_tight_on_cliques;
-    QCheck_alcotest.to_alcotest prop_local_search_never_worse;
-    Alcotest.test_case "local search fixes path" `Quick
-      test_local_search_fixes_bad_coloring;
     Alcotest.test_case "usage and imbalance" `Quick test_usage_and_imbalance;
     QCheck_alcotest.to_alcotest prop_rebalance_preserves_cost;
     QCheck_alcotest.to_alcotest prop_rebalance_no_worse_imbalance;

@@ -150,7 +150,7 @@ let test_modes_agree_on_k4 () =
       Alcotest.(check bool)
         "objective within 20% of -2" true
         (sol.Sdp.objective < -1.6))
-    [ Sdp.Projected; Sdp.Lagrangian; Sdp.Penalty ]
+    [ Sdp.Projected; Sdp.Lagrangian ]
 
 (* Random SDP instances mixing conflict and stitch edges. *)
 let sdp_problem_gen =

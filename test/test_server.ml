@@ -30,7 +30,6 @@ let test_proto_request_roundtrip () =
       inject = Some { Fault.site = Fault.Solver_raise; seed = 9; shots = 2 };
       deadline_ms = Some 250;
       windows = 4;
-      window_nm = Some 5000;
     }
   in
   let line = Proto.encode_request r ~body_len:123 in
@@ -156,6 +155,15 @@ let test_proto_dropped_fields () =
     Alcotest.(check bool) "permuted= ignored" true (r = Proto.default_request)
   | Ok _ -> Alcotest.fail "parsed as a different command"
   | Error msg -> Alcotest.failf "legacy request refused: %s" msg);
+  (* An older client's window_nm= sizing key is ignored: the request
+     runs unsharded, and sharding never changes a coloring. *)
+  (match Proto.parse_command "DECOMPOSE 10 k=4 algo=linear window_nm=700" with
+  | Ok (Proto.Decompose (10, r)) ->
+    Alcotest.(check int) "window_nm= ignored" 1 r.Proto.windows;
+    Alcotest.(check bool) "rest of the request intact" true
+      (r = Proto.default_request)
+  | Ok _ -> Alcotest.fail "parsed as a different command"
+  | Error msg -> Alcotest.failf "legacy window_nm= request refused: %s" msg);
   let ci =
     {
       Proto.entries = 3;

@@ -215,14 +215,7 @@ let test_window_extremes () =
       Alcotest.(check (array int))
         (Printf.sprintf "windows=%d" windows)
         base.D.colors r.D.colors)
-    [ 1; 1000 ];
-  (* window_nm sizing takes precedence and also matches. *)
-  let r =
-    D.decompose_sharded
-      ~params:{ D.default_params with windows = 1; window_nm = Some 700 }
-      ~min_s:80 D.Linear layout
-  in
-  Alcotest.(check (array int)) "window_nm=700" base.D.colors r.D.colors
+    [ 1; 5; 1000 ]
 
 (* The synthetic generator is deterministic and lands near its feature
    target; a sharded run over it matches unsharded. *)
@@ -246,22 +239,26 @@ let test_synth_generator () =
   in
   Alcotest.(check (array int)) "sharded = unsharded" base.D.colors r.D.colors
 
+(* A window count below 1 plans one window, and the sharded report
+   carries no per-mask tallies, which want the whole graph. *)
 let test_sharded_guards () =
   let layout = random_layout 3 10 0 in
-  Alcotest.check_raises "post pass rejected"
-    (Invalid_argument "decompose_sharded: post passes need the whole graph")
-    (fun () ->
-      ignore
-        (D.decompose_sharded
-           ~params:{ D.default_params with post = D.Local_search }
-           ~min_s:80 D.Linear layout));
-  Alcotest.check_raises "balance rejected"
-    (Invalid_argument "decompose_sharded: balance needs the whole graph")
-    (fun () ->
-      ignore
-        (D.decompose_sharded
-           ~params:{ D.default_params with balance = true }
-           ~min_s:80 D.Linear layout))
+  let _, base = D.decompose ~min_s:80 D.Linear layout in
+  List.iter
+    (fun windows ->
+      let r =
+        D.decompose_sharded
+          ~params:{ D.default_params with windows }
+          ~min_s:80 D.Linear layout
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "windows=%d" windows)
+        base.D.colors r.D.colors;
+      Alcotest.(check bool) "no per-mask tallies" true (r.D.balance = None))
+    [ 0; -3 ];
+  Alcotest.(check int) "one window" 1
+    (Array.length
+       (Mpl.Shard.plan ~windows:0 ~halo:80 layout).Mpl.Shard.windows)
 
 let suite =
   [

@@ -7,14 +7,18 @@ dune build @all
 dune runtest
 
 # Information only, not a gate: the size the ROADMAP tracks — source
-# lines under lib/ and bin/, fields of Decomposer.params, and distinct
-# mpld option definitions.
+# lines under lib/ and bin/, fields of Decomposer.params, distinct
+# mpld option definitions, and protocol request keys (the match arms
+# of Proto.apply_field).
 loc=$(find lib bin \( -name '*.ml' -o -name '*.mli' -o -name dune \) \
   -exec cat {} + | wc -l)
 fields=$(awk '/^type params = \{/,/^\}/' lib/core/decomposer.ml |
   grep -c ' : ' || true)
 flags=$(grep -o 'info \[ "[^]]*\]' bin/mpld.ml | sort -u | wc -l || true)
-echo "tier1: size: lib+bin lines $loc, params fields $fields, mpld flags $flags"
+keys=$(awk '/^let apply_field/ { f = 1; next } /^let / { f = 0 } f' \
+  lib/server/proto.ml | grep -cE '^ *\| "[a-z_]+" ->' || true)
+echo "tier1: size: lib+bin lines $loc, params fields $fields, mpld flags" \
+  "$flags, proto keys $keys"
 
 # Smoke: end-to-end decompose through the mpl_engine path (2 domains,
 # cache on by default in the CLI).
