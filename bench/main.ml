@@ -778,9 +778,19 @@ let json_of_kernels rows =
    the timed path ever consults the clock for naming. *)
 let run_stamp = ref ""
 
+(* [mkdir -p]: create [dir] and any missing parents. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
+(* The results go to bench/results under the working directory, made if
+   missing; the printed paths are absolute, so a run started elsewhere
+   than the repository root says where its JSON went. *)
 let write_results ?metrics ?kernels ~stamp rows =
-  let dir = "bench/results" in
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let dir = Filename.concat (Sys.getcwd ()) "bench/results" in
+  mkdir_p dir;
   let path = Filename.concat dir "latest.json" in
   let commit = git_commit () in
   let b = Buffer.create 8192 in

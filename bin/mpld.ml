@@ -694,11 +694,11 @@ let stats_cmd =
       in
       Format.printf
         "division: pieces=%d peeled=%d bicon_splits=%d gh_cuts=%d \
-         maxflow_calls=%d bounded_exits=%d@."
+         maxflow_calls=%d bounded_exits=%d trivial=%d@."
         (c "division.pieces") (c "division.peeled")
         (c "division.bicon_splits") (c "division.gh_cuts")
         (c "division.maxflow_calls")
-        (c "division.bounded_exits"));
+        (c "division.bounded_exits") (c "division.trivial"));
     match r.Mpl.Decomposer.cache with
     | None -> ()
     | Some cs ->

@@ -366,11 +366,9 @@ let piece_signature ~salt (piece : Decomp_graph.t) =
     Some
       (Mpl_engine.Cache.signature_salted ~salt ~n:piece.Decomp_graph.n
          ~relations:
-           [|
-             Decomp_graph.conflict_edges piece;
-             Decomp_graph.stitch_edges piece;
-             Decomp_graph.friendly_edges piece;
-           |])
+           (Array.map
+              (fun (a : Decomp_graph.adj) -> (a.Decomp_graph.off, a.nbr))
+              [| piece.conflict; piece.stitch; piece.friendly |]))
 
 (* Leaf solver for one divided piece. The exact algorithms share one
    wall-clock budget across all pieces (the paper reports a single CPU

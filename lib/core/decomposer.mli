@@ -293,6 +293,14 @@ val decompose_sharded :
     report carries no per-mask tallies ([report.balance] is [None]):
     they want the whole graph. *)
 
+val piece_signature :
+  salt:string -> Decomp_graph.t -> Mpl_engine.Cache.signature option
+(** The piece cache's key for a piece: its conflict, stitch and
+    friendly relations serialized in its own vertex order, prefixed
+    with [salt] (the decomposer salts with a fingerprint of every
+    result-affecting parameter). [None] for a piece of more than 4096
+    vertices, which is never cached. *)
+
 val snapshot :
   ?params:params ->
   ?obs:Mpl_obs.Obs.t ->

@@ -108,6 +108,15 @@ let best_rotation ~k ~alpha colors_a colors_b crossing_conflict crossing_stitch 
   done;
   !best_r
 
+(* A piece of two vertices whose one union edge is a stitch: no
+   conflict edge, and each vertex's stitch run holds the other (graphs
+   carry no self-loops or duplicate edges). *)
+let stitch_pair (g : Decomp_graph.t) =
+  g.Decomp_graph.n = 2
+  && Decomp_graph.deg g.Decomp_graph.conflict 0 = 0
+  && Decomp_graph.deg g.Decomp_graph.conflict 1 = 0
+  && Decomp_graph.deg g.Decomp_graph.stitch 0 = 1
+
 (* Piece extraction under a [division.extract] span. With [extract_s]
    (a phase accumulator) the coordinator wall is added to it; without
    one, and with a null sink, the path reads no clock. *)
@@ -168,6 +177,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
   let c_cuts = Mpl_obs.Metrics.counter m "division.gh_cuts" in
   let c_maxflow = Mpl_obs.Metrics.counter m "division.maxflow_calls" in
   let c_bounded = Mpl_obs.Metrics.counter m "division.bounded_exits" in
+  let c_trivial = Mpl_obs.Metrics.counter m "division.trivial" in
   let h_size = Mpl_obs.Metrics.histogram m "division.piece_size" in
   let leaf sub =
     let n = sub.Decomp_graph.n in
@@ -185,8 +195,24 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
              (Array.length colors) n);
       colors
   in
+  (* A piece resolved without running the stages it stands in for:
+     book what those stages would have booked and return their
+     coloring. *)
+  let trivial ~peeled ~cuts colors =
+    stats.peeled <- stats.peeled + peeled;
+    stats.cuts <- stats.cuts + cuts;
+    Mpl_obs.Metrics.add c_peeled peeled;
+    Mpl_obs.Metrics.add c_cuts cuts;
+    Mpl_obs.Metrics.incr c_trivial;
+    fun () -> colors
+  in
   let rec conquer sub =
-    if stages.use_components then begin
+    (* A piece of at most one vertex, or a stitch pair, is connected:
+       the scan would find the piece itself. *)
+    if
+      stages.use_components && sub.Decomp_graph.n > 1
+      && not (stitch_pair sub)
+    then begin
       let comps =
         Mpl_obs.Obs.span obs "division.components" (fun () ->
             Connectivity.components (Decomp_graph.union_graph sub))
@@ -211,7 +237,22 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
     end
     else connected sub
   and connected sub =
-    if stages.use_peel then begin
+    if stages.use_peel && sub.Decomp_graph.n = 1 then
+      (* A lone vertex has conflict degree 0 < k and no stitch edge, so
+         the peel pops it and leaves no core; [pop_color] sees no
+         colored neighbor, every color ties at penalty 0, and the first,
+         0, wins. *)
+      trivial ~peeled:1 ~cuts:0 [| 0 |]
+    else if stages.use_peel && stages.use_ghtree && stitch_pair sub then
+      (* A stitch pair: the peel keeps both ends (each has a stitch
+         edge); the union graph is one edge, so one block; its GH tree is
+         that edge, of weight 1 < k, so the GH stage cuts it into two
+         lone vertices, each popped with color 0 as above. The one
+         crossing stitch edge costs nothing at rotation 0, the first
+         rotation scanned, so [best_rotation] keeps it. Whether the
+         component and block stages run changes none of this. *)
+      trivial ~peeled:2 ~cuts:1 [| 0; 0 |]
+    else if stages.use_peel then begin
       let alive, stack =
         Mpl_obs.Obs.span obs "division.peel" (fun () -> peel ~k sub)
       in
@@ -334,7 +375,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
             Mpl_obs.Metrics.add c_bounded (Gomory_hu.capped ght);
             (* Gusfield's construction runs one max-flow per non-root
                vertex. *)
-            Mpl_obs.Metrics.add c_maxflow (max 0 (sub.Decomp_graph.n - 1));
+            Mpl_obs.Metrics.add c_maxflow (sub.Decomp_graph.n - 1);
             let edges = Gomory_hu.tree_edges ght in
             let best = ref None in
             Array.iter

@@ -21,7 +21,20 @@
       stitch cost is chosen.
 
     Every leaf piece is handed to the provided color-assignment
-    [solver]. *)
+    [solver].
+
+    Trivial pieces skip the stages: their outcome is known. A lone
+    vertex (with the peel on) has conflict degree 0 < K and no stitch
+    edge, so the peel would pop it with color 0 — it returns [[|0|]]
+    and counts one peeled vertex. A stitch pair — two vertices joined
+    by one stitch edge and nothing else (with the peel and the GH stage
+    on) — keeps both ends through the peel, forms one block, and has a
+    GH-tree edge of weight 1 < K; the cut leaves two lone vertices, both
+    colored 0, and the crossing stitch costs nothing at rotation 0 — it
+    returns [[|0; 0|]] and counts one cut and two peeled vertices. The
+    colors and {!stats} are exactly the general path's; a stage set
+    without the peel (or, for the pair, the GH stage) takes the general
+    path. *)
 
 type stages = {
   use_components : bool;
@@ -113,7 +126,10 @@ val assign :
     [division.peel] / [division.biconnected] / [division.ghtree] spans,
     and the registry accumulates [division.pieces], [division.peeled],
     [division.bicon_splits], [division.gh_cuts],
-    [division.maxflow_calls], [division.bounded_exits] counters plus a
+    [division.maxflow_calls] (the max-flows that ran),
+    [division.bounded_exits] and [division.trivial] (pieces resolved
+    without running a stage; their pops and cut also count in
+    [division.peeled] and [division.gh_cuts]) counters plus a
     [division.piece_size] histogram of leaf sizes.
 
     Every piece is cut out of its parent with {!Decomp_graph.subgraphs}

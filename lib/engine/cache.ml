@@ -1,9 +1,11 @@
 type signature = { n : int; serial : string }
 
 (* The piece's own (original-labeling) serialization: salt, vertex
-   count, then each relation's edges as sorted (min, max) pairs. Edge
-   (u, v) with u <= v is sorted as the integer u * n + v, whose order
-   is exactly the lexicographic pair order. *)
+   count, then each relation's edges as (u, v) pairs with u < v in
+   lexicographic order. The runs are sorted and walked with u rising,
+   so emitting each v > u of u's run yields exactly that order — the
+   order of sorting every edge's (min, max) pair — with no edge list
+   and no sort. *)
 let signature_salted ~salt ~n ~relations =
   if String.contains salt '\n' then
     invalid_arg "Cache.signature: salt must not contain newlines";
@@ -14,25 +16,22 @@ let signature_salted ~salt ~n ~relations =
   end;
   Buffer.add_string buf (string_of_int n);
   Array.iter
-    (fun es ->
+    (fun (off, nbr) ->
+      if Array.length off <> n + 1 then
+        invalid_arg "Cache.signature: offsets are not n + 1 long";
       Buffer.add_char buf '|';
-      let codes =
-        Array.of_list
-          (List.map
-             (fun (u, v) ->
-               if u < 0 || u >= n || v < 0 || v >= n then
-                 invalid_arg "Cache.signature: endpoint out of range";
-               if u <= v then (u * n) + v else (v * n) + u)
-             es)
-      in
-      Array.sort Int.compare codes;
-      Array.iter
-        (fun c ->
-          Buffer.add_string buf (string_of_int (c / n));
-          Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int (c mod n));
-          Buffer.add_char buf ';')
-        codes)
+      for u = 0 to n - 1 do
+        for i = off.(u) to off.(u + 1) - 1 do
+          let v = nbr.(i) in
+          if v > u then begin
+            if v >= n then invalid_arg "Cache.signature: endpoint out of range";
+            Buffer.add_string buf (string_of_int u);
+            Buffer.add_char buf ',';
+            Buffer.add_string buf (string_of_int v);
+            Buffer.add_char buf ';'
+          end
+        done
+      done)
     relations;
   { n; serial = Buffer.contents buf }
 

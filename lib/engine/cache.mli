@@ -29,17 +29,27 @@ type signature = private {
   serial : string;  (** salted original-labeling serialization: the key *)
 }
 
-val signature : n:int -> relations:(int * int) list array -> signature
+val signature :
+  n:int -> relations:(int array * int array) array -> signature
 (** [signature ~n ~relations] serializes the graph on [n] vertices
-    whose [relations.(r)] is the edge list of relation [r] (relations
-    are distinguished: a conflict edge never matches a stitch edge).
-    Edges are undirected and their listing order is irrelevant;
-    endpoints must be in [0..n-1]. Equivalent to {!signature_salted}
-    with an empty salt.
-    @raise Invalid_argument on an out-of-range endpoint. *)
+    whose [relations.(r)] is relation [r] in CSR form [(off, nbr)]: the
+    neighbors of [u] are [nbr.(off.(u)) .. nbr.(off.(u+1) - 1)], each
+    run sorted ascending and free of duplicates and of [u] itself, and
+    every edge listed in both endpoints' runs — the decomposition
+    graph's own adjacency arrays. Relations are distinguished: a conflict
+    edge never matches a stitch edge. Equivalent to
+    {!signature_salted} with an empty salt.
+
+    The serial is the vertex count, then each relation's edges as
+    [u,v;] pairs with [u < v] in lexicographic order — the bytes the
+    edge-list form of earlier versions produced from the same graph, so
+    [mplcache 2] files and a server's shared table keep hitting across
+    the change. Cost O(n + E), with no edge list and no sort.
+    @raise Invalid_argument if [off] is not [n + 1] long or a neighbor
+    is out of range. *)
 
 val signature_salted :
-  salt:string -> n:int -> relations:(int * int) list array -> signature
+  salt:string -> n:int -> relations:(int array * int array) array -> signature
 (** Like {!signature}, with [salt] prefixed to the serialization,
     partitioning the table: signatures with different salts can never
     match each other. A cache shared across requests with different

@@ -16,4 +16,5 @@ let () =
       ("shard", Test_shard.suite);
       ("eco", Test_eco.suite);
       ("paper", Test_paper.suite);
+      ("golden", Test_golden.suite);
     ]

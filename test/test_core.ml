@@ -623,6 +623,168 @@ let test_plan_drops_leaves () =
   Alcotest.(check bool) "complete" true (C.is_complete colors);
   Alcotest.(check bool) "in range" true (C.check_range ~k:4 colors)
 
+(* Trivial pieces — a lone vertex, a stitch pair, a stitch bridge that
+   the block split sheds off larger blocks — under full and partial
+   stage sets. Each expectation is the general path's answer (colors
+   and [Division.stats]), recorded before division resolved such pieces
+   without running its stages; the resolution must reproduce it
+   exactly, and a stage set that lacks a stage the resolution stands in
+   for must still take the general path. *)
+let k5_edges base =
+  List.concat_map
+    (fun i -> List.init (4 - i) (fun d -> (base + i, base + i + d + 1)))
+    [ 0; 1; 2; 3 ]
+
+let trivial_graphs =
+  [
+    ("lone vertex", G.of_edges ~n:1 []);
+    ("stitch pair", G.of_edges ~stitch_edges:[ (0, 1) ] ~n:2 []);
+    ( "stitch pair + friendly",
+      G.of_edges ~stitch_edges:[ (0, 1) ] ~friendly_edges:[ (0, 1) ] ~n:2 []
+    );
+    ( "vertex beside a stitch pair",
+      G.of_edges ~stitch_edges:[ (1, 2) ] ~n:3 [] );
+    ( "K5 with a stitch bridge",
+      G.of_edges ~stitch_edges:[ (2, 5) ] ~n:6 (k5_edges 0) );
+    ( "two K5s joined by a stitch bridge",
+      G.of_edges ~stitch_edges:[ (3, 6) ] ~n:10 (k5_edges 0 @ k5_edges 5) );
+  ]
+
+let stage_sets =
+  let all = Mpl.Division.all_stages in
+  [
+    ("all", all);
+    ("no gh", { all with Mpl.Division.use_ghtree = false });
+    ("no peel", { all with Mpl.Division.use_peel = false });
+    ("no components", { all with Mpl.Division.use_components = false });
+    ("no biconnected", { all with Mpl.Division.use_biconnected = false });
+    ("none", Mpl.Division.no_stages);
+  ]
+
+let trivial_outcome ~stages g =
+  let stats = Mpl.Division.fresh_stats () in
+  let colors =
+    Mpl.Division.assign ~stats ~stages ~k:4 ~alpha:0.1
+      ~solver:(Mpl.Linear_color.solve ~k:4 ~alpha:0.1)
+      g
+  in
+  Printf.sprintf "colors=%s pieces=%d largest=%d peeled=%d cuts=%d"
+    (String.concat "," (Array.to_list (Array.map string_of_int colors)))
+    stats.Mpl.Division.pieces stats.Mpl.Division.largest_piece
+    stats.Mpl.Division.peeled stats.Mpl.Division.cuts
+
+let trivial_expected =
+  [
+    ("lone vertex, stages all",
+     "colors=0 pieces=0 largest=0 peeled=1 cuts=0");
+    ("lone vertex, stages no gh",
+     "colors=0 pieces=0 largest=0 peeled=1 cuts=0");
+    ("lone vertex, stages no peel",
+     "colors=0 pieces=1 largest=1 peeled=0 cuts=0");
+    ("lone vertex, stages no components",
+     "colors=0 pieces=0 largest=0 peeled=1 cuts=0");
+    ("lone vertex, stages no biconnected",
+     "colors=0 pieces=0 largest=0 peeled=1 cuts=0");
+    ("lone vertex, stages none",
+     "colors=0 pieces=1 largest=1 peeled=0 cuts=0");
+    ("stitch pair, stages all",
+     "colors=0,0 pieces=0 largest=0 peeled=2 cuts=1");
+    ("stitch pair, stages no gh",
+     "colors=0,0 pieces=1 largest=2 peeled=0 cuts=0");
+    ("stitch pair, stages no peel",
+     "colors=0,0 pieces=2 largest=1 peeled=0 cuts=1");
+    ("stitch pair, stages no components",
+     "colors=0,0 pieces=0 largest=0 peeled=2 cuts=1");
+    ("stitch pair, stages no biconnected",
+     "colors=0,0 pieces=0 largest=0 peeled=2 cuts=1");
+    ("stitch pair, stages none",
+     "colors=0,0 pieces=1 largest=2 peeled=0 cuts=0");
+    ("stitch pair + friendly, stages all",
+     "colors=0,0 pieces=0 largest=0 peeled=2 cuts=1");
+    ("stitch pair + friendly, stages no gh",
+     "colors=0,0 pieces=1 largest=2 peeled=0 cuts=0");
+    ("stitch pair + friendly, stages no peel",
+     "colors=0,0 pieces=2 largest=1 peeled=0 cuts=1");
+    ("stitch pair + friendly, stages no components",
+     "colors=0,0 pieces=0 largest=0 peeled=2 cuts=1");
+    ("stitch pair + friendly, stages no biconnected",
+     "colors=0,0 pieces=0 largest=0 peeled=2 cuts=1");
+    ("stitch pair + friendly, stages none",
+     "colors=0,0 pieces=1 largest=2 peeled=0 cuts=0");
+    ("vertex beside a stitch pair, stages all",
+     "colors=0,0,0 pieces=0 largest=0 peeled=3 cuts=1");
+    ("vertex beside a stitch pair, stages no gh",
+     "colors=0,0,0 pieces=1 largest=2 peeled=1 cuts=0");
+    ("vertex beside a stitch pair, stages no peel",
+     "colors=0,0,0 pieces=3 largest=1 peeled=0 cuts=1");
+    ("vertex beside a stitch pair, stages no components",
+     "colors=0,0,0 pieces=0 largest=0 peeled=3 cuts=1");
+    ("vertex beside a stitch pair, stages no biconnected",
+     "colors=0,0,0 pieces=0 largest=0 peeled=3 cuts=1");
+    ("vertex beside a stitch pair, stages none",
+     "colors=0,0,0 pieces=1 largest=3 peeled=0 cuts=0");
+    ("K5 with a stitch bridge, stages all",
+     "colors=2,3,0,1,2,0 pieces=1 largest=5 peeled=2 cuts=1");
+    ("K5 with a stitch bridge, stages no gh",
+     "colors=2,3,0,1,2,0 pieces=2 largest=5 peeled=0 cuts=0");
+    ("K5 with a stitch bridge, stages no peel",
+     "colors=2,3,0,1,2,0 pieces=3 largest=5 peeled=0 cuts=1");
+    ("K5 with a stitch bridge, stages no components",
+     "colors=2,3,0,1,2,0 pieces=1 largest=5 peeled=2 cuts=1");
+    ("K5 with a stitch bridge, stages no biconnected",
+     "colors=2,3,0,1,2,0 pieces=1 largest=5 peeled=1 cuts=1");
+    ("K5 with a stitch bridge, stages none",
+     "colors=0,1,2,3,0,2 pieces=1 largest=6 peeled=0 cuts=0");
+    ("two K5s joined by a stitch bridge, stages all",
+     "colors=2,3,0,1,2,0,1,2,3,0 pieces=2 largest=5 peeled=2 cuts=1");
+    ("two K5s joined by a stitch bridge, stages no gh",
+     "colors=2,3,0,1,2,0,1,2,3,0 pieces=3 largest=5 peeled=0 cuts=0");
+    ("two K5s joined by a stitch bridge, stages no peel",
+     "colors=2,3,0,1,2,0,1,2,3,0 pieces=4 largest=5 peeled=0 cuts=1");
+    ("two K5s joined by a stitch bridge, stages no components",
+     "colors=2,3,0,1,2,0,1,2,3,0 pieces=2 largest=5 peeled=2 cuts=1");
+    ("two K5s joined by a stitch bridge, stages no biconnected",
+     "colors=2,3,0,1,2,0,1,2,3,0 pieces=2 largest=5 peeled=0 cuts=1");
+    ("two K5s joined by a stitch bridge, stages none",
+     "colors=0,1,2,3,0,0,3,1,2,0 pieces=1 largest=10 peeled=0 cuts=0");
+  ]
+
+let test_trivial_pieces () =
+  List.iter
+    (fun (gname, g) ->
+      List.iter
+        (fun (sname, stages) ->
+          let what = gname ^ ", stages " ^ sname in
+          let want = List.assoc what trivial_expected in
+          Alcotest.(check string) what want (trivial_outcome ~stages g))
+        stage_sets)
+    trivial_graphs
+
+(* The division counters say what ran: a resolved stitch pair books its
+   cut and its two pops, counts as trivial and runs no max-flow; with
+   the peel off it takes the GH stage, whose tree and cut recovery run
+   one max-flow each. *)
+let test_trivial_counters () =
+  let counters stages =
+    let m = Mpl_obs.Metrics.create () in
+    let obs = Mpl_obs.Obs.make ~metrics:m () in
+    ignore
+      (Mpl.Division.assign ~obs ~stages ~k:4 ~alpha:0.1
+         ~solver:(Mpl.Linear_color.solve ~k:4 ~alpha:0.1)
+         (G.of_edges ~stitch_edges:[ (0, 1) ] ~n:2 []));
+    let snap = Mpl_obs.Metrics.snapshot m in
+    List.map
+      (fun name ->
+        Option.value ~default:0
+          (Mpl_obs.Metrics.find_counter snap ("division." ^ name)))
+      [ "trivial"; "maxflow_calls"; "gh_cuts"; "peeled"; "pieces" ]
+  in
+  let all = Mpl.Division.all_stages in
+  Alcotest.(check (list int)) "all stages" [ 1; 0; 1; 2; 0 ] (counters all);
+  Alcotest.(check (list int)) "peel off"
+    [ 0; 2; 1; 0; 2 ]
+    (counters { all with Mpl.Division.use_peel = false })
+
 let test_report_consistency () =
   let g = clique 6 in
   List.iter
@@ -690,6 +852,9 @@ let suite =
       test_assign_matches_division_oracle;
     Alcotest.test_case "plan drops leaves before the join" `Quick
       test_plan_drops_leaves;
+    Alcotest.test_case "trivial pieces = general path" `Quick
+      test_trivial_pieces;
+    Alcotest.test_case "trivial pieces: counters" `Quick test_trivial_counters;
     Alcotest.test_case "report consistency" `Quick test_report_consistency;
     Alcotest.test_case "K6 costs two conflicts" `Quick test_k6_needs_two;
   ]

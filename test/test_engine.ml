@@ -203,9 +203,130 @@ let test_pool_invalid () =
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
-(* A labeled path a-b-c (conflict), plus one stitch edge. *)
+(* An undirected edge list as the CSR runs [Cache.signature] reads:
+   every edge in both endpoints' runs, each run sorted and deduplicated. *)
+let csr_of_edges ~n edges =
+  let runs = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      runs.(u) <- v :: runs.(u);
+      runs.(v) <- u :: runs.(v))
+    edges;
+  let runs = Array.map (List.sort_uniq Int.compare) runs in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun u r -> off.(u + 1) <- off.(u) + List.length r) runs;
+  (off, Array.of_list (List.concat (Array.to_list runs)))
+
+(* The parity oracle: the serialization built from edge lists, as the
+   cache once did — each edge's (min, max) pair coded as min * n + max
+   (whose integer order is the lexicographic pair order), the codes
+   sorted, then written out. The CSR walk must produce these bytes. *)
+let serial_of_edges ~salt ~n relations =
+  let buf = Buffer.create 64 in
+  if salt <> "" then begin
+    Buffer.add_string buf salt;
+    Buffer.add_char buf '!'
+  end;
+  Buffer.add_string buf (string_of_int n);
+  Array.iter
+    (fun es ->
+      Buffer.add_char buf '|';
+      let codes =
+        Array.of_list
+          (List.map
+             (fun (u, v) -> if u <= v then (u * n) + v else (v * n) + u)
+             es)
+      in
+      Array.sort Int.compare codes;
+      Array.iter
+        (fun c ->
+          Buffer.add_string buf (Printf.sprintf "%d,%d;" (c / n) (c mod n)))
+        codes)
+    relations;
+  Buffer.contents buf
+
 let sig_of_edges ~n ~ce ~se =
-  Cache.signature ~n ~relations:[| ce; se |]
+  Cache.signature ~n ~relations:[| csr_of_edges ~n ce; csr_of_edges ~n se |]
+
+(* Random graphs on 0..12 vertices whose three relations are disjoint
+   sets of distinct edges, each listed in a random orientation and
+   order; any relation may be empty. *)
+let three_relation_gen =
+  QCheck.Gen.(
+    int_range 0 12 >>= fun n ->
+    int_range 0 100 >>= fun density ->
+    int_range 0 1_000_000 >|= fun seed ->
+    let rng = Mpl_util.Rng.create seed in
+    let rels = Array.make 3 [] in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if Mpl_util.Rng.int rng 100 < density then begin
+          let r = Mpl_util.Rng.int rng 3 in
+          let e = if Mpl_util.Rng.bool rng then (u, v) else (v, u) in
+          rels.(r) <- e :: rels.(r)
+        end
+      done
+    done;
+    let shuffle es =
+      List.map snd
+        (List.sort compare
+           (List.map (fun e -> (Mpl_util.Rng.int rng 1_000_000, e)) es))
+    in
+    (n, Array.map shuffle rels))
+
+let prop_signature_matches_edge_list_oracle =
+  QCheck.Test.make ~name:"CSR signature = edge-list oracle" ~count:500
+    (QCheck.make
+       ~print:(fun (n, rels) ->
+         Printf.sprintf "n=%d %s" n
+           (String.concat " | "
+              (Array.to_list
+                 (Array.map
+                    (fun es ->
+                      String.concat ";"
+                        (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) es))
+                    rels))))
+       three_relation_gen)
+    (fun (n, rels) ->
+      List.for_all
+        (fun salt ->
+          (Cache.signature_salted ~salt ~n
+             ~relations:(Array.map (csr_of_edges ~n) rels))
+            .Cache.serial
+          = serial_of_edges ~salt ~n rels)
+        [ ""; "Linear;k=4" ])
+
+(* The decomposer signs pieces straight from their CSR: on every
+   component of a synth, the bytes equal the oracle's on the piece's
+   edge lists. *)
+let test_piece_signature_parity () =
+  let module G = Mpl.Decomp_graph in
+  let g =
+    G.of_layout
+      (Mpl_layout.Benchgen.generate
+         (Mpl_layout.Benchgen.synth ~stitch_gadgets:20 ~seed:2
+            ~features:3_000 ()))
+      ~min_s:80
+  in
+  let comps = Mpl_graph.Connectivity.components (G.union_graph g) in
+  Alcotest.(check bool) "many components" true (Array.length comps > 100);
+  Array.iter
+    (fun (piece, _) ->
+      let salt = "Linear;k=4" in
+      let got =
+        match Mpl.Decomposer.piece_signature ~salt piece with
+        | Some s -> s.Cache.serial
+        | None -> Alcotest.fail "piece too large to sign"
+      in
+      Alcotest.(check string) "serial"
+        (serial_of_edges ~salt ~n:piece.G.n
+           [|
+             G.conflict_edges piece;
+             G.stitch_edges piece;
+             G.friendly_edges piece;
+           |])
+        got)
+    (G.subgraphs g comps)
 
 let test_cache_inequivalent_miss () =
   (* C6 vs two triangles: identical degree sequences (all 2-regular),
@@ -480,7 +601,7 @@ let test_cache_byte_budget () =
     st.Cache.s_evictions
 
 let test_cache_salt_partitions () =
-  let relations = [| [ (0, 1); (1, 2) ]; [] |] in
+  let relations = [| csr_of_edges ~n:3 [ (0, 1); (1, 2) ]; csr_of_edges ~n:3 [] |] in
   let s4 = Cache.signature_salted ~salt:"k=4" ~n:3 ~relations in
   let s5 = Cache.signature_salted ~salt:"k=5" ~n:3 ~relations in
   Alcotest.(check bool) "salts split the key space" false
@@ -492,7 +613,16 @@ let test_cache_salt_partitions () =
   Alcotest.check_raises "newline salts rejected"
     (Invalid_argument "Cache.signature: salt must not contain newlines")
     (fun () ->
-      ignore (Cache.signature_salted ~salt:"a\nb" ~n:1 ~relations:[| [] |]))
+      ignore
+        (Cache.signature_salted ~salt:"a\nb" ~n:1
+           ~relations:[| csr_of_edges ~n:1 [] |]));
+  Alcotest.check_raises "offsets of the wrong length rejected"
+    (Invalid_argument "Cache.signature: offsets are not n + 1 long")
+    (fun () ->
+      ignore (Cache.signature ~n:3 ~relations:[| csr_of_edges ~n:2 [] |]));
+  Alcotest.check_raises "out-of-range neighbors rejected"
+    (Invalid_argument "Cache.signature: endpoint out of range") (fun () ->
+      ignore (Cache.signature ~n:2 ~relations:[| ([| 0; 1; 1 |], [| 5 |]) |]))
 
 let read_lines path =
   let ic = open_in_bin path in
@@ -817,6 +947,9 @@ let suite =
       test_cache_lru_eviction_order;
     Alcotest.test_case "cache: byte budget and stats" `Quick
       test_cache_byte_budget;
+    QCheck_alcotest.to_alcotest prop_signature_matches_edge_list_oracle;
+    Alcotest.test_case "cache: piece signatures = edge-list oracle" `Quick
+      test_piece_signature_parity;
     Alcotest.test_case "cache: salt partitions the table" `Quick
       test_cache_salt_partitions;
     Alcotest.test_case "cache: persistence round trip + corruption" `Quick
