@@ -680,13 +680,12 @@ let stats_cmd =
     Format.printf "graph: %a (min_s=%d)@." Mpl.Decomp_graph.pp g min_s;
     Format.printf "components: %d (largest %d)@." (Array.length comps) largest;
     (* Division-stage counts come from a metrics-enabled dry run of the
-       full division pipeline under the cheap linear solver; the cache
-       is on so its memory footprint can be reported too. *)
-    let params =
-      { Mpl.Decomposer.default_params with k; metrics = true; cache = true }
-    in
+       full division pipeline under the cheap linear solver. The cache
+       is off, so every component is divided and the counts describe
+       the whole layout, not just its cache misses. *)
+    let params = { Mpl.Decomposer.default_params with k; metrics = true } in
     let r = Mpl.Decomposer.assign ~params Mpl.Decomposer.Linear g in
-    (match r.Mpl.Decomposer.metrics with
+    match r.Mpl.Decomposer.metrics with
     | None -> ()
     | Some snap ->
       let c name =
@@ -698,15 +697,7 @@ let stats_cmd =
         (c "division.pieces") (c "division.peeled")
         (c "division.bicon_splits") (c "division.gh_cuts")
         (c "division.maxflow_calls")
-        (c "division.bounded_exits") (c "division.trivial"));
-    match r.Mpl.Decomposer.cache with
-    | None -> ()
-    | Some cs ->
-      Format.printf
-        "cache: entries=%d bytes=%d hits=%d misses=%d evictions=%d@."
-        cs.Mpl_engine.Cache.entries cs.Mpl_engine.Cache.resident_bytes
-        cs.Mpl_engine.Cache.s_hits cs.Mpl_engine.Cache.s_misses
-        cs.Mpl_engine.Cache.s_evictions
+        (c "division.bounded_exits") (c "division.trivial")
     end
   in
   let term =

@@ -211,17 +211,13 @@ let compute_balance ~k (g : Decomp_graph.t) colors =
    coloring plus whether the attempt completed cleanly — [false] means
    the shared budget or the node cap cut the search short and the
    coloring is only the best incumbent. *)
-let solve_once ~obs ~params ~budget ?warm algorithm (piece : Decomp_graph.t) =
+let solve_once ~obs ~params ~budget algorithm (piece : Decomp_graph.t) =
   let k = params.k and alpha = params.alpha in
   let m = obs.Mpl_obs.Obs.metrics in
   let observe_sdp (sol : Mpl_numeric.Sdp.solution) =
     Mpl_obs.Metrics.observe
       (Mpl_obs.Metrics.histogram m "solver.sdp_iterations")
-      (float_of_int sol.Mpl_numeric.Sdp.iterations);
-    (* Registered on every SDP solve (not just warm ones) so the counter
-       shows up as an explicit 0 in metrics snapshots of cold runs. *)
-    let warm_c = Mpl_obs.Metrics.counter m "sdp.warm_starts" in
-    if sol.Mpl_numeric.Sdp.warm then Mpl_obs.Metrics.incr warm_c
+      (float_of_int sol.Mpl_numeric.Sdp.iterations)
   in
   Mpl_obs.Obs.span obs
     ("solve." ^ algorithm_name algorithm)
@@ -248,14 +244,14 @@ let solve_once ~obs ~params ~budget ?warm algorithm (piece : Decomp_graph.t) =
   | Sdp_greedy ->
     if piece.Decomp_graph.n <= 1 then (Array.make piece.Decomp_graph.n 0, true)
     else begin
-      let sol = Sdp_color.relax ?warm ~k ~alpha piece in
+      let sol = Sdp_color.relax ~k ~alpha piece in
       observe_sdp sol;
       (Sdp_color.greedy_map ~k sol piece, true)
     end
   | Sdp_backtrack ->
     if piece.Decomp_graph.n <= 1 then (Array.make piece.Decomp_graph.n 0, true)
     else begin
-      let sol = Sdp_color.relax ?warm ~k ~alpha piece in
+      let sol = Sdp_color.relax ~k ~alpha piece in
       observe_sdp sol;
       ( Sdp_color.backtrack ~obs ~tth:params.tth ~node_cap:params.node_cap ~k
           ~alpha sol piece,
@@ -284,15 +280,7 @@ let recover_piece ?(cheap = false) ~obs ~params ~fault ~prov ~primary
   let free_budget = Mpl_util.Timer.budget 0. in
   let attempts = ref 1 in
   let candidates = ref [] in
-  (* Each rung restarts from the previous rung's coloring (initially the
-     primary's tripped incumbent, when there is one): the SDP rungs seed
-     their relaxation from it instead of a cold start, so the recovery
-     resumes the search rather than repeating it. *)
-  let last = ref None in
-  let add name colors =
-    candidates := !candidates @ [ (name, colors) ];
-    last := Some colors
-  in
+  let add name colors = candidates := !candidates @ [ (name, colors) ] in
   (match partial with
   | Some colors -> add (algorithm_name primary) colors
   | None -> ());
@@ -304,9 +292,7 @@ let recover_piece ?(cheap = false) ~obs ~params ~fault ~prov ~primary
         if Mpl_engine.Fault.fires fault Mpl_engine.Fault.Solver_raise then
           raise (Mpl_engine.Fault.Injected Mpl_engine.Fault.Solver_raise)
         else
-          fst
-            (solve_once ~obs ~params ~budget:free_budget ?warm:!last step
-               piece)
+          fst (solve_once ~obs ~params ~budget:free_budget step piece)
       with
       | colors -> add (algorithm_name step) colors
       | exception _ -> ())
@@ -548,61 +534,6 @@ let component_cache ~obs ~(params : params) ~fault shared_cache =
     | Some _ -> shared_cache
     | None -> Some (Mpl_engine.Cache.create ~obs ~fault ())
 
-(* Tiny leaves (n < [chunk_below]) are buffered and submitted
-   [chunk_len] at a time as one pool task ({!Pool.submit_group}):
-   dominant-share circuits shed thousands of 2..10-vertex pieces whose
-   per-task dispatch otherwise costs more than their solve. *)
-let chunk_below = 32
-let chunk_len = 16
-
-(* Leaf emitter of the stream driver: [emit piece] submits one leaf to
-   [pool] (largest pieces at highest priority) and returns its join
-   thunk; [flush ()] submits the buffered tiny leaves. The buffer only
-   lives on the coordinating thread; a join thunk that runs ahead of
-   the flush flushes on demand. *)
-let leaf_emitter ~params ~solver pool =
-  let bias = params.priority_bias in
-  let pending = ref [] and pending_len = ref 0 in
-  let flush () =
-    match !pending with
-    | [] -> ()
-    | ps ->
-      let ps = List.rev ps in
-      pending := [];
-      pending_len := 0;
-      let prio =
-        List.fold_left
-          (fun m ((p : Decomp_graph.t), _) -> max m p.Decomp_graph.n)
-          0 ps
-      in
-      let futs =
-        Mpl_engine.Pool.submit_group ~priority:(bias + prio)
-          ?cancel:params.cancel pool
-          (List.map (fun (p, _) () -> solver p) ps)
-      in
-      List.iter2 (fun (_, slot) fut -> slot := Some fut) ps futs
-  in
-  let emit (piece : Decomp_graph.t) =
-    check_cancel params ();
-    if piece.Decomp_graph.n >= chunk_below then begin
-      let fut =
-        Mpl_engine.Pool.submit ~priority:(bias + piece.Decomp_graph.n)
-          ?cancel:params.cancel pool (fun () -> solver piece)
-      in
-      fun () -> Mpl_engine.Pool.await pool fut
-    end
-    else begin
-      let slot = ref None in
-      pending := (piece, slot) :: !pending;
-      incr pending_len;
-      if !pending_len >= chunk_len then flush ();
-      fun () ->
-        (match !slot with None -> flush () | Some _ -> ());
-        Mpl_engine.Pool.await pool (Option.get !slot)
-    end
-  in
-  (emit, flush)
-
 (* Division stats of a component colored whole, as one piece. *)
 let whole_piece_stats (piece : Decomp_graph.t) =
   { (Division.fresh_stats ()) with pieces = 1; largest_piece = piece.n }
@@ -735,17 +666,18 @@ let window_source ~obs ~params ~(rc : run_ctx) ?max_stitches_per_feature
    leaf-solver ladder — forcing at most [force_lag] cells behind the
    last push. A component that must be solved fresh is *divided on the
    coordinating thread the moment it is pushed* ({!Division.plan}), and
-   every leaf piece it sheds is submitted to the pool right away
-   ({!leaf_emitter}), so workers solve the first component's leaves
-   while the coordinator still divides later ones. The division
-   analysis and the emit order are deterministic and color-independent,
-   so scheduling stays a pure performance knob. A caller-owned pool
-   (the serving daemon's, shared by every in-flight request) is used
-   as-is; otherwise a private one sized by [jobs] lives for the call —
-   at [jobs = 1] it spawns no domain, and the coordinator solves every
-   leaf itself while it forces. With no worker to overlap with, there
-   each component is forced right after its push: a lag would only keep
-   in-flight components' garbage alive past the minor heap.
+   every leaf piece it sheds is submitted to the pool right away, one
+   task per leaf, so workers solve the first component's leaves while
+   the coordinator still divides later ones.
+   The division analysis and the emit order are deterministic and
+   color-independent, so scheduling stays a pure performance knob. A
+   caller-owned pool (the serving daemon's, shared by every in-flight
+   request) is used as-is; otherwise a private one sized by [jobs]
+   lives for the call. A pool of width 1 has no worker domain, and the
+   coordinator solves every leaf itself while it forces; with nothing
+   to overlap with, each component is forced right after its push,
+   since a lag would only keep in-flight components' garbage alive past
+   the minor heap.
 
    A forced cell folds its component's cost and division stats, hands
    [keep key colors cost] its result, and drops its piece graph, so
@@ -795,10 +727,18 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
   in
   let check_cancel = check_cancel params and now = Mpl_util.Timer.now_ns in
   let drive pool =
-    let lag =
-      if Option.is_none ext_pool && params.jobs <= 1 then 0 else force_lag
+    let lag = if Mpl_engine.Pool.jobs pool = 1 then 0 else force_lag in
+    (* One pool task per leaf, largest pieces at highest priority. *)
+    let emit_leaf (leaf : Decomp_graph.t) =
+      check_cancel ();
+      let fut =
+        Mpl_engine.Pool.submit
+          ~priority:(params.priority_bias + leaf.Decomp_graph.n)
+          ?cancel:params.cancel pool
+          (fun () -> rc.rc_solver leaf)
+      in
+      fun () -> Mpl_engine.Pool.await pool fut
     in
-    let emit_leaf, flush = leaf_emitter ~params ~solver:rc.rc_solver pool in
     let plant (piece, _) =
       let local = Division.fresh_stats () in
       let join =
@@ -865,7 +805,6 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
         let item = (piece, key) in
         Queue.add (Mpl_engine.Engine.push t item, item) inflight;
         if Queue.length inflight > lag then force_one ());
-    flush ();
     while not (Queue.is_empty inflight) do
       force_one ()
     done;

@@ -15,9 +15,9 @@
     driver: a component source (the whole graph, geometric windows, or
     an ECO dirty region) is pushed component by component through
     {!Mpl_engine.Engine.stream}, each fresh component runs the one
-    division recursion ({!Division.plan}), and its leaves go to the
-    pool — at [jobs = 1] a pool without worker domains, whose leaves the
-    calling thread solves as it forces them.
+    division recursion ({!Division.plan}), and each of its leaves goes
+    to the pool as one task — at [jobs = 1] a pool without worker
+    domains, whose leaves the calling thread solves as it forces them.
 
     Solving is fault-tolerant per piece: a leaf solver that raises, or
     that is cut short by the shared budget or the node cap, degrades
@@ -239,8 +239,9 @@ val assign :
 
     Components are forced at most 64 pushes behind the last push, so a
     forced component's piece graph is dropped while later components
-    are still being divided; on a private pool at [jobs = 1], which has
-    no worker to overlap with, each is forced right after its push. *)
+    are still being divided; on a pool of width 1 (private or
+    caller-owned), which has no worker to overlap with, each is forced
+    right after its push. *)
 
 val decompose :
   ?params:params ->

@@ -5,16 +5,12 @@
 
 val relax :
   ?options:Mpl_numeric.Sdp.options ->
-  ?warm:int array ->
   k:int ->
   alpha:float ->
   Decomp_graph.t ->
   Mpl_numeric.Sdp.solution
-(** Solve the vector-program relaxation for the component. [warm] seeds
-    the solver from a known coloring's ideal Gram matrix (see
-    {!Mpl_numeric.Sdp.solve}); used by the fallback ladder to restart
-    from the previous rung's answer and by the warm-hint cache for
-    near-isomorphic pieces. *)
+(** Solve the vector-program relaxation for the component
+    ({!Mpl_numeric.Sdp.solve}). *)
 
 val greedy_map :
   k:int -> Mpl_numeric.Sdp.solution -> Decomp_graph.t -> int array

@@ -107,7 +107,11 @@ let rec force t cell =
       match join () with
       | r ->
         (match (t.cache, cell.c_sig) with
-        | Some c, Some s -> Cache.store c s r
+        | Some c, Some s ->
+          Cache.store c s r;
+          (* A later duplicate now hits the cache, so the leader entry
+             (and the piece it holds) can go. *)
+          Hashtbl.remove t.leaders s.Cache.serial
         | _ -> ());
         r
       | exception e -> (
@@ -116,7 +120,8 @@ let rec force t cell =
         | Some recover ->
           (* Isolate the failure to this item: recover a substitute
              result (never cached — it is not what the planner returns)
-             and let any followers reuse it. *)
+             and let any followers reuse it; the leader entry stays, so
+             later duplicates follow it too. *)
           let bt = Printexc.get_raw_backtrace () in
           t.n_failed <- t.n_failed + 1;
           recover cell.item e bt)

@@ -61,14 +61,17 @@ val push : ('a, 'v) t -> 'a -> ('a, 'v) cell
     or plant a fresh solve. Returns immediately; the result is demanded
     with {!force}. For a piece whose [signature] is [Some s]: a
     validated cache hit is [Ready] at once; a piece with the same
-    serialization as an earlier pushed *unsolved* piece follows that leader (one solve
-    serves both); everything else is planted. Pieces with no signature
-    (or no [cache]) are always planted. *)
+    serialization as an earlier pushed leader that is not yet forced (or
+    whose solve was recovered) follows that leader (one solve serves
+    both); everything else is planted. Pieces with no signature (or no
+    [cache]) are always planted. *)
 
 val force : ('a, 'v) t -> ('a, 'v) cell -> int array * 'v
 (** Redeem a cell (idempotent — the result is memoized). For a planted
-    leader this joins the work, stores the result into the cache, and —
-    if the join raises — routes the failure through [recover] (counted
+    leader this joins the work, stores the result into the cache and
+    forgets the leader (later duplicates hit the cache instead, so the
+    stream holds no forced leader's piece), and — if the join raises —
+    routes the failure through [recover] (counted
     in [stats.failed]; the substitute is never cached) or re-raises
     with the original backtrace when no [recover] was given. Forcing a
     follower forces its leader first. *)

@@ -20,7 +20,7 @@
    simply never looked at by the cancelled consumer. *)
 type token = {
   tflag : bool Atomic.t;
-  tdrops : int Atomic.t;  (* logical tasks dropped without running *)
+  tdrops : int Atomic.t;  (* tasks dropped without running *)
 }
 
 exception Cancelled
@@ -32,7 +32,7 @@ let drops tok = Atomic.get tok.tdrops
 
 type task = {
   run : unit -> unit;
-  drop : unit -> int;  (* resolve futures as Cancelled; # logical tasks *)
+  drop : unit -> unit;  (* resolve the future as Cancelled *)
   cancel : token option;
   prio : int;
   seq : int;
@@ -47,7 +47,7 @@ module Heap = struct
   }
 
   let dummy =
-    { run = ignore; drop = (fun () -> 0); cancel = None; prio = 0; seq = 0 }
+    { run = ignore; drop = ignore; cancel = None; prio = 0; seq = 0 }
   let create () = { a = Array.make 64 dummy; len = 0 }
   let length h = h.len
 
@@ -120,7 +120,6 @@ type 'a future = {
    untraced pool pays one branch per event and reads no clocks. *)
 type stats = {
   submitted : Mpl_obs.Metrics.counter;
-  groups : Mpl_obs.Metrics.counter;
   helped : Mpl_obs.Metrics.counter;
   backpressure : Mpl_obs.Metrics.counter;
   idle_waits : Mpl_obs.Metrics.counter;
@@ -158,7 +157,6 @@ let make_stats ~jobs (obs : Mpl_obs.Obs.t) =
   let m = obs.Mpl_obs.Obs.metrics in
   {
     submitted = Mpl_obs.Metrics.counter m "pool.submitted";
-    groups = Mpl_obs.Metrics.counter m "pool.groups";
     helped = Mpl_obs.Metrics.counter m "pool.helped";
     backpressure = Mpl_obs.Metrics.counter m "pool.backpressure";
     idle_waits = Mpl_obs.Metrics.counter m "pool.idle_waits";
@@ -187,17 +185,14 @@ let run_task t slot task =
   end
   else task ()
 
-(* Drop a cancelled task instead of running it: resolve its futures so
-   joiners raise [Cancelled], count the logical tasks on the token and
-   the pool counter. Called with [t.lock] held — safe, because the lock
-   order everywhere else is pool lock strictly before future lock. *)
+(* Drop a cancelled task instead of running it: resolve its future so
+   joiners raise [Cancelled], count the drop on the token and the pool
+   counter. Called with [t.lock] held — safe, because the lock order
+   everywhere else is pool lock strictly before future lock. *)
 let drop_task t task =
-  let n = task.drop () in
-  (match task.cancel with
-  | Some tok -> ignore (Atomic.fetch_and_add tok.tdrops n)
-  | None -> ());
-  Mpl_obs.Metrics.add t.stats.dropped n;
-  n
+  task.drop ();
+  Option.iter (fun tok -> Atomic.incr tok.tdrops) task.cancel;
+  Mpl_obs.Metrics.incr t.stats.dropped
 
 (* Pop the next runnable task, discarding cancelled ones in passing —
    the O(1)-per-task dequeue-time cancellation check. Caller holds
@@ -208,7 +203,7 @@ let rec pop_live t =
   | Some task -> (
     match task.cancel with
     | Some tok when Atomic.get tok.tflag ->
-      ignore (drop_task t task);
+      drop_task t task;
       pop_live t
     | _ -> Some task)
 
@@ -262,16 +257,16 @@ let resolve fut r =
   Condition.broadcast fut.fc;
   Mutex.unlock fut.fm
 
-let task_of fut f () =
-  let r =
-    try Done (f ()) with e -> Failed (e, Printexc.get_raw_backtrace ())
-  in
-  resolve fut r
-
 (* Enqueue under the bound: while the queue is full, pop and run one
    task on the calling thread (backpressure by helping — never waits on
    a condition, so it cannot deadlock at jobs = 1). *)
-let enqueue t ~prio ~cancel ~drop run =
+let submit ?(priority = 0) ?cancel t f =
+  let fut = fresh_future () in
+  let run () =
+    resolve fut
+      (try Done (f ()) with e -> Failed (e, Printexc.get_raw_backtrace ()))
+  in
+  let drop () = resolve fut (Failed (Cancelled, Printexc.get_callstack 0)) in
   Mutex.lock t.lock;
   if t.closed then begin
     Mutex.unlock t.lock;
@@ -286,39 +281,12 @@ let enqueue t ~prio ~cancel ~drop run =
       Mutex.lock t.lock
     | None -> ()
   done;
-  Heap.push t.queue { run; drop; cancel; prio; seq = t.seq };
+  Heap.push t.queue { run; drop; cancel; prio = priority; seq = t.seq };
   t.seq <- t.seq + 1;
   Condition.signal t.nonempty;
   Mutex.unlock t.lock;
-  Mpl_obs.Metrics.incr t.stats.submitted
-
-let submit ?(priority = 0) ?cancel t f =
-  let fut = fresh_future () in
-  let drop () =
-    resolve fut (Failed (Cancelled, Printexc.get_callstack 0));
-    1
-  in
-  enqueue t ~prio:priority ~cancel ~drop (task_of fut f);
+  Mpl_obs.Metrics.incr t.stats.submitted;
   fut
-
-(* One queue slot, many logical tasks: the chunk runs its members
-   sequentially in submission order inside a single pool task, so tiny
-   pieces pay one enqueue/dequeue for the whole group. Each member still
-   gets its own future (failures stay isolated per member). *)
-let submit_group ?(priority = 0) ?cancel t fs =
-  match fs with
-  | [] -> []
-  | fs ->
-    let cells = List.map (fun f -> (fresh_future (), f)) fs in
-    let run () = List.iter (fun (fut, f) -> task_of fut f ()) cells in
-    let drop () =
-      let bt = Printexc.get_callstack 0 in
-      List.iter (fun (fut, _) -> resolve fut (Failed (Cancelled, bt))) cells;
-      List.length cells
-    in
-    enqueue t ~prio:priority ~cancel ~drop run;
-    Mpl_obs.Metrics.incr t.stats.groups;
-    List.map fst cells
 
 let try_await t fut =
   let rec loop () =
@@ -359,14 +327,6 @@ let await t fut =
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-let map_list t f xs =
-  let futs = List.map (fun x -> submit t (fun () -> f x)) xs in
-  List.map (await t) futs
-
-let map_array t f xs =
-  let futs = Array.map (fun x -> submit t (fun () -> f x)) xs in
-  Array.map (await t) futs
-
 (* Eager sweep: with dequeue-time-only checks a cancelled task would
    sit in the queue until a consumer reaches it (possibly never, on an
    idle pool). The sweep settles the drop accounting promptly so a
@@ -381,7 +341,8 @@ let discard_cancelled t =
     | Some task ->
       (match task.cancel with
       | Some tok when Atomic.get tok.tflag ->
-        dropped := !dropped + drop_task t task
+        drop_task t task;
+        incr dropped
       | _ -> kept := task :: !kept);
       drain ()
   in

@@ -2,10 +2,9 @@
 
     Built on OCaml 5 [Domain] / [Mutex] / [Condition] only — no external
     dependencies. Designed for the coarse-grained tasks of the
-    decomposition engine (one task = one divided piece or one chunk of
-    small pieces), so the queue shares a single lock: task bodies run
-    for microseconds to seconds and queue operations are never the
-    bottleneck.
+    decomposition engine (one task = one divided leaf piece), so the
+    queue shares a single lock: task bodies run for microseconds to
+    seconds and queue operations are never the bottleneck.
 
     The queue is a max-heap on (priority, submission order): higher
     priority runs first, FIFO among equal priorities — so with the
@@ -18,9 +17,9 @@
 
     A pool with [jobs = j] runs up to [j] tasks concurrently: [j - 1]
     worker domains plus the calling thread, which helps execute queued
-    tasks whenever it blocks in {!await}. Join order is deterministic:
-    {!map_list} and {!map_array} always deliver results in submission
-    order regardless of which worker ran which task. *)
+    tasks whenever it blocks in {!await}. Each task resolves its own
+    future, so a caller that awaits futures in submission order sees
+    results in that order regardless of which worker ran which task. *)
 
 type t
 
@@ -45,13 +44,12 @@ val cancel : token -> unit
 val cancelled : token -> bool
 
 val drops : token -> int
-(** Logical tasks (group members count individually) dropped without
-    running so far on this token. *)
+(** Tasks dropped without running so far on this token. *)
 
 val discard_cancelled : t -> int
 (** Sweep the queue, dropping every task whose token is cancelled —
     resolving their futures and counting the drops — and return the
-    number of logical tasks dropped by this sweep. Without the sweep a
+    number of tasks dropped by this sweep. Without the sweep a
     cancelled task is only dropped when a consumer would otherwise run
     it, which on an idle pool may be never; teardown paths call this to
     settle {!drops} accounting promptly. O(queue length). *)
@@ -67,9 +65,8 @@ val create :
     (default 1024) caps the number of queued-but-unstarted tasks; a
     full queue applies backpressure by making {!submit} help run tasks
     first. When [obs] carries an enabled metrics registry, the pool
-    maintains [pool.submitted], [pool.groups], [pool.helped],
-    [pool.backpressure], [pool.idle_waits], [pool.dropped] counters
-    plus a
+    maintains [pool.submitted], [pool.helped], [pool.backpressure],
+    [pool.idle_waits], [pool.dropped] counters plus a
     [pool.worker<i>.busy_ns] wall-time counter per worker slot (slot 0
     is the calling thread helping in {!await} or under backpressure);
     without it every probe is a no-op and no clock is read.
@@ -101,15 +98,6 @@ val submit : ?priority:int -> ?cancel:token -> t -> (unit -> 'a) -> 'a future
     {!Cancelled}.
     @raise Invalid_argument if the pool was shut down. *)
 
-val submit_group :
-  ?priority:int -> ?cancel:token -> t -> (unit -> 'a) list -> 'a future list
-(** Enqueue a list of tasks as ONE queue entry: the group occupies a
-    single slot and its members run sequentially, in list order, on
-    whichever consumer dequeues it — amortizing per-task submission
-    and dispatch overhead for many tiny tasks. Each member still gets
-    its own future, and a member's exception is confined to its own
-    future (later members still run). *)
-
 val await : t -> 'a future -> 'a
 (** Block until the task finished, running other queued tasks of the
     pool while waiting. Re-raises the task's exception if it failed,
@@ -119,13 +107,6 @@ val try_await : t -> 'a future -> ('a, exn * Printexc.raw_backtrace) result
 (** Like {!await}, but a failed task yields [Error (exn, backtrace)]
     instead of re-raising — the hook for per-piece failure isolation:
     one poisoned task no longer aborts the whole batch. *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map] with results in input order. If several tasks
-    raise, the exception of the earliest submitted failing task is
-    re-raised (deterministic join order). *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val shutdown : t -> unit
 (** Join all worker domains. Idempotent. Pending never-awaited tasks

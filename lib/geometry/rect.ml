@@ -7,9 +7,6 @@ let make ~x0 ~y0 ~x1 ~y1 =
          x1 y1);
   { x0; y0; x1; y1 }
 
-let of_corners (xa, ya) (xb, yb) =
-  make ~x0:(min xa xb) ~y0:(min ya yb) ~x1:(max xa xb) ~y1:(max ya yb)
-
 let width r = r.x1 - r.x0
 let height r = r.y1 - r.y0
 let area r = width r * height r
@@ -25,7 +22,6 @@ let inflate r d =
 
 let overlaps a b = a.x0 < b.x1 && b.x0 < a.x1 && a.y0 < b.y1 && b.y0 < a.y1
 let touches a b = a.x0 <= b.x1 && b.x0 <= a.x1 && a.y0 <= b.y1 && b.y0 <= a.y1
-let contains_point r x y = r.x0 <= x && x <= r.x1 && r.y0 <= y && y <= r.y1
 
 let intersection a b =
   let x0 = max a.x0 b.x0 and y0 = max a.y0 b.y0 in

@@ -10,9 +10,6 @@ val make : x0:int -> y0:int -> x1:int -> y1:int -> t
 (** Build a rectangle. Raises [Invalid_argument] unless [x0 < x1] and
     [y0 < y1]. *)
 
-val of_corners : (int * int) -> (int * int) -> t
-(** Rectangle spanning two opposite corners (any orientation). *)
-
 val width : t -> int
 val height : t -> int
 val area : t -> int
@@ -32,8 +29,6 @@ val overlaps : t -> t -> bool
 val touches : t -> t -> bool
 (** Do the closed rectangles intersect at all (including edge/corner
     contact)? *)
-
-val contains_point : t -> int -> int -> bool
 
 val intersection : t -> t -> t option
 (** Positive-area intersection, if any. *)

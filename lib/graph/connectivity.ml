@@ -32,27 +32,3 @@ let components g =
       fill.(c) <- fill.(c) + 1)
     lbl;
   comps
-
-let component_of g s =
-  let n = Ugraph.n g in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  seen.(s) <- true;
-  Queue.add s queue;
-  let acc = ref [] in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    acc := u :: !acc;
-    Ugraph.iter_neighbors g u (fun v ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Queue.add v queue
-        end)
-  done;
-  let a = Array.of_list !acc in
-  Array.sort compare a;
-  a
-
-let is_connected g =
-  let _, k = labels g in
-  k <= 1

@@ -1,13 +1,8 @@
-(** Connected components and breadth-first search. *)
+(** Connected components, labelled by breadth-first search. *)
 
 val components : Ugraph.t -> int array array
 (** The connected components, each an ascending array of vertices. *)
 
-val component_of : Ugraph.t -> int -> int array
-(** Vertices reachable from the given source (ascending). *)
-
 val labels : Ugraph.t -> int array * int
 (** [labels g] is [(lbl, k)]: [lbl.(v)] is the component index of [v]
     in [0..k-1]. *)
-
-val is_connected : Ugraph.t -> bool

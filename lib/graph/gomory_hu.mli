@@ -11,8 +11,8 @@
 type t
 
 val build : ?bound:int -> Ugraph.t -> t
-(** Build the tree. The graph must be connected (verify with
-    [Connectivity.is_connected]); otherwise results are undefined.
+(** Build the tree. The graph must be connected (one component of
+    {!Connectivity.components}); otherwise results are undefined.
 
     With [~bound:b] every Gusfield flow runs K-bounded
     ({!Maxflow.max_flow_bounded}), terminating as soon as it reaches

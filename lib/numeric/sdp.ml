@@ -47,7 +47,6 @@ type solution = {
   gn : int;
   objective : float;
   iterations : int;
-  warm : bool;
 }
 
 let ideal_offdiag k =
@@ -165,65 +164,32 @@ let dykstra_flat p ~bound ~rounds s =
     done
   done
 
-(* Gram matrix of the K ideal color vectors under a coloring: 1 on
-   same-color pairs, -1/(k-1) across colors. PSD and feasible, so it is
-   a legal warm-start iterate. *)
-let ideal_gram_of_colors ~n ~k colors x =
-  let bound = ideal_offdiag k in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      fset x ((i * n) + j) (if colors.(i) = colors.(j) then 1. else bound)
-    done
-  done
-
-let solve_projected ~options ?warm p =
+let solve_projected ~options p =
   let n = p.n in
-  let nn = n * n in
   let bound = ideal_offdiag p.k in
   let s = make_scratch n in
-  (match warm with
-  | Some colors -> ideal_gram_of_colors ~n ~k:p.k colors s.cur
-  | None ->
-    (* Identity start: PSD, unit diagonal, all constraints slack. *)
-    for i = 0 to n - 1 do
-      fset s.cur ((i * n) + i) 1.
-    done);
+  (* Identity start: PSD, unit diagonal, all constraints slack. *)
+  for i = 0 to n - 1 do
+    fset s.cur ((i * n) + i) 1.
+  done;
   let grad = sparse_gradient p in
-  (* Warm-started solves may stop early once the iterate stalls; the
-     cold path always runs the full schedule (and never touches [prev])
-     so its trajectory is bit-identical to the dense reference. *)
-  let prev = if warm = None then FA.create 0 else FA.make nn 0. in
-  let iters = ref 0 in
-  (try
-     for t = 0 to options.pg_iters - 1 do
-       let eta = options.pg_step /. sqrt (float_of_int (t + 1)) in
-       Array.iter
-         (fun (i, j, g) ->
-           let cij = (i * n) + j and cji = (j * n) + i in
-           fset s.cur cij (fget s.cur cij -. (eta *. g));
-           if cij <> cji then fset s.cur cji (fget s.cur cji -. (eta *. g)))
-         grad;
-       if warm <> None then FA.blit s.cur 0 prev 0 nn;
-       dykstra_flat p ~bound ~rounds:options.dykstra_rounds s;
-       incr iters;
-       if warm <> None then begin
-         let moved = ref 0. in
-         for c = 0 to nn - 1 do
-           let d = abs_float (fget s.cur c -. fget prev c) in
-           if d > !moved then moved := d
-         done;
-         if !moved < options.tol then raise Exit
-       end
-     done
-   with Exit -> ());
+  for t = 0 to options.pg_iters - 1 do
+    let eta = options.pg_step /. sqrt (float_of_int (t + 1)) in
+    Array.iter
+      (fun (i, j, g) ->
+        let cij = (i * n) + j and cji = (j * n) + i in
+        fset s.cur cij (fget s.cur cij -. (eta *. g));
+        if cij <> cji then fset s.cur cji (fget s.cur cji -. (eta *. g)))
+      grad;
+    dykstra_flat p ~bound ~rounds:options.dykstra_rounds s
+  done;
   (* Final cleanup projection so reported Gram entries are near-feasible. *)
   dykstra_flat p ~bound ~rounds:(2 * options.dykstra_rounds) s;
   {
     gram = FA.copy s.cur;
     gn = n;
     objective = objective_of_flat p s.cur;
-    iterations = !iters;
-    warm = warm <> None;
+    iterations = options.pg_iters;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -290,31 +256,12 @@ let flat_gram_of_vectors n vectors =
   done;
   x
 
-(* The K ideal color vectors embedded in R^r (requires r >= k): the
-   centered scaled basis v_c = sqrt(k/(k-1)) (e_c - (1/k) sum e), whose
-   pairwise inner products are exactly -1/(k-1). *)
-let simplex_vectors ~r ~k =
-  let scale = sqrt (float_of_int k /. float_of_int (k - 1)) in
-  let shift = 1. /. float_of_int k in
-  Array.init k (fun c ->
-      FA.init r (fun d ->
-          if d >= k then 0.
-          else scale *. ((if d = c then 1. else 0.) -. shift)))
-
-let solve_factorized ~options ?warm p =
+let solve_factorized ~options p =
   let r =
     match options.rank with Some r -> max 2 r | None -> max (p.k - 1) 8
   in
   let rng = Mpl_util.Rng.create options.seed in
-  let warm_used = ref false in
-  let vectors =
-    match warm with
-    | Some colors when r >= p.k ->
-      warm_used := true;
-      let ideal = simplex_vectors ~r ~k:p.k in
-      Array.init p.n (fun i -> FA.copy ideal.(colors.(i)))
-    | Some _ | None -> Array.init p.n (fun _ -> Vec.random_unit rng r)
-  in
+  let vectors = Array.init p.n (fun _ -> Vec.random_unit rng r) in
   let adj = build_adj p in
   let bound = ideal_offdiag p.k in
   let g = Vec.zero r in
@@ -341,23 +288,17 @@ let solve_factorized ~options ?warm p =
     gn = p.n;
     objective = objective_of_flat p gram;
     iterations = !sweeps;
-    warm = !warm_used;
   }
 
-let solve ?(options = default_options) ?warm p =
-  (match warm with
-  | Some colors when Array.length colors <> p.n ->
-    invalid_arg "Sdp.solve: warm coloring length mismatch"
-  | Some _ | None -> ());
-  if p.n = 0 then
-    { gram = FA.create 0; gn = 0; objective = 0.; iterations = 0; warm = false }
+let solve ?(options = default_options) p =
+  if p.n = 0 then { gram = FA.create 0; gn = 0; objective = 0.; iterations = 0 }
   else begin
     match options.mode with
-    | Projected -> solve_projected ~options ?warm p
-    | Lagrangian -> solve_factorized ~options ?warm p
+    | Projected -> solve_projected ~options p
+    | Lagrangian -> solve_factorized ~options p
     | Auto ->
-      if p.n <= options.projected_max then solve_projected ~options ?warm p
-      else solve_factorized ~options ?warm p
+      if p.n <= options.projected_max then solve_projected ~options p
+      else solve_factorized ~options p
   end
 
 let gram s i j =
@@ -452,12 +393,10 @@ let solve_projected_dense ~options p =
     gn = n;
     objective = objective_of_gram p !x;
     iterations = options.pg_iters;
-    warm = false;
   }
 
 let solve_dense ?(options = default_options) p =
-  if p.n = 0 then
-    { gram = FA.create 0; gn = 0; objective = 0.; iterations = 0; warm = false }
+  if p.n = 0 then { gram = FA.create 0; gn = 0; objective = 0.; iterations = 0 }
   else begin
     match options.mode with
     | Projected -> solve_projected_dense ~options p

@@ -69,21 +69,13 @@ type solution = {
   iterations : int;
       (** work performed: projected-gradient steps ([Projected]) or
           Mixing-method sweeps ([Lagrangian]) *)
-  warm : bool;  (** whether a warm-start coloring actually seeded the solve *)
 }
 
-val solve : ?options:options -> ?warm:int array -> problem -> solution
-(** [solve ?options ?warm p] solves the relaxation. When [warm] is given
-    (a length-n coloring with values in [0, k)), the solver starts from
-    that coloring's ideal Gram matrix — X_ij = 1 on same-color pairs and
-    -1/(K-1) across colors, which is PSD and feasible — instead of the
-    identity ([Projected]) or from the corresponding simplex color
-    vectors instead of random ones ([Lagrangian], when the rank
-    admits it). Warm-started [Projected] solves may additionally stop
-    early once the per-step movement drops below [tol]; the cold path
-    always runs the full schedule, keeping its output bit-identical to
-    {!solve_dense}. Raises [Invalid_argument] if [warm] has the wrong
-    length. *)
+val solve : ?options:options -> problem -> solution
+(** [solve ?options p] solves the relaxation, starting from the identity
+    ([Projected]) or from seeded random unit vectors ([Lagrangian]). The
+    [Projected] path runs the full step schedule and its output is
+    bit-identical to {!solve_dense}. *)
 
 val solve_dense : ?options:options -> problem -> solution
 (** Reference implementation of the [Projected] kernel on boxed

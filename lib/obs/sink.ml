@@ -47,8 +47,6 @@ let create ?(tags = []) () = make ~enabled:true ~tags
 
 let enabled t = t.enabled
 
-let epoch_ns t = t.epoch
-
 let tags t = t.tags
 
 let buffer_of t =

@@ -60,11 +60,9 @@ val span : t -> ?cat:string -> ?args:(string * arg) list ->
 val record : t -> ?cat:string -> ?args:(string * arg) list -> name:string ->
   ts_ns:int64 -> dur_ns:int64 -> unit -> unit
 (** Append an already-measured span ([ts_ns] in the sink's epoch, i.e.
-    a {!Mpl_util.Timer.now_ns} reading minus {!epoch_ns}). For hot
-    paths that avoid closure allocation. No-op on a disabled sink. *)
-
-val epoch_ns : t -> int64
-(** The sink's creation instant (absolute monotonic ns). *)
+    a {!Mpl_util.Timer.now_ns} reading minus the sink's creation
+    instant). For hot paths that avoid closure allocation. No-op on a
+    disabled sink. *)
 
 val events : t -> event list
 (** All recorded events merged across threads, sorted by [ts_ns] (ties

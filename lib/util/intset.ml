@@ -19,7 +19,4 @@ let arg_by better a =
 let argmin a = arg_by ( < ) a
 let argmax a = arg_by ( > ) a
 
-let init_list n f = List.init n f
-
 let sum a = Array.fold_left ( + ) 0 a
-let fsum a = Array.fold_left ( +. ) 0. a

@@ -18,11 +18,5 @@ val argmax : float array -> int
 (** Index of the (first) maximum. Raises [Invalid_argument] on empty
     arrays. *)
 
-val init_list : int -> (int -> 'a) -> 'a list
-(** [init_list n f] is [[f 0; ...; f (n-1)]]. *)
-
 val sum : int array -> int
-(** Sum of all elements. *)
-
-val fsum : float array -> float
 (** Sum of all elements. *)

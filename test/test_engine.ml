@@ -16,11 +16,16 @@ module D = Mpl.Decomposer
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
+(* Submit [f x] for every [x], then await the futures in input order. *)
+let map_list pool f xs =
+  let futs = List.map (fun x -> Pool.submit pool (fun () -> f x)) xs in
+  List.map (Pool.await pool) futs
+
 let test_pool_ordering () =
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
-          let out = Pool.map_list pool (fun x -> x * x) (List.init 100 Fun.id) in
+          let out = map_list pool (fun x -> x * x) (List.init 100 Fun.id) in
           Alcotest.(check (list int))
             (Printf.sprintf "squares in order at jobs=%d" jobs)
             (List.init 100 (fun x -> x * x))
@@ -34,7 +39,7 @@ let test_pool_exception () =
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
           match
-            Pool.map_list pool
+            map_list pool
               (fun x -> if x = 37 then raise (Boom x) else x)
               (List.init 100 Fun.id)
           with
@@ -100,27 +105,6 @@ let test_pool_bounded_backpressure () =
           Alcotest.(check int) "bounded round-trip" (i * 3) (Pool.await pool fut))
         futs)
 
-let test_pool_group () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      (* Members run sequentially in list order and each gets its own
-         future; one member's failure never poisons its siblings. *)
-      let ran = ref [] in
-      let member i () =
-        ran := i :: !ran;
-        if i = 2 then raise (Boom i) else i * 10
-      in
-      let futs = Pool.submit_group pool (List.init 5 member) in
-      Alcotest.(check int) "five futures" 5 (List.length futs);
-      List.iteri
-        (fun i fut ->
-          match Pool.try_await pool fut with
-          | Ok v -> Alcotest.(check int) "member result" (i * 10) v
-          | Error (Boom 2, _) when i = 2 -> ()
-          | Error (e, _) -> raise e)
-        futs;
-      Alcotest.(check (list int)) "members ran in list order" [ 0; 1; 2; 3; 4 ]
-        (List.rev !ran))
-
 let test_pool_cancel_drops_queued () =
   (* jobs = 1 leaves every submitted task queued until the caller
      helps, so a cancel before any await must drop all of them at
@@ -161,21 +145,15 @@ let test_pool_cancel_drops_queued () =
 let test_pool_cancel_at_dequeue () =
   (* Without an eager sweep a cancelled task is dropped exactly when a
      consumer would otherwise run it; awaiting the batch observes every
-     drop as Cancelled, and group members count individually. *)
+     drop as Cancelled. *)
   Pool.with_pool ~jobs:1 (fun pool ->
       let tok = Pool.token () in
       let ran = Atomic.make 0 in
-      let singles =
-        List.init 5 (fun i ->
+      let futs =
+        List.init 8 (fun i ->
             Pool.submit ~cancel:tok pool (fun () ->
                 Atomic.incr ran;
                 i))
-      in
-      let group =
-        Pool.submit_group ~cancel:tok pool
-          (List.init 3 (fun i () ->
-               Atomic.incr ran;
-               i))
       in
       Pool.cancel tok;
       List.iter
@@ -184,8 +162,8 @@ let test_pool_cancel_at_dequeue () =
           | Error (Pool.Cancelled, _) -> ()
           | Ok _ -> Alcotest.fail "cancelled task ran"
           | Error (e, _) -> raise e)
-        (singles @ group);
-      Alcotest.(check int) "every logical task dropped at dequeue" 8
+        futs;
+      Alcotest.(check int) "every task dropped at dequeue" 8
         (Pool.drops tok);
       Alcotest.(check int) "no task body ever ran" 0 (Atomic.get ran))
 
@@ -517,6 +495,50 @@ let test_engine_validate_rejects () =
       | [ (c, ()) ] ->
         Alcotest.(check (array int)) "fresh coloring used" [| 0; 1 |] c
       | _ -> Alcotest.fail "unexpected results")
+
+(* Push and force a fresh heap copy of [piece] through [t]; the copy is
+   recorded in [w] at [i] and referenced nowhere else by the caller
+   ([piece] itself may be a static constant the GC never frees). *)
+let[@inline never] push_force_tracked t w i (n, ce) =
+  let item = (n, ce) in
+  Weak.set w i (Some item);
+  ignore (Engine.force t (Engine.push t item))
+
+let test_engine_forgets_forced_leaders () =
+  (* A forced leader's result is in the cache, so the stream must not
+     keep the leader's piece reachable; a duplicate pushed afterwards
+     hits the cache. A recovered leader's substitute is never cached,
+     so its entry (and piece) stays for the duplicates that follow it. *)
+  let signature (n, ce) = Some (sig_of_edges ~n ~ce ~se:[]) in
+  let recover (n, _) _ _ = (Array.make n 9, ()) in
+  let solve (n, _) = if n = 3 then raise (Boom n) else (Array.make n 0, ()) in
+  Pool.with_pool ~jobs:1 (fun pool ->
+      let plant piece =
+        let fut = Pool.submit pool (fun () -> solve piece) in
+        fun () -> Pool.await pool fut
+      in
+      let t =
+        Engine.stream ~cache:(Cache.create ()) ~signature ~recover ~plant ()
+      in
+      let w = Weak.create 2 in
+      push_force_tracked t w 0 (2, [ (0, 1) ]);
+      push_force_tracked t w 1 (3, [ (0, 1); (1, 2) ]);
+      Gc.full_major ();
+      Alcotest.(check bool) "forced leader's piece unreachable" false
+        (Weak.check w 0);
+      Alcotest.(check bool) "recovered leader's piece kept" true
+        (Weak.check w 1);
+      let hit = Engine.push t (2, [ (0, 1) ]) in
+      let follower = Engine.push t (3, [ (0, 1); (1, 2) ]) in
+      Alcotest.(check (array int)) "duplicate served from the cache"
+        [| 0; 0 |] (fst (Engine.force t hit));
+      Alcotest.(check (array int)) "duplicate follows the recovered leader"
+        [| 9; 9; 9 |] (fst (Engine.force t follower));
+      let stats = Engine.finish t in
+      Alcotest.(check (list int)) "solved, hits, reused, failed"
+        [ 2; 1; 1; 1 ]
+        [ stats.Engine.solved; stats.Engine.hits; stats.Engine.reused;
+          stats.Engine.failed ])
 
 let test_cache_corrupt_dropped () =
   (* An injected store-time corruption must be caught by the checksum:
@@ -921,7 +943,6 @@ let suite =
     Alcotest.test_case "pool: priority ordering" `Quick test_pool_priority;
     Alcotest.test_case "pool: bounded queue backpressure" `Quick
       test_pool_bounded_backpressure;
-    Alcotest.test_case "pool: task groups" `Quick test_pool_group;
     Alcotest.test_case "pool: cancel sweeps queued tasks" `Quick
       test_pool_cancel_drops_queued;
     Alcotest.test_case "pool: cancel observed at dequeue" `Quick
@@ -941,6 +962,8 @@ let suite =
     Alcotest.test_case "engine: per-piece recovery" `Quick test_engine_recover;
     Alcotest.test_case "engine: cache-hit validation" `Quick
       test_engine_validate_rejects;
+    Alcotest.test_case "engine: forced leaders are forgotten" `Quick
+      test_engine_forgets_forced_leaders;
     Alcotest.test_case "cache: corruption detected by checksum" `Quick
       test_cache_corrupt_dropped;
     Alcotest.test_case "cache: LRU eviction order" `Quick

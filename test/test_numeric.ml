@@ -204,28 +204,6 @@ let prop_flat_matches_dense =
       done;
       !ok)
 
-let test_warm_start () =
-  let p = clique_problem 5 4 in
-  let cold = Sdp.solve p in
-  Alcotest.(check bool) "cold solve not marked warm" false cold.Sdp.warm;
-  let warm = Sdp.solve ~warm:[| 0; 1; 2; 3; 0 |] p in
-  Alcotest.(check bool) "warm solve marked warm" true warm.Sdp.warm;
-  (* A warm start changes the trajectory, never the feasible set: the
-     solution still satisfies the box constraints and lands at a
-     comparable objective. *)
-  Alcotest.(check bool)
-    "warm objective comparable" true
-    (warm.Sdp.objective < cold.Sdp.objective +. 0.3);
-  for i = 0 to 4 do
-    for j = i + 1 to 4 do
-      Alcotest.(check bool) "warm above bound" true
-        (Sdp.gram warm i j >= Sdp.ideal_offdiag 4 -. 0.05)
-    done
-  done;
-  Alcotest.check_raises "warm length mismatch"
-    (Invalid_argument "Sdp.solve: warm coloring length mismatch") (fun () ->
-      ignore (Sdp.solve ~warm:[| 0; 1 |] p))
-
 let test_ideal_offdiag () =
   Alcotest.(check (float 1e-9)) "k=4" (-1. /. 3.) (Sdp.ideal_offdiag 4);
   Alcotest.(check (float 1e-9)) "k=5" (-0.25) (Sdp.ideal_offdiag 5);
@@ -253,7 +231,6 @@ let suite =
     Alcotest.test_case "all modes reasonable on K4" `Quick
       test_modes_agree_on_k4;
     QCheck_alcotest.to_alcotest prop_flat_matches_dense;
-    Alcotest.test_case "warm start" `Quick test_warm_start;
     Alcotest.test_case "ideal offdiag" `Quick test_ideal_offdiag;
     Alcotest.test_case "empty problem" `Quick test_empty_problem;
   ]

@@ -100,16 +100,9 @@ let layout = lazy (Mpl_layout.Benchgen.generate spec)
 let body = lazy (Mpl_layout.Layout_io.to_string (Lazy.force layout))
 let min_s = 80
 
-(* A wider layout for the lifecycle tests: enough independent pieces
+(* For the lifecycle tests: a quick graph build, then 32 hard blocks
+   that each become a pool task of their own, slow enough under SDP
    that a request torn down mid-stream provably leaves work queued. *)
-let heavy_spec =
-  { spec with Mpl_layout.Benchgen.name = "serve-heavy"; rows = 6; cells_per_row = 16 }
-
-let heavy_body =
-  lazy (Mpl_layout.Layout_io.to_string (Mpl_layout.Benchgen.generate heavy_spec))
-
-(* For the hard-deadline test: a quick graph build, then 32 hard blocks
-   that each become a pool task of their own. *)
 let slow_spec =
   { spec with Mpl_layout.Benchgen.name = "serve-slow"; hard_blocks = 32 }
 
@@ -457,21 +450,24 @@ let read_file path =
 let test_serve_disconnect_drops_queued () =
   (* The client vanishes exactly at the first PIECE send: Conn_drop's
      third occurrence on this connection (body read, ACK, first piece).
-     Injection makes the race-free version of pulling the plug — with
-     jobs = 1 every later piece is still queued at that moment, and
-     none of them may ever run. *)
+     Injection makes the race-free version of pulling the plug. The
+     pool has a worker domain, so the driver keeps every hard block in
+     flight; the two consumers have solved only the first few when the
+     first piece goes out, the rest are still queued, and none of them
+     may ever run. (A pool of width 1 forces each component right after
+     its push, so it has nothing queued to drop.) *)
   let access_log = Filename.temp_file "mpld-access" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove access_log with Sys_error _ -> ())
     (fun () ->
-      with_server ~jobs:1 ~access_log
+      with_server ~jobs:2 ~access_log
         ~fault:{ Fault.site = Fault.Conn_drop; seed = 2; shots = 1 }
         (fun sock t ->
           (with_client sock (fun c ->
                match
                  Client.decompose c
-                   ~request:(request ~algo:D.Linear ~cache:false ())
-                   (Lazy.force heavy_body)
+                   ~request:(request ~cache:false ())
+                   (Lazy.force slow_body)
                with
                | Ok _ -> Alcotest.fail "expected the dropped conn to fail"
                | Error e ->
@@ -506,10 +502,13 @@ let test_serve_disconnect_drops_queued () =
 let test_serve_deadline_timeout () =
   (* The hard cancel fires 51-61 ms after admission: late enough that
      the quick graph build has queued the request's pool tasks even on
-     a loaded machine. Every pool task busy-waits 5 ms before it runs,
-     so the 33 tasks keep the single-domain pool busy for at least
-     165 ms and some are still queued when the cancel lands. *)
-  with_server ~jobs:1 ~grace_ms:50
+     a loaded machine. The pool has a worker domain, so the driver
+     keeps every component in flight (a pool of width 1 would force
+     each one right after its push and hold nothing queued). Every pool
+     task busy-waits 5 ms before it runs, so the 33 tasks keep the
+     two consumers busy for at least 82 ms and some are still queued
+     when the cancel lands. *)
+  with_server ~jobs:2 ~grace_ms:50
     ~fault:{ Fault.site = Fault.Worker_delay; seed = 0; shots = 1_000_000 }
     (fun sock t ->
       with_client sock (fun c ->

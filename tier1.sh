@@ -55,6 +55,26 @@ if ! cmp -s "$seq_cols" "$par_cols"; then
 fi
 rm -f "$seq_cols" "$par_cols"
 
+# Gate: one pool task per leaf. Every divided leaf of S38417 is one
+# pool submission, so the pool's submission count equals the solver's
+# solve count (540 leaves).
+leafm=$(dune exec bin/mpld.exe -- decompose S38417 -a linear -j 1 --no-cache \
+  --metrics 2>&1)
+submitted=$(echo "$leafm" | awk '$1 == "pool.submitted" { print $2 }')
+solves=$(echo "$leafm" | awk '$1 == "solver.solves" { print $2 }')
+if [ "$submitted" != 540 ] || [ "$solves" != 540 ]; then
+  echo "tier1: S38417 leaves: pool.submitted=$submitted" \
+    "solver.solves=$solves, want 540 each" >&2
+  exit 1
+fi
+
+# Gate: `mpld stats` divides every component of the layout (no cache in
+# its dry run), so its piece count matches `decompose`'s.
+dune exec bin/mpld.exe -- stats S38417 | grep -q "^division: pieces=540 " || {
+  echo "tier1: mpld stats S38417 does not report pieces=540" >&2
+  exit 1
+}
+
 # Smoke: tracing + metrics emit parseable output covering the pipeline.
 trace=$(mktemp /tmp/mpld-trace.XXXXXX.json)
 dune exec bin/mpld.exe -- decompose C432 -a linear -j 2 \
