@@ -282,14 +282,14 @@ let ablation () =
         if piece.Mpl.Decomp_graph.n <= 1 then
           Array.make piece.Mpl.Decomp_graph.n 0
         else
-          Mpl.Sdp_color.backtrack ~tth:p.D.tth ~node_cap:p.D.node_cap
-            ~k:p.D.k ~alpha:p.D.alpha
-            (Mpl.Sdp_color.relax ~options ~k:p.D.k ~alpha:p.D.alpha piece)
+          Mpl.Sdp_color.backtrack ~k:p.D.k ~alpha:Mpl.Coloring.alpha
+            (Mpl.Sdp_color.relax ~options ~k:p.D.k ~alpha:Mpl.Coloring.alpha
+               piece)
             piece
       in
       let colors, secs =
         Mpl_util.Timer.time (fun () ->
-            Mpl.Division.assign ~k:p.D.k ~alpha:p.D.alpha ~solver g)
+            Mpl.Division.assign ~k:p.D.k ~alpha:Mpl.Coloring.alpha ~solver g)
       in
       let cost = C.evaluate g colors in
       Format.printf "%-12s cn#=%d st#=%d CPU=%.3fs@." name cost.C.conflicts
@@ -606,9 +606,6 @@ type parallel_row = {
   p_windows : int;  (* geometric windows (1 = whole-layout graph) *)
   p_inject : string option;  (* armed fault spec, if any *)
   p_peak_mb : float;  (* process heap high-water when the row finished *)
-  p_balance : D.balance option;
-      (* per-mask tallies of the final coloring; None when the whole
-         graph was never materialized (sharded / incremental rows) *)
   p_eco : (int * int * int) option;
       (* redecompose rows only: components reused verbatim, components
          re-solved, features inside the dirty window *)
@@ -640,7 +637,6 @@ let row_of_report ~circuit ~build_s ?wall_s (r : D.report) =
     p_windows = r.D.params.D.windows;
     p_inject = Option.map Mpl_engine.Fault.spec_to_string r.D.params.D.fault;
     p_peak_mb = peak_mb ();
-    p_balance = r.D.balance;
     p_eco =
       Option.map
         (fun e ->
@@ -648,16 +644,13 @@ let row_of_report ~circuit ~build_s ?wall_s (r : D.report) =
         r.D.eco;
   }
 
-let json_of_int_array a =
-  "[" ^ String.concat ", " (List.map string_of_int (Array.to_list a)) ^ "]"
-
 let json_of_rows rows =
   let b = Buffer.create 4096 in
   Buffer.add_string b "[\n";
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_string b ",\n";
-      (* "windows", "inject", "balance_*" and "eco_*" appear only on the
+      (* "windows", "inject" and "eco_*" appear only on the
          rows that have them so the keys of the pre-v8 matrix are
          byte-stable. *)
       let extras =
@@ -666,12 +659,6 @@ let json_of_rows rows =
          else "")
         ^ (match r.p_inject with
           | Some spec -> Printf.sprintf ", \"inject\": %S" spec
-          | None -> "")
-        ^ (match r.p_balance with
-          | Some bal ->
-            Printf.sprintf ", \"balance_features\": %s, \"balance_area\": %s"
-              (json_of_int_array bal.D.mask_features)
-              (json_of_int_array bal.D.mask_area)
           | None -> "")
         ^
         match r.p_eco with
@@ -755,8 +742,10 @@ let git_commit () =
    Schema v10: "phases" gains "extract_s" — coordinator time spent
    cutting pieces out of their parent graph (top-level components and
    every division stage), split out of "division_s"; [bench compare]
-   gates it like the other phases when both documents carry it. *)
-let results_schema_version = 10
+   gates it like the other phases when both documents carry it.
+   Schema v11: rows no longer carry "balance_features"/"balance_area";
+   per-mask tallies are [Mpl.Balance]'s, printed by [mpld report]. *)
+let results_schema_version = 11
 
 let json_of_kernels rows =
   let b = Buffer.create 1024 in

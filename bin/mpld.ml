@@ -187,12 +187,8 @@ let write_colors path colors =
   close_out oc
 
 let resolve_min_s ~k ~min_s =
-  match min_s with
-  | Some m -> m
-  | None ->
-    let tech = Mpl_layout.Layout.default_tech in
-    if k >= 5 then Mpl_layout.Layout.pentuple_min_s tech
-    else Mpl_layout.Layout.quadruple_min_s tech
+  Option.value min_s
+    ~default:(Mpl_layout.Layout.min_s_for ~k Mpl_layout.Layout.default_tech)
 
 (* The report's phase split (coordinator extraction / division / merge,
    solver time summed over domains), shared by decompose -v and
@@ -202,18 +198,6 @@ let print_phases (p : Mpl.Decomposer.phases) =
     "phases: extract=%.3fs division=%.3fs solve=%.3fs merge=%.3fs@."
     p.Mpl.Decomposer.extract_s p.Mpl.Decomposer.division_s
     p.Mpl.Decomposer.solve_s p.Mpl.Decomposer.merge_s
-
-(* Per-mask usage table from report.balance: feature/vertex/area tallies
-   in mask order, shared by decompose -v and redecompose -v. *)
-let print_balance = function
-  | None -> ()
-  | Some b ->
-    Array.iteri
-      (fun c nf ->
-        Format.eprintf "mask %d: features=%d vertices=%d area=%d@." c nf
-          b.Mpl.Decomposer.mask_vertices.(c)
-          b.Mpl.Decomposer.mask_area.(c))
-      b.Mpl.Decomposer.mask_features
 
 let session_out_arg =
   let doc =
@@ -279,10 +263,7 @@ let decompose_cmd =
       end
     in
     Format.printf "%a@." Mpl.Decomposer.pp_report report;
-    if verbose then begin
-      print_phases report.Mpl.Decomposer.phases;
-      print_balance report.Mpl.Decomposer.balance
-    end;
+    if verbose then print_phases report.Mpl.Decomposer.phases;
     let res = report.Mpl.Decomposer.resilience in
     if inject <> None || res.Mpl.Decomposer.degraded > 0 then
       Format.printf
@@ -385,10 +366,7 @@ let redecompose_cmd =
           e.Mpl.Decomposer.reused_components e.Mpl.Decomposer.dirty_components
           e.Mpl.Decomposer.dirty_features
       | None -> ());
-      if verbose then begin
-        print_phases report.Mpl.Decomposer.phases;
-        print_balance report.Mpl.Decomposer.balance
-      end;
+      if verbose then print_phases report.Mpl.Decomposer.phases;
       (match save_layout with
       | Some path ->
         Mpl_layout.Layout_io.save edited path;
@@ -837,7 +815,8 @@ let report_cmd =
         in
         let r = Mpl.Decomposer.assign ~params algo g in
         let balanced =
-          Mpl.Balance.rebalance ~k ~alpha:0.1 g r.Mpl.Decomposer.colors
+          Mpl.Balance.rebalance ~k ~alpha:Mpl.Coloring.alpha g
+            r.Mpl.Decomposer.colors
         in
         Format.printf "%a | gap vs LB: %d | imbalance %.3f -> %.3f@."
           Mpl.Decomposer.pp_report r

@@ -104,7 +104,9 @@ type result = {
   nodes : int;
 }
 
-let solve ?(node_cap = 2_000_000) ?(budget = Mpl_util.Timer.budget 0.)
+let node_cap = 2_000_000
+
+let solve ?(budget = Mpl_util.Timer.budget 0.)
     ?init ~k inst =
   let order = search_order inst in
   let colors = Array.make inst.n (-1) in

@@ -36,12 +36,15 @@ type result = {
   nodes : int;  (** branch nodes expanded *)
 }
 
+val node_cap : int
+(** 2_000_000: the branch-node cap per search, the one every run solves
+    under. *)
+
 val solve :
-  ?node_cap:int ->
   ?budget:Mpl_util.Timer.budget ->
   ?init:int array ->
   k:int ->
   instance ->
   result
 (** Best coloring found. [init] seeds the incumbent (in addition to the
-    internal greedy seed). Default node cap: 2_000_000. *)
+    internal greedy seed). Anytime under {!node_cap} expanded nodes. *)

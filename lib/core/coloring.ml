@@ -2,11 +2,13 @@ type t = int array
 
 let weight_conflict = 1000
 
+let alpha = 0.1
+
 let stitch_weight ~alpha = int_of_float (Float.round (alpha *. 1000.))
 
 type cost = { conflicts : int; stitches : int; scaled : int }
 
-let evaluate ?(alpha = 0.1) (g : Decomp_graph.t) colors =
+let evaluate ?(alpha = alpha) (g : Decomp_graph.t) colors =
   let conflicts = ref 0 in
   let stitches = ref 0 in
   for u = 0 to g.Decomp_graph.n - 1 do
@@ -30,8 +32,3 @@ let is_complete colors = Array.for_all (fun c -> c >= 0) colors
 
 let permute colors sigma =
   Array.map (fun c -> if c < 0 then c else sigma.(c)) colors
-
-let rotate_in_place colors vs ~k ~by =
-  Array.iter
-    (fun v -> if colors.(v) >= 0 then colors.(v) <- (colors.(v) + by) mod k)
-    vs

@@ -12,6 +12,9 @@ type t = int array
 val weight_conflict : int
 (** 1000: one conflict in milli-units. *)
 
+val alpha : float
+(** 0.1: the paper's stitch weight, the one every run solves under. *)
+
 val stitch_weight : alpha:float -> int
 (** [round (alpha * 1000)]. *)
 
@@ -20,7 +23,7 @@ type cost = { conflicts : int; stitches : int; scaled : int }
 val evaluate : ?alpha:float -> Decomp_graph.t -> t -> cost
 (** Count monochromatic conflict edges and bichromatic stitch edges.
     Unassigned vertices contribute to neither side of their edges.
-    Default [alpha] is 0.1 (the paper's setting). *)
+    Default [alpha] is {!alpha}. *)
 
 val check_range : k:int -> t -> bool
 (** Are all assigned colors within [0..k-1]? *)
@@ -30,7 +33,3 @@ val is_complete : t -> bool
 val permute : t -> int array -> t
 (** [permute colors sigma] maps color [c] to [sigma.(c)] (a fresh
     array). Costs are invariant under any bijection. *)
-
-val rotate_in_place : t -> int array -> k:int -> by:int -> unit
-(** [rotate_in_place colors vs ~k ~by] adds [by] (mod k) to the color of
-    every vertex in [vs] (paper Fig. 5 color rotation). *)

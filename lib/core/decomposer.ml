@@ -9,10 +9,7 @@ let algorithm_name = function
 
 type params = {
   k : int;
-  alpha : float;
-  tth : float;
   solver_budget_s : float;
-  node_cap : int;
   stages : Division.stages;
   jobs : int;
   priority_bias : int;
@@ -20,7 +17,6 @@ type params = {
   trace : Mpl_obs.Sink.t option;
   metrics : bool;
   fault : Mpl_engine.Fault.spec option;
-  request_id : string option;
   cancel : Mpl_engine.Pool.token option;
   deadline_s : float option;
   windows : int;
@@ -29,10 +25,7 @@ type params = {
 let default_params =
   {
     k = 4;
-    alpha = 0.1;
-    tth = 0.9;
     solver_budget_s = 60.;
-    node_cap = 2_000_000;
     stages = Division.all_stages;
     jobs = 1;
     priority_bias = 0;
@@ -40,20 +33,10 @@ let default_params =
     trace = None;
     metrics = false;
     fault = None;
-    request_id = None;
     cancel = None;
     deadline_s = None;
     windows = 1;
   }
-
-(* Stamp the serving request id onto a span's arguments, so even the
-   aggregate (server-lifetime) trace attributes pipeline spans to the
-   request that ran them. Per-request sinks additionally tag every
-   event via [Sink.create ~tags]. *)
-let rid_args params rest =
-  match params.request_id with
-  | None -> rest
-  | Some id -> ("rid", Mpl_obs.Sink.Str id) :: rest
 
 (* One observability context per run: the caller-supplied span sink (if
    any) plus a private metrics registry whose snapshot lands in the
@@ -152,15 +135,6 @@ type phases = {
   merge_s : float;
 }
 
-(* Per-mask usage tallies — the observational first slice of the
-   balanced-masks roadmap item. Purely derived from the final coloring;
-   no objective change. *)
-type balance = {
-  mask_features : int array;
-  mask_vertices : int array;
-  mask_area : int array;
-}
-
 (* What an incremental re-decomposition actually recomputed. *)
 type eco_stats = {
   dirty_components : int;
@@ -181,38 +155,15 @@ type report = {
   cache : Mpl_engine.Cache.stats option;
   resilience : resilience;
   metrics : Mpl_obs.Metrics.snapshot option;
-  balance : balance option;
   eco : eco_stats option;
 }
-
-(* Feature dedup relies on vertices of one feature being contiguous,
-   which holds for every layout-derived graph (feature-major vertex
-   order) and for [of_edges]'s identity default. *)
-let compute_balance ~k (g : Decomp_graph.t) colors =
-  let mask_features = Array.make k 0
-  and mask_vertices = Array.make k 0
-  and mask_area = Array.make k 0 in
-  let last = Array.make k (-1) in
-  for v = 0 to g.Decomp_graph.n - 1 do
-    let c = colors.(v) in
-    if c >= 0 then begin
-      mask_vertices.(c) <- mask_vertices.(c) + 1;
-      mask_area.(c) <- mask_area.(c) + g.Decomp_graph.varea.(v);
-      let f = g.Decomp_graph.feature.(v) in
-      if last.(c) <> f then begin
-        last.(c) <- f;
-        mask_features.(c) <- mask_features.(c) + 1
-      end
-    end
-  done;
-  { mask_features; mask_vertices; mask_area }
 
 (* One attempt of one algorithm on one divided piece. Returns the
    coloring plus whether the attempt completed cleanly — [false] means
    the shared budget or the node cap cut the search short and the
    coloring is only the best incumbent. *)
 let solve_once ~obs ~params ~budget algorithm (piece : Decomp_graph.t) =
-  let k = params.k and alpha = params.alpha in
+  let k = params.k and alpha = Coloring.alpha in
   let m = obs.Mpl_obs.Obs.metrics in
   let observe_sdp (sol : Mpl_numeric.Sdp.solution) =
     Mpl_obs.Metrics.observe
@@ -227,9 +178,7 @@ let solve_once ~obs ~params ~budget algorithm (piece : Decomp_graph.t) =
   match algorithm with
   | Linear -> (Linear_color.solve ~k ~alpha piece, true)
   | Exact ->
-    let r =
-      Exact_color.solve ~node_cap:params.node_cap ~budget ~k ~alpha piece
-    in
+    let r = Exact_color.solve ~budget ~k ~alpha piece in
     Mpl_obs.Metrics.observe
       (Mpl_obs.Metrics.histogram m "solver.bnb_nodes")
       (float_of_int r.Bnb.nodes);
@@ -253,9 +202,7 @@ let solve_once ~obs ~params ~budget algorithm (piece : Decomp_graph.t) =
     else begin
       let sol = Sdp_color.relax ~k ~alpha piece in
       observe_sdp sol;
-      ( Sdp_color.backtrack ~obs ~tth:params.tth ~node_cap:params.node_cap ~k
-          ~alpha sol piece,
-        true )
+      (Sdp_color.backtrack ~obs ~k ~alpha sol piece, true)
     end
 
 (* Escalation order when an attempt fails: strictly cheaper, more
@@ -275,7 +222,7 @@ let fallback_chain = function
    multi-shot injection can cascade all the way down to greedy. *)
 let recover_piece ?(cheap = false) ~obs ~params ~fault ~prov ~primary
     ~partial ~error piece =
-  let k = params.k and alpha = params.alpha in
+  let k = params.k and alpha = Coloring.alpha in
   let m = obs.Mpl_obs.Obs.metrics in
   let free_budget = Mpl_util.Timer.budget 0. in
   let attempts = ref 1 in
@@ -344,7 +291,7 @@ let signature_size_cap = 4096
 
 let params_salt ~params algorithm =
   Printf.sprintf "%s;k=%d;a=%h;t=%h;nc=%d" (algorithm_name algorithm)
-    params.k params.alpha params.tth params.node_cap
+    params.k Coloring.alpha Sdp_color.tth Bnb.node_cap
 
 let piece_signature ~salt (piece : Decomp_graph.t) =
   if piece.Decomp_graph.n > signature_size_cap then None
@@ -616,12 +563,10 @@ let window_source ~obs ~params ~(rc : run_ctx) ?max_stitches_per_feature
   let sh =
     Mpl_obs.Obs.span obs "shard.plan"
       ~args:
-        (rid_args params
-           [
-             ( "features",
-               Mpl_obs.Sink.Int (Array.length layout.Mpl_layout.Layout.features)
-             );
-           ])
+        [
+          ( "features",
+            Mpl_obs.Sink.Int (Array.length layout.Mpl_layout.Layout.features) );
+        ]
       (fun () ->
         Shard.plan ~windows:params.windows ~halo:(min_s + hp) layout)
   in
@@ -713,7 +658,7 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     | _ -> ());
     let colors =
       Bnb.greedy ~k:params.k
-        (Bnb.instance_of_graph ~alpha:params.alpha piece)
+        (Bnb.instance_of_graph ~alpha:Coloring.alpha piece)
     in
     prov_record rc.rc_prov ~raised:true ~fallbacks:1
       {
@@ -744,7 +689,7 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       let join =
         Division.plan ~obs ~stages:params.stages ~stats:local
           ~extract_s:rc.rc_extract_s ~connected:true ~k:params.k
-          ~alpha:params.alpha ~emit:emit_leaf piece
+          ~alpha:Coloring.alpha ~emit:emit_leaf piece
       in
       fun () -> (join (), local)
     in
@@ -753,7 +698,7 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
         ~plant ()
     in
     let pushed = ref 0 in
-    Mpl_obs.Obs.span obs "engine.batch" ~args:(rid_args params [])
+    Mpl_obs.Obs.span obs "engine.batch"
       ~late_args:(fun () -> [ ("pieces", Mpl_obs.Sink.Int !pushed) ])
     @@ fun () ->
     let t0 = now () and c0 = !(rc.rc_caller_ns) and x0 = !(rc.rc_extract_s) in
@@ -790,7 +735,7 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       merge (fun () ->
           let cell, ((piece : Decomp_graph.t), key) = Queue.pop inflight in
           let pc, local = Mpl_engine.Engine.force t cell in
-          let c = Coloring.evaluate ~alpha:params.alpha piece pc in
+          let c = Coloring.evaluate piece pc in
           conflicts := !conflicts + c.Coloring.conflicts;
           stitches := !stitches + c.Coloring.stitches;
           scaled := !scaled + c.Coloring.scaled;
@@ -847,7 +792,7 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
 
 (* The report of a finished run: the driver's own results plus what
    [rc] accumulated (timeout flag, division stats, resilience) and the
-   metrics snapshot; the entry points fill in [balance] and [eco]. *)
+   metrics snapshot; [redecompose] fills in [eco]. *)
 let make_report ~obs ~params ~(rc : run_ctx) algorithm ~colors ~cost
     ~elapsed_s ~phases ~engine ~cache =
   assert (Coloring.is_complete colors);
@@ -868,7 +813,6 @@ let make_report ~obs ~params ~(rc : run_ctx) algorithm ~colors ~cost
     metrics =
       (if Mpl_obs.Metrics.enabled m then Some (Mpl_obs.Metrics.snapshot m)
        else None);
-    balance = None;
     eco = None;
   }
 
@@ -882,11 +826,7 @@ let run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm arg
     Mpl_util.Timer.time (fun () ->
         Mpl_obs.Obs.span obs "assign"
           ~args:
-            (rid_args params
-               [
-                 ("algorithm", Mpl_obs.Sink.Str (algorithm_name algorithm));
-                 arg;
-               ])
+            [ ("algorithm", Mpl_obs.Sink.Str (algorithm_name algorithm)); arg ]
         @@ fun () ->
         stream_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
           ~on_component (source rc))
@@ -897,13 +837,10 @@ let run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm arg
 let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
     algorithm g =
   let obs = match obs with Some o -> o | None -> make_obs params in
-  let r =
-    run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm
-      ("n", Mpl_obs.Sink.Int g.Decomp_graph.n)
-      (fun rc ->
-        graph_source ~obs ~params ~rc ~n:g.Decomp_graph.n ~remap:Fun.id g)
-  in
-  { r with balance = Some (compute_balance ~k:params.k g r.colors) }
+  run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm
+    ("n", Mpl_obs.Sink.Int g.Decomp_graph.n)
+    (fun rc ->
+      graph_source ~obs ~params ~rc ~n:g.Decomp_graph.n ~remap:Fun.id g)
 
 let decompose ?(params = default_params) ?pool ?shared_cache ?on_component
     ?max_stitches_per_feature ~min_s algorithm layout =
@@ -913,8 +850,6 @@ let decompose ?(params = default_params) ?pool ?shared_cache ?on_component
   let g = Decomp_graph.of_layout ~obs ?max_stitches_per_feature layout ~min_s in
   (g, assign ~params ~obs ?pool ?shared_cache ?on_component algorithm g)
 
-(* The sharded path never materializes the whole graph, so the report
-   carries no per-mask tallies (which want every vertex's area). *)
 let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
     ?on_component ?max_stitches_per_feature ~min_s algorithm layout =
   let obs = match obs with Some o -> o | None -> make_obs params in
@@ -982,7 +917,7 @@ let snapshot ?(params = default_params) ?(obs = Mpl_obs.Obs.null) ~min_s
         eco_comp
           ~feature_of:(fun v -> g.Decomp_graph.feature.(v))
           vs pc
-          (Coloring.evaluate ~alpha:params.alpha piece pc)
+          (Coloring.evaluate piece pc)
         :: !comps);
   {
     Eco.layout;
@@ -1223,9 +1158,7 @@ let redecompose ?(params = default_params) ?obs ?pool ?shared_cache
         | Ok (edited, new_of_old) ->
           let obs = match obs with Some o -> o | None -> make_obs params in
           Mpl_obs.Obs.span obs "redecompose"
-            ~args:
-              (rid_args params
-                 [ ("edits", Mpl_obs.Sink.Int (List.length edits)) ])
+            ~args:[ ("edits", Mpl_obs.Sink.Int (List.length edits)) ]
           @@ fun () ->
           redecompose_run ~params ~obs ~pool ~shared_cache ~on_component
             ~prev ~base ~edited ~new_of_old ~comp_of_feature ~salt ~edits

@@ -38,13 +38,10 @@ val algorithm_name : algorithm -> string
 
 type params = {
   k : int;  (** number of masks; 4 = QPLD *)
-  alpha : float;  (** stitch weight, paper: 0.1 *)
-  tth : float;  (** SDP merge threshold, paper: 0.9 *)
   solver_budget_s : float;
       (** total wall-clock budget for exact solvers (Ilp / Exact) across
           all components — shared by all pool workers through an
           atomic-latched deadline; <= 0 means unlimited *)
-  node_cap : int;  (** branch-and-bound node cap per piece *)
   stages : Division.stages;
   jobs : int;
       (** concurrent piece solvers: the pool runs [jobs - 1] worker
@@ -69,12 +66,6 @@ type params = {
       (** deterministic fault injection ([None], the default, injects
           nothing — the unarmed probes cost one branch each and the run
           is bit-identical to a build without them) *)
-  request_id : string option;
-      (** serving request id; when set, top-level spans ([assign],
-          [engine.batch]) carry a ["rid"] argument so traces collected
-          on a server-lifetime sink stay attributable per request.
-          Purely observational: never affects outputs or cache
-          signatures ([None], the default, adds nothing) *)
   cancel : Mpl_engine.Pool.token option;
       (** cancellation token for mid-run teardown. The coordinator
           checks it at every leaf emission, component push, and
@@ -106,8 +97,10 @@ type params = {
 }
 
 val default_params : params
-(** QPLD defaults: k = 4, alpha = 0.1, tth = 0.9, 60 s exact budget,
-    full division pipeline, jobs = 1, cache off. *)
+(** QPLD defaults: k = 4, 60 s exact budget, full division pipeline,
+    jobs = 1, cache off. The paper's other constants are fixed, not
+    parameters: every run solves under {!Coloring.alpha} (0.1),
+    {!Sdp_color.tth} (0.9) and {!Bnb.node_cap}. *)
 
 type piece_failure = {
   piece_n : int;  (** vertex count of the affected piece *)
@@ -154,19 +147,6 @@ type phases = {
           helping the pool excluded *)
 }
 
-type balance = {
-  mask_features : int array;
-      (** [mask_features.(c)]: features with at least one segment on
-          mask [c] — a stitched feature counts on each mask it uses *)
-  mask_vertices : int array;
-      (** [mask_vertices.(c)]: graph vertices (stitch segments) on [c] *)
-  mask_area : int array;
-      (** [mask_area.(c)]: polygon area (nm²) printed on mask [c] *)
-}
-(** Per-mask usage tallies — the observational first slice of the
-    balanced-masks roadmap item (density balancing affects etch bias).
-    Derived from the final coloring only; no objective change. *)
-
 type eco_stats = {
   dirty_components : int;  (** components re-solved by {!redecompose} *)
   reused_components : int;  (** components kept byte-for-byte *)
@@ -196,9 +176,6 @@ type report = {
   metrics : Mpl_obs.Metrics.snapshot option;
       (** snapshot of the run's metrics registry when
           [params.metrics]; [None] otherwise *)
-  balance : balance option;
-      (** per-mask usage; [None] on the sharded and incremental paths,
-          which never materialize the whole graph *)
   eco : eco_stats option;  (** set only by {!redecompose} *)
 }
 
@@ -228,7 +205,8 @@ val assign :
     - [shared_cache]: use this component cache instead of a private
       per-run table (only consulted when [params.cache]). Piece
       signatures are salted with a fingerprint of every
-      result-affecting parameter (algorithm, k, alpha, tth, node cap),
+      result-affecting setting (algorithm, k, and the fixed alpha, tth
+      and node cap, so a table persisted under other constants misses),
       so one table safely serves requests with different parameters:
       entries from one setting can never hit probes from another.
     - [on_component]: called as [f idx back colors] for each
@@ -290,9 +268,7 @@ val decompose_sharded :
     {!Coloring.evaluate} because every conflict/stitch edge is
     intra-component. [on_component] streams components in
     deterministic emission order: window strips in geometric order,
-    then border-straddling components by smallest feature id. The
-    report carries no per-mask tallies ([report.balance] is [None]):
-    they want the whole graph. *)
+    then border-straddling components by smallest feature id. *)
 
 val piece_signature :
   salt:string -> Decomp_graph.t -> Mpl_engine.Cache.signature option
@@ -362,8 +338,7 @@ val redecompose :
     edited layout; untouched components are reused verbatim under every
     setting. [on_component] fires only for dirty components, with
     [back] remapped to edited-layout vertex ids. Returns the edited
-    layout, the report ([report.eco] set, [report.balance] absent —
-    the whole graph is never built), and the next session, so edits
+    layout, the report ([report.eco] set), and the next session, so edits
     chain. Returns [Error msg] (rather than raising) on:
     - a parameter fingerprint mismatch with the session
       (["redecompose: session solved under different parameters ..."]);

@@ -1,3 +1,3 @@
-let solve ?node_cap ?budget ~k ~alpha g =
+let solve ?budget ~k ~alpha g =
   let inst = Bnb.instance_of_graph ~alpha g in
-  Bnb.solve ?node_cap ?budget ~k inst
+  Bnb.solve ?budget ~k inst

@@ -6,7 +6,6 @@
     [conflict# + alpha * stitch#]. *)
 
 val solve :
-  ?node_cap:int ->
   ?budget:Mpl_util.Timer.budget ->
   k:int ->
   alpha:float ->

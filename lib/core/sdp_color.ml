@@ -58,7 +58,9 @@ let groups_compatible g members ra rb =
     (fun u -> List.for_all (fun v -> not (Decomp_graph.has_conflict g u v)) members.(rb))
     members.(ra)
 
-let backtrack ?(obs = Mpl_obs.Obs.null) ?(tth = 0.9) ?node_cap ?budget ~k
+let tth = 0.9
+
+let backtrack ?(obs = Mpl_obs.Obs.null) ?budget ~k
     ~alpha (sol : Sdp.solution) (g : Decomp_graph.t) =
   let n = g.Decomp_graph.n in
   if n = 0 then [||]
@@ -138,7 +140,7 @@ let backtrack ?(obs = Mpl_obs.Obs.null) ?(tth = 0.9) ?node_cap ?budget ~k
     for v = n - 1 downto 0 do
       init.(group_of.(v)) <- greedy.(v)
     done;
-    let result = Bnb.solve ?node_cap ?budget ~init ~k inst in
+    let result = Bnb.solve ?budget ~init ~k inst in
     Mpl_obs.Metrics.observe
       (Mpl_obs.Metrics.histogram obs.Mpl_obs.Obs.metrics "solver.bnb_nodes")
       (float_of_int result.Bnb.nodes);

@@ -18,18 +18,20 @@ val greedy_map :
     highest accumulated Gram affinity to already-colored vertices,
     hard-penalizing same-color conflict neighbors. *)
 
+val tth : float
+(** 0.9: the paper's merge threshold t_th, the one every run solves
+    under. *)
+
 val backtrack :
   ?obs:Mpl_obs.Obs.t ->
-  ?tth:float ->
-  ?node_cap:int ->
   ?budget:Mpl_util.Timer.budget ->
   k:int ->
   alpha:float ->
   Mpl_numeric.Sdp.solution ->
   Decomp_graph.t ->
   int array
-(** Paper Algorithm 1: merge every pair with Gram entry >= [tth]
-    (default 0.9) into one vertex of a weighted merged graph, then
+(** Paper Algorithm 1: merge every pair with Gram entry >= {!tth}
+    into one vertex of a weighted merged graph, then
     branch-and-bound search on the merged graph. Anytime under the node
     cap; seeded with the greedy mapping so it never does worse. With
     [obs], the merged search's expanded node count is observed into the

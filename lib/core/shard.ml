@@ -99,8 +99,6 @@ let fresh_acc plan =
     shapes = Array.make plan.n_features [||];
   }
 
-let seg_count acc f = acc.segs.(f)
-
 let offsets acc =
   let nf = Array.length acc.segs in
   let off = Array.make nf 0 in

@@ -113,7 +113,3 @@ val offsets : acc -> int array * int
 (** [(off, n)]: [off.(f)] is the global vertex id of feature [f]'s first
     segment in the canonical (feature-major) vertex order, [n] the total
     vertex count. Only valid after every window has been scanned. *)
-
-val seg_count : acc -> int -> int
-(** Canonical segment count of a feature (after its owner window has
-    been scanned). *)

@@ -4,6 +4,7 @@ let default_tech = { half_pitch = 20; min_width = 20; min_space = 20 }
 
 let quadruple_min_s t = (2 * t.min_space) + (2 * t.min_width)
 let pentuple_min_s t = (3 * t.min_space) + (5 * t.min_width / 2)
+let min_s_for ~k t = if k >= 5 then pentuple_min_s t else quadruple_min_s t
 let kclique_min_s t = (2 * t.min_space) + t.min_width
 
 type t = {

@@ -21,6 +21,10 @@ val pentuple_min_s : tech -> int
 (** min_s = 3 s_m + 2.5 w_m (110 nm at default tech) — the paper's
     pentuple coloring distance. *)
 
+val min_s_for : k:int -> tech -> int
+(** The coloring distance of a [k]-mask run when none is given:
+    {!pentuple_min_s} for [k >= 5], {!quadruple_min_s} otherwise. *)
+
 val kclique_min_s : tech -> int
 (** min_s = 2 s_m + w_m (60 nm) — the distance at which 1-D regular
     patterns already contain K5 (paper Fig. 7). *)

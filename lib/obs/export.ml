@@ -426,6 +426,18 @@ let pp_phases ppf events =
 (* ------------------------------------------------------------------ *)
 (* Validation *)
 
+(* The first key an event's [args] object repeats ([Json.Obj] keeps
+   duplicates, so a doubly stamped argument is visible here). *)
+let repeated_arg ev =
+  match Json.member "args" ev with
+  | Some (Json.Obj kvs) ->
+    let rec go seen = function
+      | [] -> None
+      | (k, _) :: rest -> if List.mem k seen then Some k else go (k :: seen) rest
+    in
+    go [] kvs
+  | _ -> None
+
 let validate_chrome ?(required = []) s =
   match Json.parse s with
   | Error e -> Error e
@@ -439,8 +451,9 @@ let validate_chrome ?(required = []) s =
         let field k = Json.member k ev in
         match (field "name", field "ph") with
         | Some (Json.Str name), Some (Json.Str ph) -> (
-          match field "ts" with
-          | Some ts when Json.to_float ts <> None ->
+          match (repeated_arg ev, field "ts") with
+          | Some k, _ -> Error (Printf.sprintf "event %S repeats arg %S" name k)
+          | None, Some ts when Json.to_float ts <> None ->
             if String.equal ph "X" then begin
               match field "dur" with
               | Some d when Json.to_float d <> None ->
@@ -450,7 +463,7 @@ let validate_chrome ?(required = []) s =
               | _ -> Error (Printf.sprintf "span %S lacks a numeric dur" name)
             end
             else Ok ()
-          | _ -> Error (Printf.sprintf "event %S lacks a numeric ts" name))
+          | None, _ -> Error (Printf.sprintf "event %S lacks a numeric ts" name))
         | _ -> Error "event lacks name/ph string fields"
       in
       let rec all = function

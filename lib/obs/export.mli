@@ -53,6 +53,6 @@ val validate_chrome :
   ?required:string list -> string -> (int, string) result
 (** [validate_chrome ~required s] parses [s] as JSON and checks it is a
     well-formed Chrome trace ({"traceEvents": [...]} with name/ph/ts on
-    every event and ts+dur on every ["X"] event), and that every name
-    in [required] occurs as a span name. Returns the number of span
-    events on success. *)
+    every event, ts+dur on every ["X"] event, and no key twice in an
+    event's [args]), and that every name in [required] occurs as a span
+    name. Returns the number of span events on success. *)

@@ -61,6 +61,8 @@ let incr = function None -> () | Some c -> Atomic.incr c
 
 let add c n = match c with None -> () | Some c -> ignore (Atomic.fetch_and_add c n)
 
+let incr_get = function None -> 0 | Some c -> Atomic.fetch_and_add c 1 + 1
+
 let gauge t name =
   if not t.enabled then None
   else Some (find_or_add t t.gauges name (fun () -> Atomic.make 0.))

@@ -32,6 +32,10 @@ val counter : t -> string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 
+val incr_get : counter -> int
+(** [incr] that returns the counter's new value ([0] on the no-op
+    handle), for a caller that acts on every N-th event. *)
+
 (** {1 Gauges} *)
 
 type gauge

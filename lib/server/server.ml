@@ -71,14 +71,6 @@ type t = {
   lock : Mutex.t;
   drained : Condition.t;
   mutable inflight : int;
-  mutable served : int;
-  mutable rejected : int;
-  mutable errors : int;
-  mutable cancelled : int;
-  mutable timeouts : int;
-  mutable reaped : int;
-  mutable dropped : int;
-  mutable eco_requests : int;
   mutable next_rid : int;
   mutable conns : (Unix.file_descr * Thread.t option ref) list;
   (* ECO session table: bounded, keyed by the base layout's canonical
@@ -174,14 +166,6 @@ let create config =
       lock = Mutex.create ();
       drained = Condition.create ();
       inflight = 0;
-      served = 0;
-      rejected = 0;
-      errors = 0;
-      cancelled = 0;
-      timeouts = 0;
-      reaped = 0;
-      dropped = 0;
-      eco_requests = 0;
       next_rid = 0;
       conns = [];
       sessions_tbl = Hashtbl.create 16;
@@ -264,20 +248,6 @@ let send_flush cio s =
   | Ok () -> ()
   | Error e -> raise (Client_gone e)
 
-let bump_reaped t =
-  Mpl_obs.Metrics.incr t.reaped_c;
-  Mutex.lock t.lock;
-  t.reaped <- t.reaped + 1;
-  Mutex.unlock t.lock
-
-let add_dropped t n =
-  if n > 0 then begin
-    Mpl_obs.Metrics.add t.dropped_c n;
-    Mutex.lock t.lock;
-    t.dropped <- t.dropped + n;
-    Mutex.unlock t.lock
-  end
-
 (* One source of truth for the derived gauges: every snapshot consumer
    (STATS, METRICS, /metrics, /healthz) refreshes them from the live
    cache/pool/clock immediately before reading the registry, so the
@@ -310,22 +280,19 @@ let percentile_json snap name =
            [ "p50_ms"; "p90_ms"; "p99_ms" ]
            ps)
 
+(* The lifecycle counts live in the registry only; STATS and /healthz
+   read them back from the snapshot under their JSON names. *)
+let count snap name =
+  Option.value ~default:0 (Mpl_obs.Metrics.find_counter snap name)
+
 let stats_json t =
   refresh_gauges t;
   Mutex.lock t.lock;
-  let served = t.served
-  and rejected = t.rejected
-  and errors = t.errors
-  and cancelled = t.cancelled
-  and timeouts = t.timeouts
-  and reaped = t.reaped
-  and dropped = t.dropped
-  and eco_requests = t.eco_requests
-  and sessions = Hashtbl.length t.sessions_tbl
-  and inflight = t.inflight in
+  let sessions = Hashtbl.length t.sessions_tbl and inflight = t.inflight in
   Mutex.unlock t.lock;
   let cs = Mpl_engine.Cache.stats t.cache in
   let snap = Mpl_obs.Metrics.snapshot t.metrics in
+  let count = count snap in
   let uptime_s =
     Int64.to_float (Int64.sub (Mpl_util.Timer.now_ns ()) t.start_ns) *. 1e-9
   in
@@ -336,14 +303,14 @@ let stats_json t =
          ( "server",
            Obj
              [
-               ("served", Int served);
-               ("rejected", Int rejected);
-               ("errors", Int errors);
-               ("cancelled", Int cancelled);
-               ("timeouts", Int timeouts);
-               ("reaped_conns", Int reaped);
-               ("dropped_tasks", Int dropped);
-               ("eco_requests", Int eco_requests);
+               ("served", Int (count "server.served"));
+               ("rejected", Int (count "server.rejected"));
+               ("errors", Int (count "server.errors"));
+               ("cancelled", Int (count "server.cancelled"));
+               ("timeouts", Int (count "server.timeouts"));
+               ("reaped_conns", Int (count "server.reaped_conns"));
+               ("dropped_tasks", Int (count "server.dropped_tasks"));
+               ("eco_requests", Int (count "server.eco_requests"));
                ("sessions", Int sessions);
                ("session_cap", Int t.config.sessions);
                ("inflight", Int inflight);
@@ -386,24 +353,11 @@ let prometheus t =
   refresh_gauges t;
   Mpl_obs.Export.prometheus (Mpl_obs.Metrics.snapshot t.metrics)
 
-let bump_errors t =
-  Mpl_obs.Metrics.incr t.errors_c;
-  Mutex.lock t.lock;
-  t.errors <- t.errors + 1;
-  Mutex.unlock t.lock
-
 (* Request priorities dominate piece sizes on the shared pool: the
    per-piece priority within one request is its vertex count, so
    scaling the request priority by 2^20 keeps requests strictly
    ordered unless a single piece exceeds a million vertices. *)
 let priority_scale = 1 lsl 20
-
-let resolve_min_s ~k = function
-  | Some m -> m
-  | None ->
-    let tech = Mpl_layout.Layout.default_tech in
-    if k >= 5 then Mpl_layout.Layout.pentuple_min_s tech
-    else Mpl_layout.Layout.quadruple_min_s tech
 
 (* ------------------------------------------------------------------ *)
 (* ECO session table *)
@@ -476,16 +430,8 @@ let finish_request t (rp : Proto.request) (tm : req_timing) ~body_len ~circuit
      line, so "every non-ok outcome is counted" holds by construction:
      there is exactly one finish_request per request. *)
   (match outcome with
-  | "timeout" ->
-    Mpl_obs.Metrics.incr t.timeouts_c;
-    Mutex.lock t.lock;
-    t.timeouts <- t.timeouts + 1;
-    Mutex.unlock t.lock
-  | "cancelled" | "disconnected" ->
-    Mpl_obs.Metrics.incr t.cancelled_c;
-    Mutex.lock t.lock;
-    t.cancelled <- t.cancelled + 1;
-    Mutex.unlock t.lock
+  | "timeout" -> Mpl_obs.Metrics.incr t.timeouts_c
+  | "cancelled" | "disconnected" -> Mpl_obs.Metrics.incr t.cancelled_c
   | _ -> ());
   let algo = Proto.name_of_algorithm rp.Proto.algo in
   (match t.req_ring with
@@ -562,7 +508,6 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
     ~circuit ~solve =
   let finish = finish_request t rp tm ~body_len in
   begin
-    let rid_str = string_of_int tm.rid in
     (* Per-request span sink (ring enabled only): shares the server's
        aggregate metrics registry but collects spans privately, tagged
        with the request's identity, so /trace?id= can replay exactly
@@ -577,7 +522,7 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
           (Mpl_obs.Sink.create
              ~tags:
                [
-                 ("rid", Mpl_obs.Sink.Str rid_str);
+                 ("rid", Mpl_obs.Sink.Str (string_of_int tm.rid));
                  ("circuit", Mpl_obs.Sink.Str circuit);
                  ("k", Mpl_obs.Sink.Int rp.Proto.k);
                  ( "algo",
@@ -610,7 +555,6 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
         priority_bias = rp.Proto.priority * priority_scale;
         cache = rp.Proto.cache;
         fault = rp.Proto.inject;
-        request_id = Some rid_str;
         cancel = Some token;
         deadline_s =
           Option.map (fun ms -> float_of_int ms /. 1000.) rp.Proto.deadline_ms;
@@ -681,7 +625,7 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
     let sweep () =
       if Mpl_engine.Pool.cancelled token then begin
         ignore (Mpl_engine.Pool.discard_cancelled t.pool);
-        add_dropped t (Mpl_engine.Pool.drops token)
+        Mpl_obs.Metrics.add t.dropped_c (Mpl_engine.Pool.drops token)
       end
     in
     let t0 = Mpl_util.Timer.now_ns () in
@@ -737,18 +681,11 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
              raise (Client_gone e));
            let solve_ns = elapsed_solve () in
            Mpl_obs.Metrics.observe t.latency_h (Int64.to_float solve_ns);
-           Mpl_obs.Metrics.incr t.served_c;
+           let served = Mpl_obs.Metrics.incr_get t.served_c in
            let e = report.Mpl.Decomposer.engine in
            finish ~circuit ~solve_ns ~pieces:e.Mpl_engine.Engine.pieces
              ~cache_hits:e.Mpl_engine.Engine.hits
              ~degraded:res.Mpl.Decomposer.degraded ~outcome:"ok" ~sink;
-           let served =
-             Mutex.lock t.lock;
-             t.served <- t.served + 1;
-             let s = t.served in
-             Mutex.unlock t.lock;
-             s
-           in
            if
              t.config.persist_every > 0
              && served mod t.config.persist_every = 0
@@ -784,19 +721,19 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
       sweep ();
       (* A write timeout is a reap (we gave up on a stalled reader); a
          Closed is the peer giving up on us. Both cancel the same way. *)
-      if w = Connio.Timeout then bump_reaped t;
+      if w = Connio.Timeout then Mpl_obs.Metrics.incr t.reaped_c;
       finish ~circuit ~solve_ns:(elapsed_solve ()) ~pieces:0 ~cache_hits:0
         ~degraded:0 ~outcome:"disconnected" ~sink
     | Rejected { code; msg } ->
       sweep ();
-      bump_errors t;
+      Mpl_obs.Metrics.incr t.errors_c;
       (try send_flush cio (Proto.err_line ~code msg)
        with Client_gone _ -> ());
       finish ~circuit ~solve_ns:(elapsed_solve ()) ~pieces:0 ~cache_hits:0
         ~degraded:0 ~outcome:"error" ~sink
     | e ->
       sweep ();
-      bump_errors t;
+      Mpl_obs.Metrics.incr t.errors_c;
       (try
          send_flush cio (Proto.err_line ~code:"internal" (Printexc.to_string e))
        with Client_gone _ -> ());
@@ -807,7 +744,7 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
 let run_request t cio (rp : Proto.request) (tm : req_timing) body =
   match Mpl_layout.Layout_io.of_string body with
   | exception Mpl_layout.Layout_io.Parse_error { line; msg } ->
-    bump_errors t;
+    Mpl_obs.Metrics.incr t.errors_c;
     (try send_flush cio (Proto.err_line ~code:"parse" ~line msg)
      with Client_gone _ -> ());
     finish_request t rp tm ~body_len:(String.length body) ~circuit:""
@@ -815,7 +752,12 @@ let run_request t cio (rp : Proto.request) (tm : req_timing) body =
       ~sink:None
   | layout ->
     let circuit = layout.Mpl_layout.Layout.name in
-    let min_s = resolve_min_s ~k:rp.Proto.k rp.Proto.min_s in
+    let min_s =
+      Option.value rp.Proto.min_s
+        ~default:
+          (Mpl_layout.Layout.min_s_for ~k:rp.Proto.k
+             Mpl_layout.Layout.default_tech)
+    in
     run_pipeline t cio rp tm ~body_len:(String.length body) ~circuit
       ~solve:(fun ~req_obs ~params ~shared_cache ~on_component ->
         (* Sharded requests never build the whole-layout graph: the
@@ -843,12 +785,9 @@ let run_request t cio (rp : Proto.request) (tm : req_timing) body =
 
 let run_redecompose t cio ~hash (rp : Proto.request) (tm : req_timing) body =
   Mpl_obs.Metrics.incr t.eco_c;
-  Mutex.lock t.lock;
-  t.eco_requests <- t.eco_requests + 1;
-  Mutex.unlock t.lock;
   let body_len = String.length body in
   let fail ~code ~outcome msg =
-    bump_errors t;
+    Mpl_obs.Metrics.incr t.errors_c;
     (try send_flush cio (Proto.err_line ~code msg) with Client_gone _ -> ());
     finish_request t rp tm ~body_len ~circuit:"" ~solve_ns:0L ~pieces:0
       ~cache_hits:0 ~degraded:0 ~outcome ~sink:None
@@ -914,7 +853,7 @@ let handle_submit t cio nbytes rp ~run =
       false
     | Error `Timeout ->
       (* Stalled mid-upload: reap the connection. *)
-      bump_reaped t;
+      Mpl_obs.Metrics.incr t.reaped_c;
       false
     | Ok body ->
     let admitted, inflight =
@@ -925,8 +864,7 @@ let handle_submit t cio nbytes rp ~run =
       if ok then begin
         t.inflight <- t.inflight + 1;
         Mpl_obs.Metrics.set t.inflight_g (float_of_int t.inflight)
-      end
-      else t.rejected <- t.rejected + 1;
+      end;
       let infl = t.inflight in
       Mutex.unlock t.lock;
       (ok, infl)
@@ -1006,12 +944,9 @@ let requests_json t =
 let healthz t =
   refresh_gauges t;
   Mutex.lock t.lock;
-  let inflight = t.inflight
-  and cancelled = t.cancelled
-  and timeouts = t.timeouts
-  and reaped = t.reaped
-  and dropped = t.dropped in
+  let inflight = t.inflight in
   Mutex.unlock t.lock;
+  let count = count (Mpl_obs.Metrics.snapshot t.metrics) in
   let stopping = Atomic.get t.stop in
   let depth = Mpl_engine.Pool.queue_depth t.pool in
   let bound = Mpl_engine.Pool.bound t.pool in
@@ -1036,10 +971,10 @@ let healthz t =
            ("max_inflight", Int t.config.max_inflight);
            ("queue_depth", Int depth);
            ("queue_bound", Int bound);
-           ("cancelled", Int cancelled);
-           ("timeouts", Int timeouts);
-           ("reaped_conns", Int reaped);
-           ("dropped_tasks", Int dropped);
+           ("cancelled", Int (count "server.cancelled"));
+           ("timeouts", Int (count "server.timeouts"));
+           ("reaped_conns", Int (count "server.reaped_conns"));
+           ("dropped_tasks", Int (count "server.dropped_tasks"));
            ("cache_bytes", Int cs.Mpl_engine.Cache.resident_bytes);
            ( "cache_budget",
              match cs.Mpl_engine.Cache.byte_budget with
@@ -1119,7 +1054,7 @@ let handle_http t cio line =
   let rec drain () =
     match Connio.read_line ~timed:true cio with
     | Error (`Eof | `Too_long) -> ()
-    | Error `Timeout -> bump_reaped t
+    | Error `Timeout -> Mpl_obs.Metrics.incr t.reaped_c
     | Ok l ->
       let l =
         let n = String.length l in
@@ -1181,7 +1116,7 @@ let rec serve_conn t cio =
   | Error `Eof -> ()
   | Error `Timeout ->
     (* A half-sent command line that stalled: slowloris, reaped. *)
-    bump_reaped t
+    Mpl_obs.Metrics.incr t.reaped_c
   | Error `Too_long -> (
     try send_flush cio (Proto.err_line ~code:"proto" "line too long")
     with Client_gone _ -> ())
@@ -1193,7 +1128,7 @@ let rec serve_conn t cio =
       (* The peer stopped draining its socket mid-reply: reap it. The
          request path handles its own Client_gone (it has a request to
          account); what reaches here is admin/HTTP replies. *)
-      bump_reaped t
+      Mpl_obs.Metrics.incr t.reaped_c
     | exception Client_gone Connio.Closed -> ())
 
 let spawn_handler t fd =

@@ -524,14 +524,13 @@ let prop_k_patterning_general =
    reproduce its coloring, cost and piece count. *)
 let test_assign_matches_division_oracle () =
   let p = D.default_params in
-  let k = p.D.k and alpha = p.D.alpha in
+  let k = p.D.k and alpha = C.alpha in
   let solver = function
     | D.Sdp_backtrack ->
       fun (piece : G.t) ->
         if piece.G.n <= 1 then Array.make piece.G.n 0
         else
-          Mpl.Sdp_color.backtrack ~tth:p.D.tth ~node_cap:p.D.node_cap ~k
-            ~alpha
+          Mpl.Sdp_color.backtrack ~k ~alpha
             (Mpl.Sdp_color.relax ~k ~alpha piece)
             piece
     | _ -> Mpl.Linear_color.solve ~k ~alpha

@@ -308,6 +308,28 @@ let test_salt_mismatch () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected salt mismatch error"
 
+(* The salt is written into session files and keys every persisted
+   cache entry, so its bytes are a file format: pinned literally. *)
+let test_salt_pinned () =
+  let layout = two_cluster_layout () in
+  List.iter
+    (fun (k, algo, expected) ->
+      let p = { (params ()) with D.k } in
+      let min_s = Layout.min_s_for ~k layout.Layout.tech in
+      let g, rep = D.decompose ~params:p ~min_s algo layout in
+      Alcotest.(check string)
+        (D.algorithm_name algo) expected
+        (D.snapshot ~params:p ~min_s algo g layout rep).E.salt)
+    [
+      ( 4,
+        D.Linear,
+        "Linear;k=4;a=0x1.999999999999ap-4;t=0x1.ccccccccccccdp-1;nc=2000000" );
+      ( 5,
+        D.Sdp_backtrack,
+        "SDP+Backtrack;k=5;a=0x1.999999999999ap-4;t=0x1.ccccccccccccdp-1;\
+         nc=2000000" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: random layouts x random edit scripts x jobs x cache *)
 
@@ -416,6 +438,7 @@ let suite =
     Alcotest.test_case "bit-identity across jobs x cache" `Slow
       test_matrix_bit_identity;
     Alcotest.test_case "salt mismatch rejected" `Quick test_salt_mismatch;
+    Alcotest.test_case "salt bytes pinned" `Quick test_salt_pinned;
     QCheck_alcotest.to_alcotest prop_redecompose_matches_cold;
     Alcotest.test_case "synth round-trips through Layout_io" `Quick
       test_synth_layout_io_roundtrip;

@@ -22,10 +22,7 @@ let pin ?(jobs = 1) ?(cache = false) ~k algo layout =
   let params =
     { D.default_params with D.k; jobs; cache; solver_budget_s = 0. }
   in
-  let tech = layout.Layout.tech in
-  let min_s =
-    if k >= 5 then Layout.pentuple_min_s tech else Layout.quadruple_min_s tech
-  in
+  let min_s = Layout.min_s_for ~k layout.Layout.tech in
   let _, r = D.decompose ~params ~min_s algo layout in
   let d = r.D.division in
   Printf.sprintf "%s cn=%d st=%d cost=%d pieces=%d largest=%d peeled=%d cuts=%d"

@@ -154,9 +154,16 @@ let test_chrome_export () =
   (match Export.validate_chrome ~required:[ "phase.c" ] s with
   | Ok _ -> Alcotest.fail "missing required span not detected"
   | Error _ -> ());
-  match Export.validate_chrome "{\"traceEvents\": 3}" with
+  (match Export.validate_chrome "{\"traceEvents\": 3}" with
   | Ok _ -> Alcotest.fail "accepted non-list traceEvents"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* A tag that repeats a span argument's key is stamped twice. *)
+  let sink = Sink.create ~tags:[ ("rid", Sink.Str "3") ] () in
+  Obs.span (Obs.make ~sink ()) "assign" ~args:[ ("rid", Sink.Str "3") ] ignore;
+  match Export.validate_chrome (Export.chrome_json (Sink.events sink)) with
+  | Ok _ -> Alcotest.fail "accepted an event whose args repeat a key"
+  | Error e ->
+    Alcotest.(check string) "error" "event \"assign\" repeats arg \"rid\"" e
 
 let test_metrics_export () =
   let m = Metrics.create () in

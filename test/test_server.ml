@@ -190,7 +190,7 @@ let fresh_sock () =
     (Printf.sprintf "mpld-test-%d-%d.sock" (Unix.getpid ()) !sock_counter)
 
 let with_server ?(jobs = 2) ?(max_inflight = 8) ?cache_budget ?persist
-    ?(ring = 32) ?access_log
+    ?(persist_every = 0) ?(ring = 32) ?access_log
     ?(grace_ms = Server.default_config.Server.grace_ms) ?fault f =
   let sock = fresh_sock () in
   let cfg =
@@ -201,6 +201,7 @@ let with_server ?(jobs = 2) ?(max_inflight = 8) ?cache_budget ?persist
       max_inflight;
       cache_budget;
       persist;
+      persist_every;
       ring;
       access_log;
       grace_ms;
@@ -843,14 +844,22 @@ let test_serve_persist_warm_restart () =
     ~finally:(fun () -> try Sys.remove persist with Sys_error _ -> ())
     (fun () ->
       Sys.remove persist;
-      (* first life: populate and (on drain) persist the cache *)
+      (* first life: populate the cache; every second served request
+         saves it, before any shutdown *)
       let first =
-        with_server ~persist (fun sock _t ->
+        with_server ~persist ~persist_every:2 (fun sock _t ->
             with_client sock (fun c ->
-                ok (Client.decompose c ~request:(request ()) (Lazy.force body))))
+                let decompose () =
+                  ok
+                    (Client.decompose c ~request:(request ())
+                       (Lazy.force body))
+                in
+                ignore (decompose ());
+                let r = decompose () in
+                poll_until "second served request saved the cache" (fun () ->
+                    Sys.file_exists persist);
+                r))
       in
-      Alcotest.(check bool) "cache file persisted" true
-        (Sys.file_exists persist);
       (* second life: the very first request is answered warm *)
       with_server ~persist (fun sock _t ->
           with_client sock (fun c ->

@@ -239,8 +239,7 @@ let test_synth_generator () =
   in
   Alcotest.(check (array int)) "sharded = unsharded" base.D.colors r.D.colors
 
-(* A window count below 1 plans one window, and the sharded report
-   carries no per-mask tallies, which want the whole graph. *)
+(* A window count below 1 plans one window. *)
 let test_sharded_guards () =
   let layout = random_layout 3 10 0 in
   let _, base = D.decompose ~min_s:80 D.Linear layout in
@@ -253,8 +252,7 @@ let test_sharded_guards () =
       in
       Alcotest.(check (array int))
         (Printf.sprintf "windows=%d" windows)
-        base.D.colors r.D.colors;
-      Alcotest.(check bool) "no per-mask tallies" true (r.D.balance = None))
+        base.D.colors r.D.colors)
     [ 0; -3 ];
   Alcotest.(check int) "one window" 1
     (Array.length
