@@ -743,61 +743,6 @@ let prom_check_cmd =
        ~doc:"Validate a Prometheus text exposition fetched from /metrics")
     term
 
-let conflicts_cmd =
-  let run source k min_s budget =
-    let layout = load_layout source in
-    let min_s = resolve_min_s ~k ~min_s in
-    let params =
-      { Mpl.Decomposer.default_params with k; solver_budget_s = budget }
-    in
-    let g, report =
-      Mpl.Decomposer.decompose ~params ~min_s Mpl.Decomposer.Exact layout
-    in
-    Format.printf "%a@." Mpl.Decomposer.pp_report report;
-    let colors = report.Mpl.Decomposer.colors in
-    List.iter
-      (fun (u, v) ->
-        if colors.(u) = colors.(v) then begin
-          let fu = g.Mpl.Decomp_graph.feature.(u)
-          and fv = g.Mpl.Decomp_graph.feature.(v) in
-          let center f =
-            Mpl_geometry.Rect.center
-              (Mpl_geometry.Polygon.bbox layout.Mpl_layout.Layout.features.(f))
-          in
-          let xu, yu = center fu and xv, yv = center fv in
-          Format.printf
-            "conflict: features %d (%.0f,%.0f) and %d (%.0f,%.0f), color %d@."
-            fu xu yu fv xv yv colors.(u)
-        end)
-      (Mpl.Decomp_graph.conflict_edges g)
-  in
-  let term = Term.(const run $ circuit_arg $ k_arg $ min_s_arg $ budget_arg) in
-  Cmd.v
-    (Cmd.info "conflicts"
-       ~doc:"Locate the unresolved conflicts of an exact decomposition")
-    term
-
-let svg_cmd =
-  let out_arg =
-    let doc = "Output SVG file." in
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"OUT" ~doc)
-  in
-  let run source out k min_s algo budget =
-    let layout = load_layout source in
-    let min_s = resolve_min_s ~k ~min_s in
-    let params =
-      { Mpl.Decomposer.default_params with k; solver_budget_s = budget }
-    in
-    let g, report = Mpl.Decomposer.decompose ~params ~min_s algo layout in
-    Mpl.Render.save ~min_s layout g report.Mpl.Decomposer.colors out;
-    Format.printf "%a@." Mpl.Decomposer.pp_report report;
-    Format.printf "wrote %s@." out
-  in
-  let term =
-    Term.(const run $ circuit_arg $ out_arg $ k_arg $ min_s_arg $ algo_arg $ budget_arg)
-  in
-  Cmd.v (Cmd.info "svg" ~doc:"Decompose a layout and render the masks to SVG") term
-
 let report_cmd =
   let run source k min_s budget jobs no_cache =
     let layout = load_layout source in
@@ -839,34 +784,6 @@ let report_cmd =
        ~doc:
          "Compare the heuristic algorithms on one layout, with certified \
           lower bounds and mask-density balance")
-    term
-
-let density_cmd =
-  let window_arg =
-    let doc = "Density window side in nm." in
-    Arg.(value & opt int 2000 & info [ "window" ] ~docv:"NM" ~doc)
-  in
-  let run source k min_s algo budget window =
-    let layout = load_layout source in
-    let min_s = resolve_min_s ~k ~min_s in
-    let params =
-      { Mpl.Decomposer.default_params with k; solver_budget_s = budget }
-    in
-    let g, report = Mpl.Decomposer.decompose ~params ~min_s algo layout in
-    Format.printf "%a@." Mpl.Decomposer.pp_report report;
-    let d =
-      Mpl.Density.compute ~min_s ~window ~k layout g
-        report.Mpl.Decomposer.colors
-    in
-    Format.printf "%a@." Mpl.Density.pp_summary d
-  in
-  let term =
-    Term.(
-      const run $ circuit_arg $ k_arg $ min_s_arg $ algo_arg $ budget_arg
-      $ window_arg)
-  in
-  Cmd.v
-    (Cmd.info "density" ~doc:"Per-mask pattern-density map of a decomposition")
     term
 
 (* ---- serving ---- *)
@@ -1023,13 +940,6 @@ let client_cmd =
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"LAYOUT" ~doc)
   in
-  let priority_cl_arg =
-    let doc =
-      "Request priority: pieces of a higher-priority request are solved \
-       before any lower-priority request's on the shared pool."
-    in
-    Arg.(value & opt int 0 & info [ "priority" ] ~docv:"P" ~doc)
-  in
   let stats_flag =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the server STATS JSON.")
   in
@@ -1086,7 +996,7 @@ let client_cmd =
     in
     Arg.(value & opt int 100 & info [ "backoff-ms" ] ~docv:"MS" ~doc)
   in
-  let run socket host port layout k min_s algo priority no_cache inject
+  let run socket host port layout k min_s algo no_cache inject
       deadline_ms retries backoff_ms colors_out windows do_stats do_metrics
       do_ping do_quit http_path edits_path =
     let fail e =
@@ -1190,7 +1100,6 @@ let client_cmd =
               k;
               algo;
               min_s;
-              priority;
               cache = not no_cache;
               inject;
               deadline_ms;
@@ -1292,7 +1201,7 @@ let client_cmd =
   let term =
     Term.(
       const run $ socket_arg $ host_arg $ port_arg $ layout_arg $ k_arg
-      $ min_s_arg $ algo_arg $ priority_cl_arg $ no_cache_arg $ inject_arg
+      $ min_s_arg $ algo_arg $ no_cache_arg $ inject_arg
       $ deadline_arg $ retries_arg $ backoff_arg $ colors_arg $ windows_arg
       $ stats_flag $ metrics_flag $ ping_flag $ quit_flag $ http_arg
       $ edits_arg)
@@ -1321,10 +1230,7 @@ let () =
             stats_cmd;
             trace_check_cmd;
             prom_check_cmd;
-            conflicts_cmd;
-            svg_cmd;
             report_cmd;
-            density_cmd;
             serve_cmd;
             client_cmd;
           ]))

@@ -1,7 +1,6 @@
-(* Mask balancing and density maps: decompose a benchmark circuit, then
-   rebalance mask usage at zero cost and compare the per-window density
-   maps — the uniformity check a fab runs on each mask (cf. the authors'
-   ICCAD'13 balanced-density decomposer).
+(* Mask balancing: decompose a benchmark circuit, then rebalance the
+   area each mask carries at zero cost (cf. the authors' ICCAD'13
+   balanced-density decomposer).
 
      dune exec examples/balanced_masks.exe [CIRCUIT] *)
 
@@ -37,9 +36,6 @@ let () =
        (Array.to_list
           (Array.map string_of_int (Mpl.Balance.usage ~k:4 balanced))))
     (Mpl.Balance.imbalance ~k:4 balanced);
-  let density c = Mpl.Density.compute ~min_s ~window:2000 ~k:4 layout g c in
-  Format.printf "before: %a@." Mpl.Density.pp_summary (density colors);
-  Format.printf "after:  %a@." Mpl.Density.pp_summary (density balanced);
   let cost = Mpl.Coloring.evaluate g balanced in
   Format.printf "cost unchanged: cn#=%d st#=%d@." cost.Mpl.Coloring.conflicts
     cost.Mpl.Coloring.stitches

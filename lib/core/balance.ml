@@ -13,6 +13,7 @@ let imbalance ~k colors =
     float_of_int (mx - mn) /. (float_of_int total /. float_of_int k)
   end
 
+(* Weight per mask (pattern area when [weights] holds node areas). *)
 let weighted_usage ~k ~weights colors =
   let counts = Array.make k 0 in
   Array.iteri

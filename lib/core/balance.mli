@@ -14,10 +14,6 @@ val imbalance : k:int -> Coloring.t -> float
 (** [(max - min) / mean] of mask usage; 0 for perfectly balanced, 0 for
     empty colorings. *)
 
-val weighted_usage : k:int -> weights:int array -> Coloring.t -> int array
-(** Weight per mask (e.g. pattern area when [weights] holds node
-    areas). *)
-
 val rebalance :
   ?max_passes:int ->
   ?weights:int array ->

@@ -12,7 +12,6 @@ type params = {
   solver_budget_s : float;
   stages : Division.stages;
   jobs : int;
-  priority_bias : int;
   cache : bool;
   trace : Mpl_obs.Sink.t option;
   metrics : bool;
@@ -28,7 +27,6 @@ let default_params =
     solver_budget_s = 60.;
     stages = Division.all_stages;
     jobs = 1;
-    priority_bias = 0;
     cache = false;
     trace = None;
     metrics = false;
@@ -677,8 +675,7 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     let emit_leaf (leaf : Decomp_graph.t) =
       check_cancel ();
       let fut =
-        Mpl_engine.Pool.submit
-          ~priority:(params.priority_bias + leaf.Decomp_graph.n)
+        Mpl_engine.Pool.submit ~priority:leaf.Decomp_graph.n
           ?cancel:params.cancel pool
           (fun () -> rc.rc_solver leaf)
       in

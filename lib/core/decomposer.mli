@@ -46,11 +46,6 @@ type params = {
   jobs : int;
       (** concurrent piece solvers: the pool runs [jobs - 1] worker
           domains plus the calling thread *)
-  priority_bias : int;
-      (** added to every pool-submission priority (default 0). A
-          server maps per-request priorities onto the shared pool with
-          this: requests with a higher bias get their pieces dequeued
-          first. Scheduling only — never changes any result. *)
   cache : bool;
       (** memoize solved components by their salted serialization; a
           component is reused only when it is byte-identical to a
@@ -199,9 +194,8 @@ val assign :
 
     - [pool]: solve on this caller-owned {!Mpl_engine.Pool} instead of
       spinning up a private one — the serving daemon shares one pool
-      across every in-flight request, with [params.priority_bias]
-      arbitrating between them. [params.jobs] is ignored then (the
-      pool's own worker count applies).
+      across every in-flight request. [params.jobs] is ignored then
+      (the pool's own worker count applies).
     - [shared_cache]: use this component cache instead of a private
       per-run table (only consulted when [params.cache]). Piece
       signatures are salted with a fingerprint of every

@@ -34,7 +34,7 @@ type edit =
     or move the same feature twice. *)
 
 val edits_to_string : edit list -> string
-(** Render to the edit-script text format:
+(** Serialize to the edit-script text format:
     {v
     # comment
     MOVE <index> <dx> <dy>

@@ -1,3 +1,4 @@
+(* Milli-unit score bonus per same-colored color-friendly neighbor. *)
 let friendly_bonus = 10
 
 (* Score of giving vertex [v] color [c] against the currently colored

@@ -18,10 +18,6 @@
 
 val solve : k:int -> alpha:float -> Decomp_graph.t -> int array
 
-val friendly_bonus : int
-(** Milli-unit score bonus per same-colored color-friendly neighbor
-    (exposed for the ablation bench). *)
-
 val solve_no_friendly : k:int -> alpha:float -> Decomp_graph.t -> int array
 (** Ablation: the same algorithm with the color-friendly rule turned
     off. *)

@@ -46,7 +46,6 @@ exception Injected of site
 (** What a [Solver_raise] injection raises. *)
 
 val site_name : site -> string
-val site_of_name : string -> site option
 
 val spec_to_string : spec -> string
 

@@ -11,9 +11,6 @@ let width r = r.x1 - r.x0
 let height r = r.y1 - r.y0
 let area r = width r * height r
 
-let center r =
-  (float_of_int (r.x0 + r.x1) /. 2., float_of_int (r.y0 + r.y1) /. 2.)
-
 let translate r ~dx ~dy =
   { x0 = r.x0 + dx; y0 = r.y0 + dy; x1 = r.x1 + dx; y1 = r.y1 + dy }
 

@@ -14,9 +14,6 @@ val width : t -> int
 val height : t -> int
 val area : t -> int
 
-val center : t -> float * float
-(** Geometric center. *)
-
 val translate : t -> dx:int -> dy:int -> t
 
 val inflate : t -> int -> t

@@ -18,16 +18,6 @@ let make ?(name = "layout") tech features =
 
 let feature_count t = Array.length t.features
 
-let bbox t =
-  if Array.length t.features = 0 then None
-  else begin
-    let acc = ref (Mpl_geometry.Polygon.bbox t.features.(0)) in
-    Array.iter
-      (fun p -> acc := Mpl_geometry.Rect.union_bbox !acc (Mpl_geometry.Polygon.bbox p))
-      t.features;
-    Some !acc
-  end
-
 let pp_summary ppf t =
   Format.fprintf ppf "%s: %d features (hp=%d, w_m=%d, s_m=%d)" t.name
     (feature_count t) t.tech.half_pitch t.tech.min_width t.tech.min_space

@@ -39,7 +39,4 @@ val make : ?name:string -> tech -> Mpl_geometry.Polygon.t list -> t
 
 val feature_count : t -> int
 
-val bbox : t -> Mpl_geometry.Rect.t option
-(** Bounding box of all features; [None] when empty. *)
-
 val pp_summary : Format.formatter -> t -> unit

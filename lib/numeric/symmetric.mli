@@ -27,16 +27,6 @@ val project_psd : float array array -> float array array
 
 val frobenius_distance : float array array -> float array array -> float
 
-val eigh_flat : n:int -> a:floatarray -> v:floatarray -> w:floatarray -> unit
-(** Flat in-place Jacobi: diagonalizes [a] (n x n row-major, destroyed),
-    writes the orthonormal eigenvectors into the ROWS of [v]
-    ([v.{e*n+i}] is component i of eigenvector e — transposed relative
-    to {!eigh}, so the hot update touches contiguous rows) and the
-    eigenvalues into [w] (length n). [a] must be exactly symmetric:
-    only its upper triangle is read or written (half the stores of the
-    mirrored dense update). Under that precondition the eigenpairs are
-    bit-identical to {!eigh}; only the storage layout differs. *)
-
 val project_psd_flat :
   n:int ->
   src:floatarray ->

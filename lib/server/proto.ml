@@ -2,7 +2,6 @@ type request = {
   k : int;
   algo : Mpl.Decomposer.algorithm;
   jobs : int;
-  priority : int;
   min_s : int option;
   cache : bool;
   inject : Mpl_engine.Fault.spec option;
@@ -15,7 +14,6 @@ let default_request =
     k = 4;
     algo = Mpl.Decomposer.Linear;
     jobs = 1;
-    priority = 0;
     min_s = None;
     cache = true;
     inject = None;
@@ -50,8 +48,8 @@ type command =
 let encode_request_with ~verb ?hash r ~body_len =
   let b = Buffer.create 128 in
   Buffer.add_string b
-    (Printf.sprintf "%s %d k=%d algo=%s jobs=%d priority=%d cache=%d" verb
-       body_len r.k (name_of_algorithm r.algo) r.jobs r.priority
+    (Printf.sprintf "%s %d k=%d algo=%s jobs=%d cache=%d" verb body_len r.k
+       (name_of_algorithm r.algo) r.jobs
        (if r.cache then 1 else 0));
   (match hash with
   | Some h -> Buffer.add_string b (Printf.sprintf " hash=%s" h)
@@ -104,7 +102,6 @@ let apply_field r tok =
     match key with
     | "k" -> as_int (fun k -> { r with k })
     | "jobs" -> as_int (fun jobs -> { r with jobs })
-    | "priority" -> as_int (fun priority -> { r with priority })
     | "min_s" -> as_int (fun m -> { r with min_s = Some m })
     | "deadline" -> (
       match int_of v with

@@ -5,7 +5,7 @@
     sequence. Client speaks first:
 
     {v
-    DECOMPOSE <nbytes> k=4 algo=linear priority=0 cache=1 [min_s=N] [jobs=N] [inject=SPEC] [deadline=MS]
+    DECOMPOSE <nbytes> k=4 algo=linear cache=1 [min_s=N] [jobs=N] [inject=SPEC] [deadline=MS]
     <nbytes bytes of layout text (Layout_io format)>
     STATS | METRICS | PING | QUIT
     v}
@@ -34,8 +34,8 @@
 
     Unknown [key=value] fields are ignored in both directions, so the
     protocol can grow without breaking older peers: an older client's
-    [permuted=1] is served under the one (byte-identical) cache policy,
-    and an older server's [warm=] cache field is skipped.
+    [permuted=1] or [priority=N] is served exactly as without it, and
+    an older server's [warm=] cache field is skipped.
 
     A request armed with [deadline=MS] may instead end with a
     [TIMEOUT deadline_ms=.. elapsed_ms=..] terminal line (the deadline
@@ -49,10 +49,6 @@ type request = {
   jobs : int;
       (** advisory: the server solves on its own shared pool, whose
           worker count wins; accepted for one-shot compatibility *)
-  priority : int;
-      (** request priority; higher preempts lower-priority requests'
-          queued pieces on the shared pool (scheduling only — results
-          are identical at any priority) *)
   min_s : int option;  (** coloring distance; [None] = paper default for k *)
   cache : bool;  (** consult/populate the server's shared cache (default on) *)
   inject : Mpl_engine.Fault.spec option;  (** deterministic fault injection *)
@@ -70,10 +66,6 @@ type request = {
 }
 
 val default_request : request
-
-val algorithm_of_name : string -> Mpl.Decomposer.algorithm option
-(** CLI spellings: [ilp], [exact], [sdp-backtrack] (or [sdp]),
-    [sdp-greedy], [linear]. *)
 
 val name_of_algorithm : Mpl.Decomposer.algorithm -> string
 

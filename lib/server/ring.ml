@@ -3,7 +3,6 @@ type entry = {
   circuit : string;
   algo : string;
   k : int;
-  priority : int;
   bytes : int;
   pieces : int;
   cache_hits : int;

@@ -10,7 +10,6 @@ type entry = {
   circuit : string;  (** layout name, [""] when the body never parsed *)
   algo : string;  (** protocol spelling, e.g. ["linear"] *)
   k : int;
-  priority : int;
   bytes : int;  (** request body length *)
   pieces : int;  (** engine pieces (0 when not solved) *)
   cache_hits : int;

@@ -353,12 +353,6 @@ let prometheus t =
   refresh_gauges t;
   Mpl_obs.Export.prometheus (Mpl_obs.Metrics.snapshot t.metrics)
 
-(* Request priorities dominate piece sizes on the shared pool: the
-   per-piece priority within one request is its vertex count, so
-   scaling the request priority by 2^20 keeps requests strictly
-   ordered unless a single piece exceeds a million vertices. *)
-let priority_scale = 1 lsl 20
-
 (* ------------------------------------------------------------------ *)
 (* ECO session table *)
 
@@ -448,7 +442,6 @@ let finish_request t (rp : Proto.request) (tm : req_timing) ~body_len ~circuit
         circuit;
         algo;
         k = rp.Proto.k;
-        priority = rp.Proto.priority;
         bytes = body_len;
         pieces;
         cache_hits;
@@ -475,7 +468,6 @@ let finish_request t (rp : Proto.request) (tm : req_timing) ~body_len ~circuit
               ("circuit", Str circuit);
               ("algo", Str algo);
               ("k", Int rp.Proto.k);
-              ("priority", Int rp.Proto.priority);
               ("bytes", Int body_len);
               ("pieces", Int pieces);
               ("cache_hits", Int cache_hits);
@@ -552,7 +544,6 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
         Mpl.Decomposer.default_params with
         k = rp.Proto.k;
         jobs = max 1 rp.Proto.jobs;
-        priority_bias = rp.Proto.priority * priority_scale;
         cache = rp.Proto.cache;
         fault = rp.Proto.inject;
         cancel = Some token;
@@ -919,7 +910,6 @@ let requests_json t =
         ("circuit", Str e.Ring.circuit);
         ("algo", Str e.Ring.algo);
         ("k", Int e.Ring.k);
-        ("priority", Int e.Ring.priority);
         ("bytes", Int e.Ring.bytes);
         ("pieces", Int e.Ring.pieces);
         ("cache_hits", Int e.Ring.cache_hits);

@@ -16,11 +16,8 @@
     - {b scheduler}: admission control bounds the number of requests
       decomposing at once ([max_inflight]); a request over the bound
       gets an immediate [BUSY] reply instead of queueing (the client
-      owns its retry policy). Admitted requests map their protocol
-      priority onto pool priorities through
-      [Decomposer.params.priority_bias], scaled so that any
-      higher-priority request's pieces dequeue before any
-      lower-priority request's regardless of piece size.
+      owns its retry policy). Admitted requests share the pool's one
+      queue, where each leaf piece's priority is its vertex count.
     - {b shared cache}: all requests with [cache=1] share one cache;
       piece signatures are salted with each request's solver-parameter
       fingerprint, so entries can never cross parameter settings. The

@@ -1,5 +1,5 @@
-(* Tests for the extension modules: clique lower bounds, density
-   balancing, and SVG rendering. *)
+(* Tests for the extension modules: clique lower bounds and mask
+   balancing. *)
 
 module G = Mpl.Decomp_graph
 module C = Mpl.Coloring
@@ -120,45 +120,6 @@ let test_rebalance_isolated_vertices () =
   Alcotest.(check (float 1e-9)) "perfectly balanced" 0.
     (Mpl.Balance.imbalance ~k:4 balanced)
 
-(* --------------------------- density ----------------------------- *)
-
-let density_layout () =
-  let contact x y =
-    Mpl_geometry.Polygon.of_rect
-      (Mpl_geometry.Rect.make ~x0:x ~y0:y ~x1:(x + 20) ~y1:(y + 20))
-  in
-  Mpl_layout.Layout.make Mpl_layout.Layout.default_tech
-    [ contact 0 0; contact 40 0; contact 0 40; contact 40 40 ]
-
-let test_density_totals () =
-  let layout = density_layout () in
-  let g = G.of_layout layout ~min_s:80 in
-  let r = Mpl.Decomposer.assign Mpl.Decomposer.Exact g in
-  let d =
-    Mpl.Density.compute ~min_s:80 ~window:100 ~k:4 layout g
-      r.Mpl.Decomposer.colors
-  in
-  (* Four 400 nm^2 contacts, one per mask (K4 forces all distinct). *)
-  Alcotest.(check (array int)) "each mask carries one contact"
-    [| 400; 400; 400; 400 |]
-    (Mpl.Density.mask_totals d)
-
-let test_density_window_clipping () =
-  (* A contact exactly astride two windows splits its area. *)
-  let wire =
-    Mpl_geometry.Polygon.of_rect
-      (Mpl_geometry.Rect.make ~x0:0 ~y0:0 ~x1:200 ~y1:20)
-  in
-  let layout = Mpl_layout.Layout.make Mpl_layout.Layout.default_tech [ wire ] in
-  let g = G.of_layout ~max_stitches_per_feature:0 layout ~min_s:80 in
-  let d =
-    Mpl.Density.compute ~max_stitches_per_feature:0 ~min_s:80 ~window:100
-      ~k:4 layout g [| 0 |]
-  in
-  Alcotest.(check (array int)) "area conserved across windows" [| 4000; 0; 0; 0 |]
-    (Mpl.Density.mask_totals d);
-  Alcotest.(check int) "first window gets half" 2000 d.Mpl.Density.area.(0).(0).(0)
-
 let prop_weighted_rebalance_preserves_cost =
   QCheck.Test.make ~name:"weighted rebalance never changes the cost"
     ~count:100
@@ -175,69 +136,6 @@ let prop_weighted_rebalance_preserves_cost =
       before.C.conflicts = after.C.conflicts
       && before.C.stitches = after.C.stitches)
 
-(* --------------------------- render ------------------------------ *)
-
-let test_svg_renders () =
-  let contact x y =
-    Mpl_geometry.Polygon.of_rect
-      (Mpl_geometry.Rect.make ~x0:x ~y0:y ~x1:(x + 20) ~y1:(y + 20))
-  in
-  let layout =
-    Mpl_layout.Layout.make Mpl_layout.Layout.default_tech
-      [ contact 0 0; contact 40 0; contact 0 40; contact 40 40 ]
-  in
-  let g = G.of_layout layout ~min_s:80 in
-  let report = Mpl.Decomposer.assign Mpl.Decomposer.Linear g in
-  let svg = Mpl.Render.to_svg layout g report.Mpl.Decomposer.colors in
-  Alcotest.(check bool) "svg header" true
-    (String.length svg > 0 && String.sub svg 0 4 = "<svg");
-  (* One background + four feature rects. *)
-  let count_sub needle s =
-    let n = ref 0 and i = ref 0 in
-    let len = String.length needle in
-    while !i + len <= String.length s do
-      if String.sub s !i len = needle then incr n;
-      incr i
-    done;
-    !n
-  in
-  Alcotest.(check int) "five rects" 5 (count_sub "<rect " svg);
-  (* The K4 is 4-colorable: no red conflict lines. *)
-  Alcotest.(check int) "no conflict markers" 0 (count_sub "#dd0000" svg)
-
-let test_svg_marks_conflicts () =
-  let contact x y =
-    Mpl_geometry.Polygon.of_rect
-      (Mpl_geometry.Rect.make ~x0:x ~y0:y ~x1:(x + 20) ~y1:(y + 20))
-  in
-  let layout =
-    Mpl_layout.Layout.make Mpl_layout.Layout.default_tech
-      [ contact 0 0; contact 40 0 ]
-  in
-  let g = G.of_layout layout ~min_s:80 in
-  (* Force both on the same mask. *)
-  let svg = Mpl.Render.to_svg layout g [| 1; 1 |] in
-  Alcotest.(check bool) "conflict marker present" true
-    (let rec find i =
-       i + 7 <= String.length svg
-       && (String.sub svg i 7 = "#dd0000" || find (i + 1))
-     in
-     find 0)
-
-let test_svg_mismatch_detected () =
-  let contact x y =
-    Mpl_geometry.Polygon.of_rect
-      (Mpl_geometry.Rect.make ~x0:x ~y0:y ~x1:(x + 20) ~y1:(y + 20))
-  in
-  let layout =
-    Mpl_layout.Layout.make Mpl_layout.Layout.default_tech [ contact 0 0 ]
-  in
-  let g = G.of_edges ~n:5 [] in
-  Alcotest.check_raises "node mismatch"
-    (Invalid_argument
-       "Render.to_svg: node count mismatch (wrong min_s or stitch limit?)")
-    (fun () -> ignore (Mpl.Render.to_svg layout g (Array.make 5 0)))
-
 let suite =
   [
     Alcotest.test_case "excess pairs" `Quick test_excess_pairs;
@@ -251,12 +149,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rebalance_no_worse_imbalance;
     Alcotest.test_case "rebalance isolated" `Quick
       test_rebalance_isolated_vertices;
-    Alcotest.test_case "density totals" `Quick test_density_totals;
-    Alcotest.test_case "density window clipping" `Quick
-      test_density_window_clipping;
     QCheck_alcotest.to_alcotest prop_weighted_rebalance_preserves_cost;
-    Alcotest.test_case "svg renders" `Quick test_svg_renders;
-    Alcotest.test_case "svg marks conflicts" `Quick test_svg_marks_conflicts;
-    Alcotest.test_case "svg mismatch detected" `Quick
-      test_svg_mismatch_detected;
   ]

@@ -24,9 +24,6 @@ let test_basic_ops () =
   Alcotest.(check int) "width" 10 (Rect.width r);
   Alcotest.(check int) "height" 20 (Rect.height r);
   Alcotest.(check int) "area" 200 (Rect.area r);
-  let cx, cy = Rect.center r in
-  Alcotest.(check (float 1e-9)) "cx" 5. cx;
-  Alcotest.(check (float 1e-9)) "cy" 10. cy;
   let t = Rect.translate r ~dx:5 ~dy:(-3) in
   Alcotest.(check bool) "translate" true
     (Rect.equal t (Rect.make ~x0:5 ~y0:(-3) ~x1:15 ~y1:17))

@@ -1,9 +1,9 @@
 (* End-to-end tests for the mpl_server subsystem: protocol round
    trips, server/one-shot parity (bit-identical colorings over a Unix
-   socket, including under concurrent mixed-priority requests), the
-   shared cross-request cache (second identical request fully
-   cache-served), resilience reporting under fault injection, and the
-   persisted-cache warm restart. *)
+   socket, including concurrent older clients sending fields the
+   protocol no longer has), the shared cross-request cache (second
+   identical request fully cache-served), resilience reporting under
+   fault injection, and the persisted-cache warm restart. *)
 
 module Server = Mpl_server.Server
 module Client = Mpl_server.Client
@@ -24,7 +24,6 @@ let test_proto_request_roundtrip () =
       Proto.k = 5;
       algo = D.Sdp_backtrack;
       jobs = 3;
-      priority = 7;
       min_s = Some 110;
       cache = false;
       inject = Some { Fault.site = Fault.Solver_raise; seed = 9; shots = 2 };
@@ -120,12 +119,10 @@ let one_shot algo =
     Hashtbl.add reference algo r;
     r
 
-let request ?(algo = D.Sdp_backtrack) ?(priority = 0) ?(cache = true)
-    ?inject () =
+let request ?(algo = D.Sdp_backtrack) ?(cache = true) ?inject () =
   {
     Proto.default_request with
     Proto.algo;
-    priority;
     cache;
     inject;
     min_s = Some min_s;
@@ -148,6 +145,14 @@ let test_proto_dropped_fields () =
     Alcotest.(check bool) "permuted= ignored" true (r = Proto.default_request)
   | Ok _ -> Alcotest.fail "parsed as a different command"
   | Error msg -> Alcotest.failf "legacy request refused: %s" msg);
+  (* An older client's priority= is ignored: the protocol has no
+     request priority. *)
+  (match Proto.parse_command "DECOMPOSE 10 k=4 algo=sdp-backtrack priority=5" with
+  | Ok (Proto.Decompose (10, r)) ->
+    Alcotest.(check bool) "priority= ignored" true
+      (r = { Proto.default_request with Proto.algo = D.Sdp_backtrack })
+  | Ok _ -> Alcotest.fail "parsed as a different command"
+  | Error msg -> Alcotest.failf "legacy priority= request refused: %s" msg);
   (* An older client's window_nm= sizing key is ignored: the request
      runs unsharded, and sharding never changes a coloring. *)
   (match Proto.parse_command "DECOMPOSE 10 k=4 algo=linear window_nm=700" with
@@ -285,36 +290,6 @@ let raw_write fd s =
 (* ------------------------------------------------------------------ *)
 (* Parity: the served result is bit-identical to the one-shot path. *)
 
-(* An older client's request carrying [permuted=1], written straight to
-   the socket twice: both replies (the second served from the shared
-   cache) carry the one-shot coloring. *)
-let test_serve_legacy_permuted () =
-  let body = Lazy.force body in
-  let header =
-    Printf.sprintf
-      "DECOMPOSE %d k=4 algo=sdp-backtrack priority=0 cache=1 permuted=1 \
-       min_s=%d\n"
-      (String.length body) min_s
-  in
-  with_server (fun sock _t ->
-      let fd = raw_connect sock in
-      let ic = Unix.in_channel_of_descr fd in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec until_done () =
-            match Proto.parse_reply (input_line ic) with
-            | Ok (Proto.Done colors) -> colors
-            | Ok (Proto.Err { msg; _ }) -> Alcotest.failf "served ERR: %s" msg
-            | Ok _ -> until_done ()
-            | Error msg -> Alcotest.failf "bad reply: %s" msg
-          in
-          for _ = 1 to 2 do
-            raw_write fd (header ^ body);
-            Alcotest.(check (array int)) "one-shot coloring"
-              (one_shot D.Sdp_backtrack).D.colors (until_done ())
-          done))
-
 let check_parity algo (out : Client.outcome) =
   let r = one_shot algo in
   Alcotest.(check (array int)) "bit-identical coloring" r.D.colors out.colors;
@@ -325,6 +300,62 @@ let check_parity algo (out : Client.outcome) =
   Alcotest.(check bool) "stream matches final coloring" true
     out.streams_consistent;
   Alcotest.(check bool) "pieces were streamed" true (out.streamed_pieces > 0)
+
+(* An older client's DECOMPOSE of the shared layout, written straight
+   to the socket with [fields] verbatim after the body length, so keys
+   the protocol no longer has reach the server as that client sent
+   them. The reply stream is read back into a [Client.outcome]. *)
+let legacy_decompose sock fields =
+  let body = Lazy.force body in
+  let fd = raw_connect sock in
+  let ic = Unix.in_channel_of_descr fd in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      raw_write fd
+        (Printf.sprintf "DECOMPOSE %d %s min_s=%d\n%s" (String.length body)
+           fields min_s body);
+      let rec read pieces cost resilience =
+        match Proto.parse_reply (input_line ic) with
+        | Ok (Proto.Piece { cells; _ }) -> read (cells :: pieces) cost resilience
+        | Ok (Proto.Cost c) -> read pieces (Some c) resilience
+        | Ok (Proto.Resilience r) -> read pieces cost (Some r)
+        | Ok (Proto.Done colors) -> (
+          match (cost, resilience) with
+          | Some cost, Some resilience ->
+            {
+              Client.colors;
+              rid = None;
+              streamed_pieces = List.length pieces;
+              streamed_cells =
+                List.fold_left (fun n cs -> n + Array.length cs) 0 pieces;
+              streams_consistent =
+                List.for_all
+                  (Array.for_all (fun (v, c) -> colors.(v) = c))
+                  pieces;
+              cost;
+              engine = None;
+              resilience;
+              cache = None;
+              reused = None;
+            }
+          | _ -> Alcotest.fail "DONE before COST/RESILIENCE")
+        | Ok (Proto.Err { msg; _ }) -> Alcotest.failf "served ERR: %s" msg
+        | Ok _ -> read pieces cost resilience
+        | Error msg -> Alcotest.failf "bad reply: %s" msg
+      in
+      read [] None None)
+
+(* An older client's request carrying [permuted=1], sent twice: both
+   replies (the second served from the shared cache) carry the
+   one-shot coloring. *)
+let test_serve_legacy_permuted () =
+  with_server (fun sock _t ->
+      for _ = 1 to 2 do
+        check_parity D.Sdp_backtrack
+          (legacy_decompose sock
+             "k=4 algo=sdp-backtrack priority=0 cache=1 permuted=1")
+      done)
 
 let test_serve_parity () =
   with_server (fun sock _t ->
@@ -346,22 +377,22 @@ let test_serve_parity () =
           let m = ok (Client.metrics c) in
           Alcotest.(check bool) "metrics is JSON" true (m.[0] = '{')))
 
+(* Older clients sending mixed [priority=] values concurrently: every
+   reply is still bit-identical to the one-shot run. *)
 let test_serve_concurrent_priorities () =
   with_server ~jobs:2 ~max_inflight:8 (fun sock _t ->
-      let algo = D.Sdp_backtrack in
       let n = 8 in
       let priorities = [| 0; 9; 1; 5; 9; 0; 5; 1 |] in
       let results = Array.make n None in
       let worker i =
-        let r =
-          try
-            with_client sock (fun c ->
-                Client.decompose c
-                  ~request:(request ~algo ~priority:priorities.(i) ())
-                  (Lazy.force body))
-          with e -> Error (Client.Protocol (Printexc.to_string e))
+        let fields =
+          Printf.sprintf "k=4 algo=sdp-backtrack priority=%d cache=1"
+            priorities.(i)
         in
-        results.(i) <- Some r
+        results.(i) <-
+          Some
+            (try Ok (legacy_decompose sock fields)
+             with e -> Error (Printexc.to_string e))
       in
       let threads = List.init n (fun i -> Thread.create worker i) in
       List.iter Thread.join threads;
@@ -369,10 +400,8 @@ let test_serve_concurrent_priorities () =
         (fun i r ->
           match r with
           | None -> Alcotest.failf "request %d never completed" i
-          | Some r ->
-            (* Priority changes scheduling only: every concurrent
-               request must still be bit-identical to the one-shot. *)
-            check_parity algo (ok r))
+          | Some (Error e) -> Alcotest.failf "request %d failed: %s" i e
+          | Some (Ok out) -> check_parity D.Sdp_backtrack out)
         results)
 
 (* ------------------------------------------------------------------ *)
@@ -740,7 +769,7 @@ let test_serve_http_admin () =
       ignore t)
 
 (* ------------------------------------------------------------------ *)
-(* Request-scoped traces: under concurrent mixed-priority load, every
+(* Request-scoped traces: under concurrent load, every
    ring entry's trace is well-nested and every one of its events is
    tagged with that request's rid — even though the shared pool lets
    one request's threads help solve another's pieces. *)
@@ -748,15 +777,11 @@ let test_serve_http_admin () =
 let test_serve_request_traces_concurrent () =
   with_server ~jobs:2 (fun sock t ->
       let n = 4 in
-      let priorities = [| 0; 9; 5; 1 |] in
       let rids = Array.make n None in
       let worker i =
         with_client sock (fun c ->
             let out =
-              ok
-                (Client.decompose c
-                   ~request:(request ~priority:priorities.(i) ())
-                   (Lazy.force body))
+              ok (Client.decompose c ~request:(request ()) (Lazy.force body))
             in
             rids.(i) <- out.Client.rid)
       in

@@ -75,6 +75,21 @@ dune exec bin/mpld.exe -- stats S38417 | grep -q "^division: pieces=540 " || {
   exit 1
 }
 
+# Gate: `mpld report` certifies SDP+Backtrack against the clique lower
+# bound: on S38417 the bound is 20 and SDP+Backtrack meets it (cn#=20,
+# st#=530, gap 0).
+rep=$(dune exec bin/mpld.exe -- report S38417)
+echo "$rep" | grep -q "^clique lower bound on conflicts: 20$" || {
+  echo "tier1: mpld report S38417 lower bound is not 20" >&2
+  echo "$rep" >&2
+  exit 1
+}
+echo "$rep" | grep -Eq "^SDP\+Backtrack +cn#=20 +st#=530 .*\| gap vs LB: 0 " || {
+  echo "tier1: mpld report S38417 SDP+Backtrack row is not cn#=20 st#=530 gap 0" >&2
+  echo "$rep" >&2
+  exit 1
+}
+
 # Smoke: tracing + metrics emit parseable output covering the pipeline.
 trace=$(mktemp /tmp/mpld-trace.XXXXXX.json)
 dune exec bin/mpld.exe -- decompose C432 -a linear -j 2 \
