@@ -9,24 +9,20 @@
 open Cmdliner
 
 let algorithm_conv =
-  let parse = function
-    | "ilp" -> Ok Mpl.Decomposer.Ilp
-    | "exact" -> Ok Mpl.Decomposer.Exact
-    | "sdp-backtrack" | "sdp" -> Ok Mpl.Decomposer.Sdp_backtrack
-    | "sdp-greedy" -> Ok Mpl.Decomposer.Sdp_greedy
-    | "linear" -> Ok Mpl.Decomposer.Linear
-    | s -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
+  let parse s =
+    match Mpl_server.Proto.algorithm_of_name s with
+    | Some a -> Ok a
+    | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
   in
   let print ppf a =
-    Format.pp_print_string ppf
-      (match a with
-      | Mpl.Decomposer.Ilp -> "ilp"
-      | Mpl.Decomposer.Exact -> "exact"
-      | Mpl.Decomposer.Sdp_backtrack -> "sdp-backtrack"
-      | Mpl.Decomposer.Sdp_greedy -> "sdp-greedy"
-      | Mpl.Decomposer.Linear -> "linear")
+    Format.pp_print_string ppf (Mpl_server.Proto.name_of_algorithm a)
   in
   Arg.conv (parse, print)
+
+(* The whole of a file. A file that cannot be opened or read raises
+   [Sys_error], which the top-level handler turns into one [error:]
+   line and exit 2. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let load_layout source =
   if Sys.file_exists source then begin
@@ -35,9 +31,6 @@ let load_layout source =
     try Mpl_layout.Layout_io.load source with
     | Mpl_layout.Layout_io.Parse_error { line; msg } ->
       Printf.eprintf "error: %s:%d: %s\n" source line msg;
-      exit 2
-    | Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
       exit 2
   end
   else
@@ -328,22 +321,9 @@ let redecompose_cmd =
       | Mpl.Eco.Bad_file msg ->
         Printf.eprintf "error: %s: %s\n" session_file msg;
         exit 2
-      | Sys_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
-    in
-    let edits_text =
-      try
-        let ic = open_in_bin edits_file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with Sys_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
     in
     let edits =
-      match Mpl.Eco.parse_edits edits_text with
+      match Mpl.Eco.parse_edits (read_file edits_file) with
       | Ok e -> e
       | Error msg ->
         Printf.eprintf "error: %s: %s\n" edits_file msg;
@@ -701,13 +681,7 @@ let trace_check_cmd =
     Arg.(value & opt_all string [] & info [ "require" ] ~docv:"NAME" ~doc)
   in
   let run file required =
-    let ic = open_in_bin file in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Mpl_obs.Export.validate_chrome ~required s with
+    match Mpl_obs.Export.validate_chrome ~required (read_file file) with
     | Ok spans -> Format.printf "%s: valid, %d spans@." file spans
     | Error e ->
       Format.eprintf "%s: invalid trace: %s@." file e;
@@ -725,13 +699,7 @@ let prom_check_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   let run file =
-    let ic = open_in_bin file in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Mpl_obs.Export.validate_prometheus s with
+    match Mpl_obs.Export.validate_prometheus (read_file file) with
     | Ok samples -> Format.printf "%s: valid, %d samples@." file samples
     | Error e ->
       Format.eprintf "%s: invalid exposition: %s@." file e;
@@ -853,15 +821,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 10_000 & info [ "write-timeout-ms" ] ~docv:"MS" ~doc)
   in
-  let grace_arg =
-    let doc =
-      "Extra milliseconds past a request's deadline=MS before the hard \
-       cancel: the soft deadline degrades the solve via the fallback \
-       ladder; only if the degraded pipeline still cannot finish within \
-       the grace is the request cancelled with a TIMEOUT reply."
-    in
-    Arg.(value & opt int 1000 & info [ "grace-ms" ] ~docv:"MS" ~doc)
-  in
   let max_body_arg =
     let doc =
       "Refuse DECOMPOSE bodies larger than $(docv) bytes (ERR proto, \
@@ -882,7 +841,7 @@ let serve_cmd =
   in
   let run socket port host jobs max_inflight cache_budget persist
       persist_every ring access_log log_max_bytes read_timeout_ms
-      write_timeout_ms grace_ms max_body_bytes inject sessions =
+      write_timeout_ms max_body_bytes inject sessions =
     if socket = None && port = None then begin
       Printf.eprintf "error: serve needs --socket PATH and/or --port PORT\n";
       exit 2
@@ -904,7 +863,6 @@ let serve_cmd =
         log = Some log;
         read_timeout_s = float_of_int read_timeout_ms /. 1000.;
         write_timeout_s = float_of_int write_timeout_ms /. 1000.;
-        grace_ms;
         max_body_bytes;
         fault = inject;
         sessions;
@@ -922,7 +880,7 @@ let serve_cmd =
       const run $ socket_arg $ port_arg $ host_arg $ jobs_arg
       $ max_inflight_arg $ cache_budget_arg $ persist_arg $ persist_every_arg
       $ ring_arg $ log_arg $ log_max_bytes_arg $ read_timeout_arg
-      $ write_timeout_arg $ grace_arg $ max_body_arg $ inject_arg
+      $ write_timeout_arg $ max_body_arg $ inject_arg
       $ sessions_arg)
   in
   Cmd.v
@@ -965,9 +923,9 @@ let client_cmd =
   in
   let deadline_arg =
     let doc =
-      "Server-side deadline in milliseconds: past it the solve degrades \
-       to its cheapest rung, and past it plus the server's grace the \
-       request is cancelled with a TIMEOUT reply (exit code 4)."
+      "Server-side deadline in milliseconds, counted from the start of \
+       the request's color assignment: past it the request is cancelled \
+       with a TIMEOUT reply (exit code 4)."
     in
     Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in
@@ -1059,27 +1017,12 @@ let client_cmd =
             match edits_path with
             | Some edits_file ->
               let hash = Mpl.Eco.hash_layout (load_layout source) in
-              let body =
-                try
-                  let ic = open_in_bin edits_file in
-                  Fun.protect
-                    ~finally:(fun () -> close_in_noerr ic)
-                    (fun () -> really_input_string ic (in_channel_length ic))
-                with Sys_error msg ->
-                  Printf.eprintf "error: %s\n" msg;
-                  exit 2
-              in
               ( (fun conn request body ->
                   Mpl_server.Client.redecompose conn ~request ~hash body),
-                body )
+                read_file edits_file )
             | None ->
               let body =
-                if Sys.file_exists source then begin
-                  let ic = open_in_bin source in
-                  Fun.protect
-                    ~finally:(fun () -> close_in_noerr ic)
-                    (fun () -> really_input_string ic (in_channel_length ic))
-                end
+                if Sys.file_exists source then read_file source
                 else
                   match Mpl_layout.Benchgen.circuit source with
                   | layout -> Mpl_layout.Layout_io.to_string layout
@@ -1220,17 +1163,29 @@ let () =
    with Invalid_argument _ -> ());
   let doc = "multiple-patterning (K>=4) layout decomposition" in
   let info = Cmd.info "mpld" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        decompose_cmd;
+        redecompose_cmd;
+        gen_cmd;
+        stats_cmd;
+        trace_check_cmd;
+        prom_check_cmd;
+        report_cmd;
+        serve_cmd;
+        client_cmd;
+      ]
+  in
+  (* An unreadable or unwritable file is a user error: one [error:]
+     line and exit 2, never an uncaught exception. Anything else
+     escaping a command is a bug, reported as Cmdliner would. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            decompose_cmd;
-            redecompose_cmd;
-            gen_cmd;
-            stats_cmd;
-            trace_check_cmd;
-            prom_check_cmd;
-            report_cmd;
-            serve_cmd;
-            client_cmd;
-          ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Sys_error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      2
+    | e ->
+      Printf.eprintf "mpld: internal error, uncaught exception:\n%s\n"
+        (Printexc.to_string e);
+      Cmd.Exit.internal_error)

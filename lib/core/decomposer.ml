@@ -218,8 +218,7 @@ let fallback_chain = function
    ties keep the earliest candidate (the primary's partial result
    first, then chain order). Rungs are themselves fault-eligible, so a
    multi-shot injection can cascade all the way down to greedy. *)
-let recover_piece ?(cheap = false) ~obs ~params ~fault ~prov ~primary
-    ~partial ~error piece =
+let recover_piece ~obs ~params ~fault ~prov ~primary ~partial ~error piece =
   let k = params.k and alpha = Coloring.alpha in
   let m = obs.Mpl_obs.Obs.metrics in
   let free_budget = Mpl_util.Timer.budget 0. in
@@ -241,10 +240,7 @@ let recover_piece ?(cheap = false) ~obs ~params ~fault ~prov ~primary
       with
       | colors -> add (algorithm_name step) colors
       | exception _ -> ())
-    (* An expired deadline skips the expensive middle rungs: recovery
-       must cost less than the time that is already gone. *)
-    (if cheap then (match primary with Linear -> [] | _ -> [ Linear ])
-     else fallback_chain primary);
+    (fallback_chain primary);
   if !candidates = [] then begin
     (* Everything raised: the greedy terminal rung always succeeds. *)
     incr attempts;
@@ -309,21 +305,10 @@ let piece_signature ~salt (piece : Decomp_graph.t) =
    degrades through [recover_piece] instead of failing the run. The
    budget deadline and the timeout flag are both safe to touch from
    pool workers. *)
-let make_solver ~obs ~params ~budget ~deadline_over ~timed_out ~fault ~prov
-    algorithm (piece : Decomp_graph.t) =
+let make_solver ~obs ~params ~budget ~timed_out ~fault ~prov algorithm
+    (piece : Decomp_graph.t) =
   let m = obs.Mpl_obs.Obs.metrics in
   Mpl_obs.Metrics.incr (Mpl_obs.Metrics.counter m "solver.solves");
-  (* Deadline trip: degrade instead of solving — the ladder-aware soft
-     phase of a per-request deadline. The piece still gets a legal
-     coloring from the cheapest rung; the hard phase (cancellation of
-     queued pieces) is the server watchdog's job. *)
-  if deadline_over () then begin
-    Atomic.set timed_out true;
-    Mpl_obs.Metrics.incr (Mpl_obs.Metrics.counter m "solver.deadline_trips");
-    recover_piece ~cheap:true ~obs ~params ~fault ~prov ~primary:algorithm
-      ~partial:None ~error:"deadline" piece
-  end
-  else begin
   let uses_budget = match algorithm with Ilp | Exact -> true | _ -> false in
   let forced_trip =
     uses_budget
@@ -350,15 +335,13 @@ let make_solver ~obs ~params ~budget ~deadline_over ~timed_out ~fault ~prov
     Mpl_obs.Metrics.incr (Mpl_obs.Metrics.counter m "solver.budget_trips");
     recover_piece ~obs ~params ~fault ~prov ~primary:algorithm
       ~partial:(Some colors) ~error:"budget/node-cap trip" piece
-    | Error e ->
-      Mpl_obs.Metrics.incr
-        (Mpl_obs.Metrics.counter m "solver.piece_failures");
-      recover_piece ~obs ~params ~fault ~prov ~primary:algorithm
-        ~partial:None ~error:(Printexc.to_string e) piece
-  end
+  | Error e ->
+    Mpl_obs.Metrics.incr (Mpl_obs.Metrics.counter m "solver.piece_failures");
+    recover_piece ~obs ~params ~fault ~prov ~primary:algorithm ~partial:None
+      ~error:(Printexc.to_string e) piece
 
 (* Per-run solving context of every entry point: armed fault injector,
-   provenance, deadline probe, shared solver budget, and the timed leaf
+   provenance, cancel token, shared solver budget, and the timed leaf
    solver with its phase accounting. [rc_solve_ns] totals solver wall
    across every domain; [rc_caller_ns] (written by the coordinating
    thread only — no lock needed) lets the stream driver subtract solver
@@ -372,6 +355,7 @@ type run_ctx = {
   rc_timed_out : bool Atomic.t;
   rc_fault : Mpl_engine.Fault.t;
   rc_prov : prov;
+  rc_cancel : Mpl_engine.Pool.token;
   rc_solve_ns : int Atomic.t;
   rc_caller_ns : float ref;
   rc_extract_s : float ref;
@@ -388,31 +372,21 @@ let make_run_ctx ~obs ~params algorithm =
     | None -> Mpl_engine.Fault.none
   in
   let prov = fresh_prov () in
-  (* Per-request deadline (opt-in). Armed, it is a second monotonic
-     budget: [deadline_over] is probed once per piece before the
-     primary solve (soft degrade through the cheap ladder rung), and
-     for the budgeted exact algorithms the shared solver budget is
-     clamped to it so an in-flight ILP/BnB returns its incumbent at
-     the deadline instead of running on. Unarmed, [deadline_over] is a
-     constant [false]: no clock is created, read, or registered — the
-     [solver.deadline_checks] counter only exists on deadline runs,
-     which is what the served-invariance test keys on. *)
+  (* The run's cancel token: the caller's, or a private one. A deadline
+     arms it here, at the start of the run, so it is one instant for
+     the coordinator's checkpoints and the pool's dequeue alike. The
+     budgeted exact algorithms also clamp their shared solver budget to
+     it, so an in-flight ILP/BnB returns its incumbent at the deadline
+     instead of running on. Without a deadline no clock is read. *)
+  let cancel =
+    match params.cancel with
+    | Some tok -> tok
+    | None -> Mpl_engine.Pool.token ()
+  in
   let deadline_s =
     match params.deadline_s with Some d when d > 0. -> Some d | _ -> None
   in
-  let deadline_over =
-    match deadline_s with
-    | None -> fun () -> false
-    | Some d ->
-      let db = Mpl_util.Timer.budget d in
-      let checks =
-        Mpl_obs.Metrics.counter obs.Mpl_obs.Obs.metrics
-          "solver.deadline_checks"
-      in
-      fun () ->
-        Mpl_obs.Metrics.incr checks;
-        Mpl_util.Timer.expired db
-  in
+  Option.iter (Mpl_engine.Pool.arm_deadline cancel) deadline_s;
   let budget =
     match algorithm with
     | Ilp | Exact ->
@@ -426,8 +400,7 @@ let make_run_ctx ~obs ~params algorithm =
     | Sdp_backtrack | Sdp_greedy | Linear -> Mpl_util.Timer.budget 0.
   in
   let base_solver =
-    make_solver ~obs ~params ~budget ~deadline_over ~timed_out ~fault ~prov
-      algorithm
+    make_solver ~obs ~params ~budget ~timed_out ~fault ~prov algorithm
   in
   let solve_ns = Atomic.make 0 in
   let caller_ns = ref 0. in
@@ -450,22 +423,21 @@ let make_run_ctx ~obs ~params algorithm =
     rc_timed_out = timed_out;
     rc_fault = fault;
     rc_prov = prov;
+    rc_cancel = cancel;
     rc_solve_ns = solve_ns;
     rc_caller_ns = caller_ns;
     rc_extract_s = ref 0.;
     rc_solver = solver;
   }
 
-(* Coordinator-side cancellation checkpoint: one atomic read per leaf
-   emission / component push / component force. When the token trips,
-   the assignment unwinds with [Pool.Cancelled] — queued pieces are
-   dropped at dequeue, running ones finish but their results are never
-   looked at. *)
-let check_cancel params () =
-  match params.cancel with
-  | Some tok when Mpl_engine.Pool.cancelled tok ->
+(* Coordinator-side cancellation checkpoint: one token check per leaf
+   emission / component push / component force. When the token trips
+   (cancelled, or past its deadline), the assignment unwinds with
+   [Pool.Cancelled] — queued pieces are dropped at dequeue, running
+   ones finish but their results are never looked at. *)
+let check_cancel (rc : run_ctx) () =
+  if Mpl_engine.Pool.cancelled rc.rc_cancel then
     raise Mpl_engine.Pool.Cancelled
-  | _ -> ()
 
 (* Component cache of one run: the caller's shared cross-request table
    when one was provided (the serving daemon passes its own), a private
@@ -555,8 +527,8 @@ let graph_source ~obs ~params ~(rc : run_ctx) ~n ~remap g =
    shared-budget algorithms, Ilp/Exact, may trip their budget at a
    different piece than an unsharded run under time pressure — the
    bit-identity contract is for the self-contained solvers.) *)
-let window_source ~obs ~params ~(rc : run_ctx) ?max_stitches_per_feature
-    ~min_s (layout : Mpl_layout.Layout.t) =
+let window_source ~obs ~params ~(rc : run_ctx) ~min_s
+    (layout : Mpl_layout.Layout.t) =
   let hp = layout.Mpl_layout.Layout.tech.Mpl_layout.Layout.half_pitch in
   let sh =
     Mpl_obs.Obs.span obs "shard.plan"
@@ -582,8 +554,8 @@ let window_source ~obs ~params ~(rc : run_ctx) ?max_stitches_per_feature
         Array.iter
           (fun w ->
             List.iter push_piece
-              (Shard.scan_window ~obs ~extract_s:rc.rc_extract_s
-                 ?max_stitches_per_feature ~acc ~min_s ~hp layout w))
+              (Shard.scan_window ~obs ~extract_s:rc.rc_extract_s ~acc
+                 ~min_s ~hp layout w))
           sh.Shard.windows;
         scanned := true;
         let border = Shard.border_pieces ~obs acc ~min_s ~hp in
@@ -668,7 +640,7 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       };
     (colors, whole_piece_stats piece)
   in
-  let check_cancel = check_cancel params and now = Mpl_util.Timer.now_ns in
+  let check_cancel = check_cancel rc and now = Mpl_util.Timer.now_ns in
   let drive pool =
     let lag = if Mpl_engine.Pool.jobs pool = 1 then 0 else force_lag in
     (* One pool task per leaf, largest pieces at highest priority. *)
@@ -676,7 +648,7 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       check_cancel ();
       let fut =
         Mpl_engine.Pool.submit ~priority:leaf.Decomp_graph.n
-          ?cancel:params.cancel pool
+          ~cancel:rc.rc_cancel pool
           (fun () -> rc.rc_solver leaf)
       in
       fun () -> Mpl_engine.Pool.await pool fut
@@ -840,20 +812,19 @@ let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
       graph_source ~obs ~params ~rc ~n:g.Decomp_graph.n ~remap:Fun.id g)
 
 let decompose ?(params = default_params) ?pool ?shared_cache ?on_component
-    ?max_stitches_per_feature ~min_s algorithm layout =
+    ~min_s algorithm layout =
   (* One context for the whole run, so the graph-construction spans and
      counters land in the same sink/registry as the assignment's. *)
   let obs = make_obs params in
-  let g = Decomp_graph.of_layout ~obs ?max_stitches_per_feature layout ~min_s in
+  let g = Decomp_graph.of_layout ~obs layout ~min_s in
   (g, assign ~params ~obs ?pool ?shared_cache ?on_component algorithm g)
 
 let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
-    ?on_component ?max_stitches_per_feature ~min_s algorithm layout =
+    ?on_component ~min_s algorithm layout =
   let obs = match obs with Some o -> o | None -> make_obs params in
   run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm
     ("windows", Mpl_obs.Sink.Int params.windows)
-    (fun rc ->
-      window_source ~obs ~params ~rc ?max_stitches_per_feature ~min_s layout)
+    (fun rc -> window_source ~obs ~params ~rc ~min_s layout)
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -65,24 +65,23 @@ type params = {
       (** cancellation token for mid-run teardown. The coordinator
           checks it at every leaf emission, component push, and
           component force, and attaches it to every pool submission:
-          once {!Mpl_engine.Pool.cancel} is called, queued pieces are
-          dropped at dequeue without running, the running ones finish
-          but their results are discarded, and {!assign} raises
-          {!Mpl_engine.Pool.Cancelled}. [None] (the default) adds one
-          branch per checkpoint and nothing else *)
+          once {!Mpl_engine.Pool.cancel} is called (or the token's
+          deadline passes), queued pieces are dropped at dequeue
+          without running, the running ones finish but their results
+          are discarded, and {!assign} raises
+          {!Mpl_engine.Pool.Cancelled}. [None] (the default) gives the
+          run a private token that only [deadline_s] can trip *)
   deadline_s : float option;
-      (** per-request deadline in seconds, measured from the start of
-          {!assign} on the monotonic clock. Soft, ladder-aware: each
-          piece probes the deadline once before its primary solve and,
-          once expired, degrades straight through the cheap ladder rung
-          (linear, then greedy) instead of solving — the run still
-          returns a complete legal coloring, with [timed_out] set and
-          the degradations recorded in {!resilience}. For the budgeted
-          exact algorithms the shared solver budget is clamped to the
-          deadline, so an in-flight ILP/BnB returns its incumbent at
-          the deadline. [None] (the default, also <= 0) arms nothing:
-          no deadline clock is created or read, and the
-          [solver.deadline_checks] counter is never registered *)
+      (** per-request deadline in seconds. At the start of the
+          assignment it arms the run's cancel token
+          ({!Mpl_engine.Pool.arm_deadline}), so past it the run is torn
+          down exactly like a cancelled one: {!assign} raises
+          {!Mpl_engine.Pool.Cancelled} and {!Mpl_engine.Pool.expired}
+          holds on the token. For the budgeted exact algorithms the
+          shared solver budget is also clamped to the deadline, so an
+          in-flight ILP/BnB returns its incumbent at the deadline.
+          [None] (the default, also <= 0) arms nothing and no deadline
+          clock is read *)
   windows : int;
       (** {!decompose_sharded}: cut the layout into this many geometric
           window strips (default 1 = a single window covering the
@@ -154,7 +153,8 @@ type report = {
   cost : Coloring.cost;
   colors : Coloring.t;
   elapsed_s : float;  (** color-assignment time (graph already built) *)
-  timed_out : bool;  (** exact solver hit its budget: treat as N/A *)
+  timed_out : bool;
+      (** an exact solver hit its budget or the node cap: treat as N/A *)
   division : Division.stats;
   phases : phases;  (** wall-clock breakdown of this assignment *)
   engine : Mpl_engine.Engine.stats;
@@ -220,7 +220,6 @@ val decompose :
   ?pool:Mpl_engine.Pool.t ->
   ?shared_cache:Division.stats Mpl_engine.Cache.t ->
   ?on_component:(int -> int array -> int array -> unit) ->
-  ?max_stitches_per_feature:int ->
   min_s:int ->
   algorithm ->
   Mpl_layout.Layout.t ->
@@ -236,7 +235,6 @@ val decompose_sharded :
   ?pool:Mpl_engine.Pool.t ->
   ?shared_cache:Division.stats Mpl_engine.Cache.t ->
   ?on_component:(int -> int array -> int array -> unit) ->
-  ?max_stitches_per_feature:int ->
   min_s:int ->
   algorithm ->
   Mpl_layout.Layout.t ->

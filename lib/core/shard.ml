@@ -112,8 +112,8 @@ let offsets acc =
   done;
   (off, !total)
 
-let scan_window ?(obs = Mpl_obs.Obs.null) ?extract_s ?max_stitches_per_feature
-    ~acc ~min_s ~hp (layout : Layout.t) w =
+let scan_window ?(obs = Mpl_obs.Obs.null) ?extract_s ~acc ~min_s ~hp
+    (layout : Layout.t) w =
   let members = w.members in
   let nm = Array.length members in
   Mpl_obs.Obs.span obs "shard.window"
@@ -123,7 +123,7 @@ let scan_window ?(obs = Mpl_obs.Obs.null) ?extract_s ?max_stitches_per_feature
     Layout.make ~name:layout.Layout.name layout.Layout.tech
       (Array.to_list (Array.map (fun i -> layout.Layout.features.(i)) members))
   in
-  let split = Stitch.split ?max_stitches_per_feature wl ~min_s in
+  let split = Stitch.split wl ~min_s in
   let g = Decomp_graph.of_nodes ~obs split ~hp ~min_s in
   let nodes = split.Stitch.nodes in
   let n = g.Decomp_graph.n in

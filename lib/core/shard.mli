@@ -86,7 +86,6 @@ val fresh_acc : plan -> acc
 val scan_window :
   ?obs:Mpl_obs.Obs.t ->
   ?extract_s:float ref ->
-  ?max_stitches_per_feature:int ->
   acc:acc ->
   min_s:int ->
   hp:int ->

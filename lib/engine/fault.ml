@@ -86,8 +86,6 @@ let none = { spec = None; count = Atomic.make 0; fired_c = Atomic.make 0 }
 let arm spec =
   { spec = Some spec; count = Atomic.make 0; fired_c = Atomic.make 0 }
 
-let armed t = t.spec <> None
-
 let fires t site =
   match t.spec with
   | None -> false

@@ -62,8 +62,6 @@ val none : t
 
 val arm : spec -> t
 
-val armed : t -> bool
-
 val fires : t -> site -> bool
 (** [fires t site] records one eligible occurrence of [site] (when it
     is the armed site) and reports whether the fault fires here. *)

@@ -17,17 +17,47 @@
    about to be dequeued for execution: a cancelled task never runs, its
    future is resolved to [Failed Cancelled], and the drop is counted on
    the token. Tasks already running are unaffected — their results are
-   simply never looked at by the cancelled consumer. *)
+   simply never looked at by the cancelled consumer.
+
+   A token may also carry a deadline instant. The first [cancelled]
+   check past it latches the state to [Expired], so the clock is read
+   only until the token trips, and never on an unarmed token. Whichever
+   of [cancel] and the deadline lands first decides the state. *)
+type token_state = Live | Flagged | Expired
+
 type token = {
-  tflag : bool Atomic.t;
+  tstate : token_state Atomic.t;
+  tdeadline : int Atomic.t;  (* monotonic ns; [max_int] = unarmed *)
   tdrops : int Atomic.t;  (* tasks dropped without running *)
 }
 
 exception Cancelled
 
-let token () = { tflag = Atomic.make false; tdrops = Atomic.make 0 }
-let cancel tok = Atomic.set tok.tflag true
-let cancelled tok = Atomic.get tok.tflag
+let token () =
+  {
+    tstate = Atomic.make Live;
+    tdeadline = Atomic.make max_int;
+    tdrops = Atomic.make 0;
+  }
+
+let cancel tok = ignore (Atomic.compare_and_set tok.tstate Live Flagged)
+
+let arm_deadline tok s =
+  Atomic.set tok.tdeadline
+    (Int64.to_int (Mpl_util.Timer.now_ns ()) + int_of_float (s *. 1e9))
+
+let cancelled tok =
+  Atomic.get tok.tstate != Live
+  ||
+  let d = Atomic.get tok.tdeadline in
+  d <> max_int
+  && Int64.to_int (Mpl_util.Timer.now_ns ()) >= d
+  && begin
+       ignore (Atomic.compare_and_set tok.tstate Live Expired);
+       true
+     end
+
+let expired tok = Atomic.get tok.tstate == Expired
 let drops tok = Atomic.get tok.tdrops
 
 type task = {
@@ -202,7 +232,7 @@ let rec pop_live t =
   | None -> None
   | Some task -> (
     match task.cancel with
-    | Some tok when Atomic.get tok.tflag ->
+    | Some tok when cancelled tok ->
       drop_task t task;
       pop_live t
     | _ -> Some task)
@@ -340,7 +370,7 @@ let discard_cancelled t =
     | None -> ()
     | Some task ->
       (match task.cancel with
-      | Some tok when Atomic.get tok.tflag ->
+      | Some tok when cancelled tok ->
         drop_task t task;
         incr dropped
       | _ -> kept := task :: !kept);

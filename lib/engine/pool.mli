@@ -29,7 +29,8 @@ type token
     dequeue time: a cancelled task is dropped in O(1) instead of
     running, and its future resolves to [Failed Cancelled]; a task
     already running is unaffected (its result is simply discarded by
-    the cancelled consumer). Thread-safe. *)
+    the cancelled consumer). A token may carry a deadline instant
+    ({!arm_deadline}), past which it reads as cancelled. Thread-safe. *)
 
 exception Cancelled
 (** Raised by {!await} on a future whose task was dropped. *)
@@ -39,9 +40,21 @@ val token : unit -> token
 val cancel : token -> unit
 (** Flag the token. Queued tasks carrying it will be dropped at
     dequeue (or eagerly by {!discard_cancelled}); already-running
-    tasks finish normally. Idempotent. *)
+    tasks finish normally. Idempotent, and a no-op on a token whose
+    deadline has already tripped. *)
+
+val arm_deadline : token -> float -> unit
+(** [arm_deadline tok s] makes [tok] expire [s] seconds from now on
+    the monotonic clock (re-arming replaces the instant). *)
 
 val cancelled : token -> bool
+(** Flagged by {!cancel}, or past its deadline. The first check past
+    the deadline latches the token, so the clock is read only until it
+    trips; a token without a deadline never reads the clock. *)
+
+val expired : token -> bool
+(** The token was cancelled by its deadline, not by {!cancel}:
+    whichever landed first decides. *)
 
 val drops : token -> int
 (** Tasks dropped without running so far on this token. *)

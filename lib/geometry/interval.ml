@@ -2,8 +2,6 @@ type t = int * int
 
 let length (lo, hi) = hi - lo
 
-let overlaps (a0, a1) (b0, b1) = a0 <= b1 && b0 <= a1
-
 let merge ivs =
   let sorted = List.sort compare (List.filter (fun (lo, hi) -> lo <= hi) ivs) in
   let rec go acc = function

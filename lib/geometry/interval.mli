@@ -12,9 +12,6 @@ type t = int * int
 val length : t -> int
 (** [hi - lo]; negative for an empty interval. *)
 
-val overlaps : t -> t -> bool
-(** Do the closed intervals share a point? *)
-
 val merge : t list -> t list
 (** Union of the intervals as a minimal sorted list of disjoint
     intervals (touching intervals are coalesced). *)

@@ -55,11 +55,3 @@ let distance2 a b =
         b.rects)
     a.rects;
   !best
-
-let distance a b = sqrt (float_of_int (distance2 a b))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>poly{%a}@]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";")
-       Rect.pp)
-    t.rects

@@ -29,8 +29,3 @@ val area : t -> int
 
 val distance2 : t -> t -> int
 (** Squared Euclidean distance between the two closed regions. *)
-
-val distance : t -> t -> float
-(** Euclidean distance between the two closed regions. *)
-
-val pp : Format.formatter -> t -> unit

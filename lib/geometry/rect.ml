@@ -37,10 +37,7 @@ let distance2 a b =
   let dy = axis_gap a.y0 a.y1 b.y0 b.y1 in
   (dx * dx) + (dy * dy)
 
-let distance a b = sqrt (float_of_int (distance2 a b))
-
 let equal a b = a.x0 = b.x0 && a.y0 = b.y0 && a.x1 = b.x1 && a.y1 = b.y1
-let compare = Stdlib.compare
 
 let pp ppf r =
   Format.fprintf ppf "[%d,%d..%d,%d]" r.x0 r.y0 r.x1 r.y1

@@ -37,9 +37,5 @@ val distance2 : t -> t -> int
 (** Squared Euclidean distance between the closed rectangles (0 if they
     touch). Stays within [int] range for coordinates below ~2^30. *)
 
-val distance : t -> t -> float
-(** Euclidean distance between the closed rectangles. *)
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

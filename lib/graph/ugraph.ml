@@ -194,5 +194,3 @@ let induced t vs =
       done)
     vs;
   (g, back)
-
-let pp ppf t = Format.fprintf ppf "@[<h>graph(n=%d, m=%d)@]" t.n (edge_count t)

@@ -60,5 +60,3 @@ val induced : t -> int array -> t * int array
     (which must not contain duplicates), relabeled to [0..|vs|-1] in the
     order given, together with the map from new index to original
     vertex. *)
-
-val pp : Format.formatter -> t -> unit

@@ -35,8 +35,6 @@ let open_ ?(max_bytes = default_max_bytes) path =
     rotations = 0;
   }
 
-let path t = t.path
-
 let rotations t =
   Mutex.lock t.lock;
   let r = t.rotations in

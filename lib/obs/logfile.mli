@@ -18,8 +18,6 @@ val write : t -> string -> unit
 (** Append one line (a ['\n'] is added) and flush. Rotates first if
     the line would not fit. *)
 
-val path : t -> string
-
 val rotations : t -> int
 (** Number of rotations performed since {!open_}. *)
 

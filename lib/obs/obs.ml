@@ -4,7 +4,5 @@ let null = { sink = Sink.null; metrics = Metrics.null }
 
 let make ?(sink = Sink.null) ?(metrics = Metrics.null) () = { sink; metrics }
 
-let tracing t = Sink.enabled t.sink
-
 let span t ?cat ?args ?late_args name f =
   Sink.span t.sink ?cat ?args ?late_args name f

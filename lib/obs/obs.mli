@@ -14,9 +14,6 @@ val null : t
 val make : ?sink:Sink.t -> ?metrics:Metrics.t -> unit -> t
 (** Missing components default to their disabled versions. *)
 
-val tracing : t -> bool
-(** Is the sink enabled? *)
-
 val span : t -> ?cat:string -> ?args:(string * Sink.arg) list ->
   ?late_args:(unit -> (string * Sink.arg) list) -> string ->
   (unit -> 'a) -> 'a

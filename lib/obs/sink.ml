@@ -47,8 +47,6 @@ let create ?(tags = []) () = make ~enabled:true ~tags
 
 let enabled t = t.enabled
 
-let tags t = t.tags
-
 let buffer_of t =
   let tid = Thread.id (Thread.self ()) in
   let slot = Domain.DLS.get t.key in

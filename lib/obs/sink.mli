@@ -43,9 +43,6 @@ val create : ?tags:(string * arg) list -> unit -> t
 
 val enabled : t -> bool
 
-val tags : t -> (string * arg) list
-(** The ambient tags passed at {!create} ([[]] for {!null}). *)
-
 val span : t -> ?cat:string -> ?args:(string * arg) list ->
   ?late_args:(unit -> (string * arg) list) -> string -> (unit -> 'a) -> 'a
 (** [span t name f] runs [f ()] and, on an enabled sink, records a
@@ -56,13 +53,6 @@ val span : t -> ?cat:string -> ?args:(string * arg) list ->
     span's end.
     Spans made by nested [span] calls on the same thread are properly
     nested by construction. *)
-
-val record : t -> ?cat:string -> ?args:(string * arg) list -> name:string ->
-  ts_ns:int64 -> dur_ns:int64 -> unit -> unit
-(** Append an already-measured span ([ts_ns] in the sink's epoch, i.e.
-    a {!Mpl_util.Timer.now_ns} reading minus the sink's creation
-    instant). For hot paths that avoid closure allocation. No-op on a
-    disabled sink. *)
 
 val events : t -> event list
 (** All recorded events merged across threads, sorted by [ts_ns] (ties

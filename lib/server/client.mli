@@ -35,8 +35,8 @@ type outcome = {
 type error =
   | Busy of int * int  (** admission control: in-flight, limit *)
   | Timed_out of { deadline_ms : int; elapsed_ms : int }
-      (** the server's [TIMEOUT] terminal: the request's deadline (and
-          grace period) expired server-side *)
+      (** the server's [TIMEOUT] terminal: the request's deadline
+          expired server-side before its assignment finished *)
   | Cancelled of string  (** the server's [CANCELLED <reason>] terminal *)
   | Remote of { code : string; line : int option; msg : string }
       (** the server's [ERR] reply *)

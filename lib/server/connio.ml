@@ -44,7 +44,6 @@ let create ?(fault = Mpl_engine.Fault.none) ?(read_timeout_s = 10.)
     closed = false;
   }
 
-let fd t = t.cfd
 let alive t = (not t.dead) && not t.closed
 
 let shutdown t = try Unix.shutdown t.cfd Unix.SHUTDOWN_ALL with _ -> ()

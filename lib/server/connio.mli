@@ -24,8 +24,8 @@
     writes half the payload and shuts down — so every teardown path is
     reachable deterministically. {!read_exact} additionally probes
     [Conn_drop], modeling a client vanishing mid-upload. After any
-    fault or I/O failure the connection is {!alive}[ = false] and all
-    further operations fail fast. *)
+    fault or I/O failure the connection is dead and all further
+    operations fail fast. *)
 
 type t
 
@@ -42,12 +42,6 @@ val create :
 (** Wrap an accepted socket (sets [O_NONBLOCK]). Timeouts [<= 0]
     disable the respective deadline (waits become infinite). Defaults:
     10 s each, no fault. *)
-
-val fd : t -> Unix.file_descr
-
-val alive : t -> bool
-(** [false] once any operation hit EOF, a peer error, a timeout, or an
-    injected fault. *)
 
 val read_line : ?timed:bool -> t -> (string, [ `Eof | `Timeout | `Too_long ]) result
 (** Next newline-terminated line, newline stripped (lines are capped
@@ -67,9 +61,5 @@ val send : t -> string -> (unit, werr) result
 val flush : t -> (unit, werr) result
 (** Write the buffered output out under one absolute write deadline. *)
 
-val shutdown : t -> unit
-(** Best-effort [Unix.shutdown] of both directions (wakes a peer
-    blocked on the socket); does not close the fd. *)
-
 val close : t -> unit
-(** Close the fd. Idempotent; implies {!alive}[ = false]. *)
+(** Close the fd. Idempotent. *)

@@ -39,7 +39,7 @@
 
     A request armed with [deadline=MS] may instead end with a
     [TIMEOUT deadline_ms=.. elapsed_ms=..] terminal line (the deadline
-    expired and its grace period passed before the stream completed);
+    expired before the assignment completed);
     a request torn down for another reason ends with
     [CANCELLED <reason>]. Both are terminal: no [DONE] follows. *)
 
@@ -53,11 +53,11 @@ type request = {
   cache : bool;  (** consult/populate the server's shared cache (default on) *)
   inject : Mpl_engine.Fault.spec option;  (** deterministic fault injection *)
   deadline_ms : int option;
-      (** per-request deadline in milliseconds, armed server-side from
-          request admission: past it, remaining solves degrade through
-          the cheap ladder rung, and past the server's grace period the
-          request is cancelled outright with a [TIMEOUT] terminal.
-          [None] (the default) arms nothing *)
+      (** per-request deadline in milliseconds, counted from the start
+          of the request's color assignment: past it the request is
+          cancelled outright with a [TIMEOUT] terminal, whose
+          [elapsed_ms] is counted from admission. [None] (the default)
+          arms nothing *)
   windows : int;
       (** > 1 decomposes through the sharded geometric-window front-end
           ({!Mpl.Decomposer.decompose_sharded}), bounding the server's
@@ -67,7 +67,13 @@ type request = {
 
 val default_request : request
 
+val algorithm_of_name : string -> Mpl.Decomposer.algorithm option
+(** The short algorithm names of the protocol's [algo=] key and of
+    [mpld -a]: [ilp], [exact], [sdp-backtrack] (alias [sdp]),
+    [sdp-greedy], [linear]. *)
+
 val name_of_algorithm : Mpl.Decomposer.algorithm -> string
+(** The canonical short name: the inverse of {!algorithm_of_name}. *)
 
 type command =
   | Decompose of int * request  (** body byte count + parameters *)
@@ -138,8 +144,8 @@ type reply =
           session, components re-solved, and features re-solved *)
   | Done of int array
   | Timeout of { deadline_ms : int; elapsed_ms : int }
-      (** terminal: the request's deadline (plus the server's grace
-          period) expired before the stream finished *)
+      (** terminal: the request's deadline expired before its
+          assignment finished *)
   | Cancelled of string
       (** terminal: the request was torn down; the payload is a
           one-token reason (e.g. ["shutdown"]) *)

@@ -13,7 +13,6 @@ type config = {
   log_max_bytes : int;
   read_timeout_s : float;
   write_timeout_s : float;
-  grace_ms : int;
   max_body_bytes : int;
   fault : Mpl_engine.Fault.spec option;
   sessions : int;
@@ -35,7 +34,6 @@ let default_config =
     log_max_bytes = 8 * 1024 * 1024;
     read_timeout_s = 10.;
     write_timeout_s = 10.;
-    grace_ms = 1000;
     max_body_bytes = 64 * 1024 * 1024;
     fault = None;
     sessions = 8;
@@ -480,22 +478,16 @@ let finish_request t (rp : Proto.request) (tm : req_timing) ~body_len ~circuit
               ("total_ms", Float (ms total_ns));
             ]))
 
-(* Why a request is being torn down before its DONE line. [Run] is the
-   initial state; the first abort wins (compare-and-set), so a deadline
-   expiring while the disconnect teardown is in flight cannot flip a
-   "disconnected" into a "timeout". *)
-type abort_reason = Running | Deadline | Disconnect
-
 (* A deterministic refusal discovered mid-pipeline (unknown or
    mismatched session, corrupt edit script): reply [ERR <code>] instead
    of a stream, account it as an error. *)
 exception Rejected of { code : string; msg : string }
 
 (* The shared request runner: everything between the body read and the
-   terminal reply — per-request sink, cancel token, deadline watchdog,
-   the reply tail, outcome accounting — is identical for DECOMPOSE and
-   REDECOMPOSE. [solve] produces the report plus any extra reply lines
-   to send between CACHE and DONE (REDECOMPOSE's REUSED line). *)
+   terminal reply — per-request sink, cancel token, the reply tail,
+   outcome accounting — is identical for DECOMPOSE and REDECOMPOSE.
+   [solve] produces the report plus any extra reply lines to send
+   between CACHE and DONE (REDECOMPOSE's REUSED line). *)
 let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
     ~circuit ~solve =
   let finish = finish_request t rp tm ~body_len in
@@ -527,16 +519,18 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
       | None -> t.obs
       | Some s -> Mpl_obs.Obs.make ~sink:s ~metrics:t.metrics ()
     in
-    (* Every request carries a cancel token. With no deadline and no
-       disconnect the flag is never set, so the flag-false path costs
-       one atomic read per coordinator checkpoint, reads no clock, and
-       the served pipeline stays bit-identical to the direct one. The
-       first abort wins: the teardown reason is decided at the
-       compare-and-set, not at whichever reply send happens last. *)
+    (* Every request carries a cancel token. A disconnect cancels it;
+       a [deadline=MS] arms it with an instant when the assignment
+       starts, so an expired request is torn down by the same token
+       checks, with no thread of its own. With neither, the token is
+       never set and has no instant: the path costs one atomic read per
+       checkpoint, reads no clock, and the served pipeline stays
+       bit-identical to the direct one. [disconnected] is only touched
+       on this handler thread (the streaming callback runs on it). *)
     let token = Mpl_engine.Pool.token () in
-    let reason = Atomic.make Running in
-    let abort why =
-      ignore (Atomic.compare_and_set reason Running why);
+    let disconnected = ref false in
+    let abort () =
+      disconnected := true;
       Mpl_engine.Pool.cancel token
     in
     let params =
@@ -573,46 +567,13 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
       with
       | Ok () -> ()
       | Error e ->
-        abort Disconnect;
+        abort ();
         raise (Client_gone e)
     in
-    (* Hard-deadline watchdog: the soft deadline (params.deadline_s)
-       degrades the solve via the fallback ladder; only if even the
-       degraded pipeline cannot finish within the grace period does the
-       watchdog cancel the token outright. Started only for requests
-       that carry a deadline — the common path spawns no thread. *)
-    let wd_stop = Atomic.make false in
-    let watchdog =
-      match rp.Proto.deadline_ms with
-      | None -> None
-      | Some ms ->
-        let hard_ns =
-          Int64.add admit_ns
-            (Int64.mul 1_000_000L
-               (Int64.of_int (ms + max 0 t.config.grace_ms)))
-        in
-        Some
-          (Thread.create
-             (fun () ->
-               let rec loop () =
-                 if not (Atomic.get wd_stop) then
-                   if Mpl_util.Timer.now_ns () >= hard_ns then abort Deadline
-                   else begin
-                     Thread.delay 0.01;
-                     loop ()
-                   end
-               in
-               loop ())
-             ())
-    in
-    let stop_watchdog () =
-      Atomic.set wd_stop true;
-      match watchdog with Some th -> Thread.join th | None -> ()
-    in
-    (* After any abort: queued-but-unstarted pieces of this request are
-       still sitting in the shared pool. Sweep them out now (so other
-       requests' tasks stop queueing behind dead work) and account
-       every dropped task to server.dropped_tasks. *)
+    (* After any abort or expiry: queued-but-unstarted pieces of this
+       request are still sitting in the shared pool. Sweep them out now
+       (so other requests' tasks stop queueing behind dead work) and
+       account every dropped task to server.dropped_tasks. *)
     let sweep () =
       if Mpl_engine.Pool.cancelled token then begin
         ignore (Mpl_engine.Pool.discard_cancelled t.pool);
@@ -622,71 +583,73 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
     let t0 = Mpl_util.Timer.now_ns () in
     let elapsed_solve () = Int64.sub (Mpl_util.Timer.now_ns ()) t0 in
     (try
-       Fun.protect ~finally:stop_watchdog (fun () ->
-           send cio (Proto.ack_line ~rid:tm.rid ());
-           (match Connio.flush cio with
-           | Ok () -> ()
-           | Error e -> raise (Client_gone e));
-           let report, extra =
-             solve ~req_obs ~params ~shared_cache ~on_component
-           in
-           let cost = report.Mpl.Decomposer.cost in
-           send cio
-             (Proto.cost_line
-                {
-                  Proto.conflicts = cost.Mpl.Coloring.conflicts;
-                  stitches = cost.Mpl.Coloring.stitches;
-                  scaled = cost.Mpl.Coloring.scaled;
-                  elapsed_s = report.Mpl.Decomposer.elapsed_s;
-                  timed_out = report.Mpl.Decomposer.timed_out;
-                });
-           send cio (Proto.engine_line report.Mpl.Decomposer.engine);
-           let res = report.Mpl.Decomposer.resilience in
-           send cio
-             (Proto.resilience_line
-                {
-                  Proto.degraded = res.Mpl.Decomposer.degraded;
-                  piece_failures = res.Mpl.Decomposer.piece_failures;
-                  fallbacks = res.Mpl.Decomposer.fallback_attempts;
-                  fired = res.Mpl.Decomposer.fault_fired;
-                });
-           (match report.Mpl.Decomposer.cache with
-           | Some cs ->
-             send cio
-               (Proto.cache_line
-                  {
-                    Proto.entries = cs.Mpl_engine.Cache.entries;
-                    bytes = cs.Mpl_engine.Cache.resident_bytes;
-                    hits = cs.Mpl_engine.Cache.s_hits;
-                    misses = cs.Mpl_engine.Cache.s_misses;
-                    corrupt_drops = cs.Mpl_engine.Cache.s_corrupt_drops;
-                    evictions = cs.Mpl_engine.Cache.s_evictions;
-                  })
-           | None -> ());
-           List.iter (send cio) extra;
-           send cio (Proto.done_line report.Mpl.Decomposer.colors);
-           (match Connio.flush cio with
-           | Ok () -> ()
-           | Error e ->
-             abort Disconnect;
-             raise (Client_gone e));
-           let solve_ns = elapsed_solve () in
-           Mpl_obs.Metrics.observe t.latency_h (Int64.to_float solve_ns);
-           let served = Mpl_obs.Metrics.incr_get t.served_c in
-           let e = report.Mpl.Decomposer.engine in
-           finish ~circuit ~solve_ns ~pieces:e.Mpl_engine.Engine.pieces
-             ~cache_hits:e.Mpl_engine.Engine.hits
-             ~degraded:res.Mpl.Decomposer.degraded ~outcome:"ok" ~sink;
-           if
-             t.config.persist_every > 0
-             && served mod t.config.persist_every = 0
-           then save_cache t)
+       send cio (Proto.ack_line ~rid:tm.rid ());
+       (match Connio.flush cio with
+       | Ok () -> ()
+       | Error e -> raise (Client_gone e));
+       let report, extra =
+         solve ~req_obs ~params ~shared_cache ~on_component
+       in
+       let cost = report.Mpl.Decomposer.cost in
+       send cio
+         (Proto.cost_line
+            {
+              Proto.conflicts = cost.Mpl.Coloring.conflicts;
+              stitches = cost.Mpl.Coloring.stitches;
+              scaled = cost.Mpl.Coloring.scaled;
+              elapsed_s = report.Mpl.Decomposer.elapsed_s;
+              timed_out = report.Mpl.Decomposer.timed_out;
+            });
+       send cio (Proto.engine_line report.Mpl.Decomposer.engine);
+       let res = report.Mpl.Decomposer.resilience in
+       send cio
+         (Proto.resilience_line
+            {
+              Proto.degraded = res.Mpl.Decomposer.degraded;
+              piece_failures = res.Mpl.Decomposer.piece_failures;
+              fallbacks = res.Mpl.Decomposer.fallback_attempts;
+              fired = res.Mpl.Decomposer.fault_fired;
+            });
+       (match report.Mpl.Decomposer.cache with
+       | Some cs ->
+         send cio
+           (Proto.cache_line
+              {
+                Proto.entries = cs.Mpl_engine.Cache.entries;
+                bytes = cs.Mpl_engine.Cache.resident_bytes;
+                hits = cs.Mpl_engine.Cache.s_hits;
+                misses = cs.Mpl_engine.Cache.s_misses;
+                corrupt_drops = cs.Mpl_engine.Cache.s_corrupt_drops;
+                evictions = cs.Mpl_engine.Cache.s_evictions;
+              })
+       | None -> ());
+       List.iter (send cio) extra;
+       send cio (Proto.done_line report.Mpl.Decomposer.colors);
+       (match Connio.flush cio with
+       | Ok () -> ()
+       | Error e ->
+         abort ();
+         raise (Client_gone e));
+       let solve_ns = elapsed_solve () in
+       Mpl_obs.Metrics.observe t.latency_h (Int64.to_float solve_ns);
+       let served = Mpl_obs.Metrics.incr_get t.served_c in
+       let e = report.Mpl.Decomposer.engine in
+       finish ~circuit ~solve_ns ~pieces:e.Mpl_engine.Engine.pieces
+         ~cache_hits:e.Mpl_engine.Engine.hits
+         ~degraded:res.Mpl.Decomposer.degraded ~outcome:"ok" ~sink;
+       if
+         t.config.persist_every > 0
+         && served mod t.config.persist_every = 0
+       then save_cache t
      with
     | Mpl_engine.Pool.Cancelled -> (
       sweep ();
       let solve_ns = elapsed_solve () in
-      match Atomic.get reason with
-      | Deadline ->
+      if !disconnected then
+        (* No reply: there is no one left to read it. *)
+        finish ~circuit ~solve_ns ~pieces:0 ~cache_hits:0 ~degraded:0
+          ~outcome:"disconnected" ~sink
+      else if Mpl_engine.Pool.expired token then begin
         let deadline_ms = Option.value ~default:0 rp.Proto.deadline_ms in
         let elapsed_ms =
           Int64.to_int
@@ -698,17 +661,15 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
          with Client_gone _ -> ());
         finish ~circuit ~solve_ns ~pieces:0 ~cache_hits:0 ~degraded:0
           ~outcome:"timeout" ~sink
-      | Disconnect ->
-        (* No reply: there is no one left to read it. *)
-        finish ~circuit ~solve_ns ~pieces:0 ~cache_hits:0 ~degraded:0
-          ~outcome:"disconnected" ~sink
-      | Running ->
+      end
+      else begin
         (try send_flush cio (Proto.cancelled_line ~reason:"shutdown")
          with Client_gone _ -> ());
         finish ~circuit ~solve_ns ~pieces:0 ~cache_hits:0 ~degraded:0
-          ~outcome:"cancelled" ~sink)
+          ~outcome:"cancelled" ~sink
+      end)
     | Client_gone w ->
-      abort Disconnect;
+      abort ();
       sweep ();
       (* A write timeout is a reap (we gave up on a stalled reader); a
          Closed is the peer giving up on us. Both cancel the same way. *)

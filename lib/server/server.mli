@@ -44,11 +44,12 @@
 
     {b Request lifecycle}: every admitted request carries a
     {!Mpl_engine.Pool} cancel token threaded through the decomposition
-    pipeline. A request with [deadline=MS] first degrades (the solver
-    ladder drops to its cheap rung once the soft deadline passes) and,
-    [grace_ms] later, is hard-cancelled by a watchdog: queued pieces
-    are dropped at dequeue without running, the client gets a
-    [TIMEOUT] terminal, and [server.timeouts] ticks. A client that
+    pipeline. A request with [deadline=MS] arms that token with one
+    instant, [MS] after its assignment starts; past it the token reads
+    as cancelled: queued pieces are dropped at dequeue without
+    running, the coordinator unwinds at its next checkpoint, the client
+    gets a [TIMEOUT] terminal, and [server.timeouts] ticks. No thread
+    watches the clock. A client that
     disconnects or stops reading mid-stream is detected at the next
     piece flush: the token is cancelled, queued pieces are swept out
     of the shared pool ([server.dropped_tasks] counts them), the
@@ -95,12 +96,6 @@ type config = {
           client that stops draining its socket is reaped — the
           handler thread is never pinned behind a stalled reader, and
           the request's queued pieces are cancelled. *)
-  grace_ms : int;
-      (** extra time past a request's [deadline=MS] before the hard
-          cancel (default 1000). The soft deadline degrades the solve
-          through the fallback ladder; the hard deadline at
-          [deadline + grace] cancels the request outright and replies
-          [TIMEOUT]. *)
   max_body_bytes : int;
       (** largest accepted [DECOMPOSE] length prefix (default 64 MiB);
           an oversize prefix is refused with [ERR proto] before any
@@ -128,7 +123,7 @@ val default_config : config
 (** No listeners (callers must set at least one), [jobs = 1],
     [max_inflight = 4], unlimited exact-mode cache, no persistence,
     no log, [ring = 32], no access log, 10 s read/write timeouts,
-    1 s deadline grace, 64 MiB body cap, no fault, [sessions = 8]. *)
+    64 MiB body cap, no fault, [sessions = 8]. *)
 
 type t
 
@@ -156,10 +151,6 @@ val stats_json : t -> string
     in-flight / limits / uptime / pool queue depth), request-latency
     percentiles, plus the shared cache's {!Mpl_engine.Cache.stats}, as
     one compact JSON line (no trailing newline). Exposed for tests. *)
-
-val prometheus : t -> string
-(** The [GET /metrics] body: gauges refreshed, then the registry in
-    Prometheus text exposition format. Exposed for tests. *)
 
 val requests : t -> Ring.entry list
 (** The telemetry ring, newest first ([[]] when [ring = 0]). Exposed

@@ -8,15 +8,7 @@ let length t = t.len
 
 let clear t = t.len <- 0
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Intbuf.get: index out of bounds";
-  t.data.(i)
-
 let unsafe_get t i = Array.unsafe_get t.data i
-
-let set t i x =
-  if i < 0 || i >= t.len then invalid_arg "Intbuf.set: index out of bounds";
-  t.data.(i) <- x
 
 let push t x =
   let cap = Array.length t.data in
@@ -29,8 +21,6 @@ let push t x =
   t.len <- t.len + 1
 
 let data t = t.data
-
-let to_array t = Array.sub t.data 0 t.len
 
 let iter t f =
   for i = 0 to t.len - 1 do

@@ -15,14 +15,8 @@ val length : t -> int
 val clear : t -> unit
 (** Reset the length to zero; the backing array is retained. *)
 
-val get : t -> int -> int
-(** Bounds-checked read. *)
-
 val unsafe_get : t -> int -> int
 (** Unchecked read of a slot below [length]. *)
-
-val set : t -> int -> int -> unit
-(** Bounds-checked write to an existing slot. *)
 
 val push : t -> int -> unit
 (** Append one element, growing the backing array as needed. *)
@@ -31,8 +25,5 @@ val data : t -> int array
 (** The current backing array. Only the first [length] slots are
     meaningful; the reference is invalidated by the next growing
     [push]. *)
-
-val to_array : t -> int array
-(** Fresh array of exactly the live elements. *)
 
 val iter : t -> (int -> unit) -> unit

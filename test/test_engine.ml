@@ -167,6 +167,35 @@ let test_pool_cancel_at_dequeue () =
         (Pool.drops tok);
       Alcotest.(check int) "no task body ever ran" 0 (Atomic.get ran))
 
+let test_pool_deadline_at_dequeue () =
+  (* A token whose deadline has passed reads as cancelled at dequeue,
+     with no cancel call and no thread: its queued task is dropped, and
+     the token tells the deadline apart from an explicit cancel. A
+     token without a deadline is unaffected. *)
+  Pool.with_pool ~jobs:1 (fun pool ->
+      let late = Pool.token () and plain = Pool.token () in
+      Pool.arm_deadline late (-1.);
+      let ran = Atomic.make 0 in
+      let dropped =
+        Pool.submit ~cancel:late pool (fun () -> Atomic.incr ran)
+      in
+      let kept = Pool.submit ~cancel:plain pool (fun () -> 7) in
+      (match Pool.await pool dropped with
+      | () -> Alcotest.fail "expired task ran"
+      | exception Pool.Cancelled -> ());
+      Alcotest.(check int) "one drop" 1 (Pool.drops late);
+      Alcotest.(check int) "no task body ever ran" 0 (Atomic.get ran);
+      Alcotest.(check bool) "expired" true (Pool.expired late);
+      Pool.cancel late;
+      Alcotest.(check bool) "a later cancel keeps the cause" true
+        (Pool.expired late);
+      Alcotest.(check int) "unarmed token's task ran" 7 (Pool.await pool kept);
+      Alcotest.(check int) "unarmed token dropped nothing" 0 (Pool.drops plain);
+      Alcotest.(check bool) "unarmed token live" false (Pool.cancelled plain);
+      Pool.cancel plain;
+      Alcotest.(check bool) "explicit cancel is not expiry" false
+        (Pool.expired plain))
+
 let test_pool_invalid () =
   Alcotest.check_raises "jobs=0 rejected" (Invalid_argument "Pool.create: jobs < 1")
     (fun () -> ignore (Pool.create ~jobs:0 ()));
@@ -947,6 +976,8 @@ let suite =
       test_pool_cancel_drops_queued;
     Alcotest.test_case "pool: cancel observed at dequeue" `Quick
       test_pool_cancel_at_dequeue;
+    Alcotest.test_case "pool: expired deadline drops at dequeue" `Quick
+      test_pool_deadline_at_dequeue;
     Alcotest.test_case "pool: argument validation" `Quick test_pool_invalid;
     Alcotest.test_case "decomposer: phase breakdown" `Quick test_phases_report;
     Alcotest.test_case "decomposer: on_component stream" `Quick

@@ -116,6 +116,17 @@ echo "$out" | grep -Eq "solver\.degraded +[1-9]" || {
   exit 1
 }
 
+# Smoke: a missing input file is one `error:` line and exit code 2 —
+# never an uncaught exception.
+rc=0
+err=$(dune exec bin/mpld.exe -- trace-check /nonexistent 2>&1) || rc=$?
+if [ "$rc" -ne 2 ] || [ "$(echo "$err" | grep -c '^error:')" -ne 1 ] \
+  || echo "$err" | grep -q "internal error"; then
+  echo "tier1: trace-check of a missing file: exit $rc, want 2 and one error line" >&2
+  echo "$err" >&2
+  exit 1
+fi
+
 # Smoke: malformed layouts are rejected with a file:line diagnostic and
 # exit code 2 — never a raw OCaml backtrace.
 bad=$(mktemp /tmp/mpld-bad.XXXXXX)
@@ -172,6 +183,13 @@ start_server
 "$MPLD" client --socket "$sock" S15850 -a linear --colors "$got" \
   > /dev/null 2>&1
 cmp -s "$ref" "$got" || server_fail "served coloring diverged from one-shot"
+
+# A deadline the request meets changes nothing: a fresh solve under an
+# armed deadline exits 0 with the same coloring.
+"$MPLD" client --socket "$sock" S15850 -a linear --no-cache \
+  --deadline-ms 600000 --colors "$got" > /dev/null 2>&1 \
+  || server_fail "request with a met deadline failed"
+cmp -s "$ref" "$got" || server_fail "met-deadline coloring diverged from one-shot"
 
 # The identical repeat request must be answered without a single fresh
 # solve — every piece served from the shared cache.
@@ -253,7 +271,7 @@ done
 
 # One server, three injuries: a write stall tears down the first
 # request (reaped conn, transport error to the client), a 1 ms
-# deadline with zero grace times out hard, and a held slot with
+# deadline times out, and a held slot with
 # max-inflight 1 BUSYs a bounded retrier into giving up.
 # Teardown bookkeeping (slot release, queue sweep) is asynchronous to
 # the client's view of a failure, so health is polled, not asserted.
@@ -268,7 +286,7 @@ wait_healthz() {
     sleep 0.2
   done
 }
-start_server --max-inflight 1 --grace-ms 0 --inject write_stall:shots=1
+start_server --max-inflight 1 --inject write_stall:shots=1
 
 rc=0
 "$MPLD" client --socket "$sock" S15850 -a linear --no-cache \
