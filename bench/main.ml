@@ -602,7 +602,6 @@ type parallel_row = {
   p_pieces : int;
   p_degraded : int;
   p_build_s : float;  (* graph construction (shared across settings) *)
-  p_phases : D.phases;  (* division / solve / merge breakdown *)
   p_windows : int;  (* geometric windows (1 = whole-layout graph) *)
   p_inject : string option;  (* armed fault spec, if any *)
   p_peak_mb : float;  (* process heap high-water when the row finished *)
@@ -633,7 +632,6 @@ let row_of_report ~circuit ~build_s ?wall_s (r : D.report) =
     p_pieces = r.D.division.Mpl.Division.pieces;
     p_degraded = r.D.resilience.D.degraded;
     p_build_s = build_s;
-    p_phases = r.D.phases;
     p_windows = r.D.params.D.windows;
     p_inject = Option.map Mpl_engine.Fault.spec_to_string r.D.params.D.fault;
     p_peak_mb = peak_mb ();
@@ -675,13 +673,10 @@ let json_of_rows rows =
             \"cache\": %b, \"wall_s\": %.6f, \"cn\": %d, \"st\": %d, \
             \"cache_hits\": %d, \"cache_bytes\": %d, \"pieces\": %d, \
             \"degraded_pieces\": %d, \"peak_mb\": %.1f%s, \"phases\": \
-            {\"build_s\": %.6f, \"extract_s\": %.6f, \"division_s\": %.6f, \
-            \"solve_s\": %.6f, \"merge_s\": %.6f}}"
+            {\"build_s\": %.6f}}"
            r.p_circuit r.p_algorithm r.p_k r.p_jobs r.p_cache r.p_wall_s
            r.p_cn r.p_st r.p_cache_hits r.p_cache_bytes r.p_pieces
-           r.p_degraded r.p_peak_mb extras r.p_build_s
-           r.p_phases.D.extract_s r.p_phases.D.division_s
-           r.p_phases.D.solve_s r.p_phases.D.merge_s))
+           r.p_degraded r.p_peak_mb extras r.p_build_s))
     rows;
   Buffer.add_string b "\n  ]";
   Buffer.contents b
@@ -744,8 +739,13 @@ let git_commit () =
    every division stage), split out of "division_s"; [bench compare]
    gates it like the other phases when both documents carry it.
    Schema v11: rows no longer carry "balance_features"/"balance_area";
-   per-mask tallies are [Mpl.Balance]'s, printed by [mpld report]. *)
-let results_schema_version = 11
+   per-mask tallies are [Mpl.Balance]'s, printed by [mpld report].
+   Schema v12: "phases" keeps only "build_s". The division, extraction,
+   solve and merge split is the span tree's: [mpld decompose -v] and
+   [--trace] print it, and perfbench reads it as the "division.s",
+   "solve.s" and "assign.unattributed_s" layers. [bench compare] skips
+   the dropped keys, so v11 documents still compare on "build_s". *)
+let results_schema_version = 12
 
 let json_of_kernels rows =
   let b = Buffer.create 1024 in
@@ -853,11 +853,8 @@ let parallel () =
   in
   let pp_shard_row label (r : D.report) =
     Format.printf
-      "%-8s cn#=%-4d st#=%-4d wall=%.3fs peak=%.0fMB [ext=%.2fs div=%.2fs \
-       solve=%.2fs merge=%.2fs]@."
-      label r.D.cost.C.conflicts r.D.cost.C.stitches r.D.elapsed_s
-      (peak_mb ()) r.D.phases.D.extract_s r.D.phases.D.division_s
-      r.D.phases.D.solve_s r.D.phases.D.merge_s
+      "%-8s cn#=%-4d st#=%-4d wall=%.3fs peak=%.0fMB@." label
+      r.D.cost.C.conflicts r.D.cost.C.stitches r.D.elapsed_s (peak_mb ())
   in
   let r_sh =
     D.decompose_sharded ~params:(shard_params 8) ~min_s:80 D.Linear layout
@@ -1052,10 +1049,9 @@ let parallel () =
           in
           Format.printf
             "%-8s %-13s jobs=%d cache=%-5b cn#=%-4d st#=%-4d wall=%.3fs \
-             speedup=%.2fx [ext=%.2fs div=%.2fs solve=%.2fs merge=%.2fs]%s@."
+             speedup=%.2fx%s@."
             name (D.algorithm_name algo) jobs cache cn st r.D.elapsed_s
-            speedup r.D.phases.D.extract_s r.D.phases.D.division_s
-            r.D.phases.D.solve_s r.D.phases.D.merge_s
+            speedup
             (if cache then
                Printf.sprintf " cache=%d/%d (%.0f%%)" hits routed
                  (100. *. float_of_int hits
@@ -1200,13 +1196,10 @@ let compare_results ~threshold ~mem_threshold a_path b_path =
         (match (jnum "wall_s" ra, jnum "wall_s" rb) with
         | Some va, Some vb -> check ~unit:"s" ~floor:0.01 key "wall_s" va vb
         | _ -> ());
-        List.iter
-          (fun ph ->
-            let get r = Option.bind (J.member "phases" r) (jnum ph) in
-            match (get ra, get rb) with
-            | Some va, Some vb -> check ~unit:"s" ~floor:0.01 key ph va vb
-            | _ -> ())
-          [ "build_s"; "extract_s"; "division_s"; "solve_s"; "merge_s" ];
+        (let build r = Option.bind (J.member "phases" r) (jnum "build_s") in
+         match (build ra, build rb) with
+         | Some va, Some vb -> check ~unit:"s" ~floor:0.01 key "build_s" va vb
+         | _ -> ());
         (* Memory is gated only on request (--mem-threshold): peak_mb
            is a process high-water mark, so only rows early in a run
            carry their own peak — the 16 MB absolute floor keeps

@@ -183,15 +183,6 @@ let resolve_min_s ~k ~min_s =
   Option.value min_s
     ~default:(Mpl_layout.Layout.min_s_for ~k Mpl_layout.Layout.default_tech)
 
-(* The report's phase split (coordinator extraction / division / merge,
-   solver time summed over domains), shared by decompose -v and
-   redecompose -v. *)
-let print_phases (p : Mpl.Decomposer.phases) =
-  Format.eprintf
-    "phases: extract=%.3fs division=%.3fs solve=%.3fs merge=%.3fs@."
-    p.Mpl.Decomposer.extract_s p.Mpl.Decomposer.division_s
-    p.Mpl.Decomposer.solve_s p.Mpl.Decomposer.merge_s
-
 let session_out_arg =
   let doc =
     "Write an ECO session snapshot of this decomposition to $(docv) for a \
@@ -256,7 +247,6 @@ let decompose_cmd =
       end
     in
     Format.printf "%a@." Mpl.Decomposer.pp_report report;
-    if verbose then print_phases report.Mpl.Decomposer.phases;
     let res = report.Mpl.Decomposer.resilience in
     if inject <> None || res.Mpl.Decomposer.degraded > 0 then
       Format.printf
@@ -329,9 +319,10 @@ let redecompose_cmd =
         Printf.eprintf "error: %s: %s\n" edits_file msg;
         exit 2
     in
+    let sink = if verbose then Some (Mpl_obs.Sink.create ()) else None in
     let params =
       engine_params ~jobs ~no_cache
-        { Mpl.Decomposer.default_params with k; metrics }
+        { Mpl.Decomposer.default_params with k; metrics; trace = sink }
     in
     match Mpl.Decomposer.redecompose ~params ~prev ~edits algo with
     | Error msg ->
@@ -346,7 +337,11 @@ let redecompose_cmd =
           e.Mpl.Decomposer.reused_components e.Mpl.Decomposer.dirty_components
           e.Mpl.Decomposer.dirty_features
       | None -> ());
-      if verbose then print_phases report.Mpl.Decomposer.phases;
+      Option.iter
+        (fun sink ->
+          Format.eprintf "-- phases --@.%a" Mpl_obs.Export.pp_phases
+            (Mpl_obs.Sink.events sink))
+        sink;
       (match save_layout with
       | Some path ->
         Mpl_layout.Layout_io.save edited path;

@@ -120,19 +120,6 @@ let prov_snapshot prov ~fault =
   Mutex.unlock prov.p_lock;
   r
 
-(* Wall-clock breakdown of one assignment. [extract_s], [division_s]
-   and [merge_s] are coordinator-thread time (piece extraction /
-   structural analysis / reassembly, with any solver work the
-   coordinator picked up while helping the pool subtracted out);
-   [solve_s] is total solver time summed over every domain, so it can
-   exceed the elapsed wall when jobs > 1. *)
-type phases = {
-  extract_s : float;
-  division_s : float;
-  solve_s : float;
-  merge_s : float;
-}
-
 (* What an incremental re-decomposition actually recomputed. *)
 type eco_stats = {
   dirty_components : int;
@@ -148,7 +135,6 @@ type report = {
   elapsed_s : float;
   timed_out : bool;
   division : Division.stats;
-  phases : phases;
   engine : Mpl_engine.Engine.stats;
   cache : Mpl_engine.Cache.stats option;
   resilience : resilience;
@@ -341,14 +327,9 @@ let make_solver ~obs ~params ~budget ~timed_out ~fault ~prov algorithm
       ~error:(Printexc.to_string e) piece
 
 (* Per-run solving context of every entry point: armed fault injector,
-   provenance, cancel token, shared solver budget, and the timed leaf
-   solver with its phase accounting. [rc_solve_ns] totals solver wall
-   across every domain; [rc_caller_ns] (written by the coordinating
-   thread only — no lock needed) lets the stream driver subtract solver
-   work the coordinator picked up while helping the pool out of its
-   division/merge walls. [rc_extract_s] totals the coordinator wall
-   spent extracting pieces ({!Division.extract}), top-level components
-   and every division stage alike. *)
+   provenance, cancel token, shared solver budget, and the leaf solver.
+   Phase time is the span tree's ({!Mpl_obs.Obs.span}); the context
+   keeps no timers. *)
 type run_ctx = {
   rc_salt : string;
   rc_stats : Division.stats;
@@ -356,9 +337,6 @@ type run_ctx = {
   rc_fault : Mpl_engine.Fault.t;
   rc_prov : prov;
   rc_cancel : Mpl_engine.Pool.token;
-  rc_solve_ns : int Atomic.t;
-  rc_caller_ns : float ref;
-  rc_extract_s : float ref;
   rc_solver : Decomp_graph.t -> int array;
 }
 
@@ -399,24 +377,6 @@ let make_run_ctx ~obs ~params algorithm =
       Mpl_util.Timer.budget b
     | Sdp_backtrack | Sdp_greedy | Linear -> Mpl_util.Timer.budget 0.
   in
-  let base_solver =
-    make_solver ~obs ~params ~budget ~timed_out ~fault ~prov algorithm
-  in
-  let solve_ns = Atomic.make 0 in
-  let caller_ns = ref 0. in
-  let coord = Domain.self () in
-  let solver piece =
-    let s0 = Mpl_util.Timer.now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dt =
-          Int64.to_int (Int64.sub (Mpl_util.Timer.now_ns ()) s0)
-        in
-        ignore (Atomic.fetch_and_add solve_ns dt);
-        if Domain.self () = coord then
-          caller_ns := !caller_ns +. (float_of_int dt /. 1e9))
-      (fun () -> base_solver piece)
-  in
   {
     rc_salt = salt;
     rc_stats = stats;
@@ -424,10 +384,8 @@ let make_run_ctx ~obs ~params algorithm =
     rc_fault = fault;
     rc_prov = prov;
     rc_cancel = cancel;
-    rc_solve_ns = solve_ns;
-    rc_caller_ns = caller_ns;
-    rc_extract_s = ref 0.;
-    rc_solver = solver;
+    rc_solver =
+      make_solver ~obs ~params ~budget ~timed_out ~fault ~prov algorithm;
   }
 
 (* Coordinator-side cancellation checkpoint: one token check per leaf
@@ -485,7 +443,7 @@ type 'k source = {
    {!Division.extract} batch. The batch is walked as a list in tail
    position, so each piece is garbage once [f] is done with it, not
    held until the batch is. *)
-let iter_components ~obs ~params ?extract_s (g : Decomp_graph.t) f =
+let iter_components ~obs ~params (g : Decomp_graph.t) f =
   let comps =
     if params.stages.Division.use_components then
       Mpl_obs.Obs.span obs "division.components" (fun () ->
@@ -494,14 +452,14 @@ let iter_components ~obs ~params ?extract_s (g : Decomp_graph.t) f =
   in
   List.iter
     (fun (piece, back) -> f piece back)
-    (Array.to_list (Division.extract ~obs ?extract_s g comps))
+    (Array.to_list (Division.extract ~obs g comps))
 
 (* The components of [g], back maps composed with [remap] into an
    [n]-vertex output. A whole-graph run remaps by the identity; an ECO
    run maps its dirty-region graph into the edited layout. *)
-let graph_source ~obs ~params ~(rc : run_ctx) ~n ~remap g =
+let graph_source ~obs ~params ~n ~remap g =
   {
-    produce = iter_components ~obs ~params ~extract_s:rc.rc_extract_s g;
+    produce = iter_components ~obs ~params g;
     resolve = (fun () -> Some (n, remap));
   }
 
@@ -527,8 +485,7 @@ let graph_source ~obs ~params ~(rc : run_ctx) ~n ~remap g =
    shared-budget algorithms, Ilp/Exact, may trip their budget at a
    different piece than an unsharded run under time pressure — the
    bit-identity contract is for the self-contained solvers.) *)
-let window_source ~obs ~params ~(rc : run_ctx) ~min_s
-    (layout : Mpl_layout.Layout.t) =
+let window_source ~obs ~params ~min_s (layout : Mpl_layout.Layout.t) =
   let hp = layout.Mpl_layout.Layout.tech.Mpl_layout.Layout.half_pitch in
   let sh =
     Mpl_obs.Obs.span obs "shard.plan"
@@ -554,8 +511,7 @@ let window_source ~obs ~params ~(rc : run_ctx) ~min_s
         Array.iter
           (fun w ->
             List.iter push_piece
-              (Shard.scan_window ~obs ~extract_s:rc.rc_extract_s ~acc
-                 ~min_s ~hp layout w))
+              (Shard.scan_window ~obs ~acc ~min_s ~hp layout w))
           sh.Shard.windows;
         scanned := true;
         let border = Shard.border_pieces ~obs acc ~min_s ~hp in
@@ -601,12 +557,7 @@ let window_source ~obs ~params ~(rc : run_ctx) ~min_s
    the coloring and streamed to [on_component] with their resolved back
    maps — as soon as the source can resolve them, so the stream is
    deterministic whichever worker finished which piece first; the
-   serving layer relies on that to keep streamed replies reproducible.
-
-   Phases: forcing and replaying are merge work; division is the rest
-   of the driver's wall. Both exclude solver work the coordinator
-   picked up while helping the pool, and division also excludes piece
-   extraction. *)
+   serving layer relies on that to keep streamed replies reproducible. *)
 let force_lag = 64
 
 let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
@@ -640,7 +591,7 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
       };
     (colors, whole_piece_stats piece)
   in
-  let check_cancel = check_cancel rc and now = Mpl_util.Timer.now_ns in
+  let check_cancel = check_cancel rc in
   let drive pool =
     let lag = if Mpl_engine.Pool.jobs pool = 1 then 0 else force_lag in
     (* One pool task per leaf, largest pieces at highest priority. *)
@@ -656,9 +607,8 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     let plant (piece, _) =
       let local = Division.fresh_stats () in
       let join =
-        Division.plan ~obs ~stages:params.stages ~stats:local
-          ~extract_s:rc.rc_extract_s ~connected:true ~k:params.k
-          ~alpha:Coloring.alpha ~emit:emit_leaf piece
+        Division.plan ~obs ~stages:params.stages ~stats:local ~connected:true
+          ~k:params.k ~alpha:Coloring.alpha ~emit:emit_leaf piece
       in
       fun () -> (join (), local)
     in
@@ -670,14 +620,6 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     Mpl_obs.Obs.span obs "engine.batch"
       ~late_args:(fun () -> [ ("pieces", Mpl_obs.Sink.Int !pushed) ])
     @@ fun () ->
-    let t0 = now () and c0 = !(rc.rc_caller_ns) and x0 = !(rc.rc_extract_s) in
-    let merge_ns = ref 0L and merge_caller = ref 0. in
-    let merge f =
-      let f0 = now () and fc0 = !(rc.rc_caller_ns) in
-      f ();
-      merge_ns := Int64.add !merge_ns (Int64.sub (now ()) f0);
-      merge_caller := !merge_caller +. (!(rc.rc_caller_ns) -. fc0)
-    in
     let inflight = Queue.create () and forced = Queue.create () in
     let out = ref None and replayed = ref 0 in
     let replay () =
@@ -701,17 +643,16 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     let conflicts = ref 0 and stitches = ref 0 and scaled = ref 0 in
     let force_one () =
       check_cancel ();
-      merge (fun () ->
-          let cell, ((piece : Decomp_graph.t), key) = Queue.pop inflight in
-          let pc, local = Mpl_engine.Engine.force t cell in
-          let c = Coloring.evaluate piece pc in
-          conflicts := !conflicts + c.Coloring.conflicts;
-          stitches := !stitches + c.Coloring.stitches;
-          scaled := !scaled + c.Coloring.scaled;
-          add_division_stats rc.rc_stats local;
-          keep key pc c;
-          Queue.add (key, pc) forced;
-          replay ())
+      let cell, ((piece : Decomp_graph.t), key) = Queue.pop inflight in
+      let pc, local = Mpl_engine.Engine.force t cell in
+      let c = Coloring.evaluate piece pc in
+      conflicts := !conflicts + c.Coloring.conflicts;
+      stitches := !stitches + c.Coloring.stitches;
+      scaled := !scaled + c.Coloring.scaled;
+      add_division_stats rc.rc_stats local;
+      keep key pc c;
+      Queue.add (key, pc) forced;
+      replay ()
     in
     source.produce (fun piece key ->
         check_cancel ();
@@ -722,17 +663,8 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     while not (Queue.is_empty inflight) do
       force_one ()
     done;
-    merge replay;
+    replay ();
     let engine = Mpl_engine.Engine.finish t in
-    let s ns = Int64.to_float ns /. 1e9 in
-    let merge_s = max 0. (s !merge_ns -. !merge_caller) in
-    let division_s =
-      max 0.
-        (s (Int64.sub (now ()) t0)
-        -. (!(rc.rc_caller_ns) -. c0)
-        -. merge_s
-        -. (!(rc.rc_extract_s) -. x0))
-    in
     let cost =
       {
         Coloring.conflicts = !conflicts;
@@ -740,30 +672,22 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
         scaled = !scaled;
       }
     in
-    ( fst (Option.get !out),
-      cost,
-      engine,
-      {
-        extract_s = !(rc.rc_extract_s);
-        division_s;
-        solve_s = float_of_int (Atomic.get rc.rc_solve_ns) /. 1e9;
-        merge_s;
-      } )
+    (fst (Option.get !out), cost, engine)
   in
-  let colors, cost, engine, phases =
+  let colors, cost, engine =
     match ext_pool with
     | Some pool -> drive pool
     | None ->
       Mpl_engine.Pool.with_pool ~obs ~fault:rc.rc_fault
         ~jobs:(max 1 params.jobs) drive
   in
-  (colors, cost, engine, Option.map Mpl_engine.Cache.stats cache, phases)
+  (colors, cost, engine, Option.map Mpl_engine.Cache.stats cache)
 
 (* The report of a finished run: the driver's own results plus what
    [rc] accumulated (timeout flag, division stats, resilience) and the
    metrics snapshot; [redecompose] fills in [eco]. *)
 let make_report ~obs ~params ~(rc : run_ctx) algorithm ~colors ~cost
-    ~elapsed_s ~phases ~engine ~cache =
+    ~elapsed_s ~engine ~cache =
   assert (Coloring.is_complete colors);
   assert (Coloring.check_range ~k:params.k colors);
   let m = obs.Mpl_obs.Obs.metrics in
@@ -775,7 +699,6 @@ let make_report ~obs ~params ~(rc : run_ctx) algorithm ~colors ~cost
     elapsed_s;
     timed_out = Atomic.get rc.rc_timed_out;
     division = rc.rc_stats;
-    phases;
     engine;
     cache;
     resilience = prov_snapshot rc.rc_prov ~fault:rc.rc_fault;
@@ -786,30 +709,29 @@ let make_report ~obs ~params ~(rc : run_ctx) algorithm ~colors ~cost
   }
 
 (* One run of the driver under an [assign] span carrying [arg]: a fresh
-   run context and the component source [source rc], inside the timed
+   run context and the component source [source ()], inside the timed
    span. *)
 let run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm arg
     source =
   let rc = make_run_ctx ~obs ~params algorithm in
-  let (colors, cost, engine, cache, phases), elapsed_s =
+  let (colors, cost, engine, cache), elapsed_s =
     Mpl_util.Timer.time (fun () ->
         Mpl_obs.Obs.span obs "assign"
           ~args:
             [ ("algorithm", Mpl_obs.Sink.Str (algorithm_name algorithm)); arg ]
         @@ fun () ->
         stream_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache
-          ~on_component (source rc))
+          ~on_component (source ()))
   in
-  make_report ~obs ~params ~rc algorithm ~colors ~cost ~elapsed_s ~phases
-    ~engine ~cache
+  make_report ~obs ~params ~rc algorithm ~colors ~cost ~elapsed_s ~engine
+    ~cache
 
 let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
     algorithm g =
   let obs = match obs with Some o -> o | None -> make_obs params in
   run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm
     ("n", Mpl_obs.Sink.Int g.Decomp_graph.n)
-    (fun rc ->
-      graph_source ~obs ~params ~rc ~n:g.Decomp_graph.n ~remap:Fun.id g)
+    (fun () -> graph_source ~obs ~params ~n:g.Decomp_graph.n ~remap:Fun.id g)
 
 let decompose ?(params = default_params) ?pool ?shared_cache ?on_component
     ~min_s algorithm layout =
@@ -824,7 +746,7 @@ let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
   let obs = match obs with Some o -> o | None -> make_obs params in
   run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm
     ("windows", Mpl_obs.Sink.Int params.windows)
-    (fun rc -> window_source ~obs ~params ~rc ~min_s layout)
+    (fun () -> window_source ~obs ~params ~min_s layout)
 
 let pp_report ppf r =
   Format.fprintf ppf
@@ -1011,12 +933,10 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
         vs pc cost
       :: !dirty_comps
   in
-  let colors, cost_d, engine, cache, phases =
+  let colors, cost_d, engine, cache =
     stream_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache ~on_component
       ~keep
-      (graph_source ~obs ~params ~rc ~n:off.(nf_new)
-         ~remap:(Array.map full)
-         g_d)
+      (graph_source ~obs ~params ~n:off.(nf_new) ~remap:(Array.map full) g_d)
   in
   (* --- the clean components: blitted verbatim into the coloring,
      their recorded costs added (no edge ever crosses a component
@@ -1075,7 +995,7 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
   let report =
     make_report ~obs ~params ~rc algorithm ~colors ~cost
       ~elapsed_s:(Mpl_util.Timer.elapsed_s t0)
-      ~phases ~engine ~cache
+      ~engine ~cache
   in
   Ok (edited, { report with eco = Some eco }, session)
 

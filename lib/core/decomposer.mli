@@ -120,27 +120,6 @@ type resilience = {
 
 val no_resilience : resilience
 
-type phases = {
-  extract_s : float;
-      (** coordinator wall spent cutting pieces out of their parent
-          graph ({!Division.extract}): the top-level component split
-          plus every division stage's pieces, one O(n + E) pass per
-          batch *)
-  division_s : float;
-      (** coordinator wall of the stream driver outside [merge_s]:
-          structural division (component scan, peel, biconnected, GH
-          trees) and, for {!decompose_sharded}, window graph builds;
-          extraction and solver work excluded *)
-  solve_s : float;
-      (** leaf-solver wall summed over every domain — can exceed the
-          elapsed wall when [jobs > 1] *)
-  merge_s : float;
-      (** coordinator wall spent forcing components — joining leaf
-          colorings, reassembling, costing — and scattering them into
-          the output, solver work the coordinator picked up while
-          helping the pool excluded *)
-}
-
 type eco_stats = {
   dirty_components : int;  (** components re-solved by {!redecompose} *)
   reused_components : int;  (** components kept byte-for-byte *)
@@ -156,7 +135,6 @@ type report = {
   timed_out : bool;
       (** an exact solver hit its budget or the node cap: treat as N/A *)
   division : Division.stats;
-  phases : phases;  (** wall-clock breakdown of this assignment *)
   engine : Mpl_engine.Engine.stats;
       (** component routing statistics of the stream: components
           pushed, solved fresh, served from the cache, deduplicated *)

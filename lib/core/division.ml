@@ -117,26 +117,16 @@ let stitch_pair (g : Decomp_graph.t) =
   && Decomp_graph.deg g.Decomp_graph.conflict 1 = 0
   && Decomp_graph.deg g.Decomp_graph.stitch 0 = 1
 
-(* Piece extraction under a [division.extract] span. With [extract_s]
-   (a phase accumulator) the coordinator wall is added to it; without
-   one, and with a null sink, the path reads no clock. *)
-let extract ?(obs = Mpl_obs.Obs.null) ?extract_s (g : Decomp_graph.t) vss =
+(* Piece extraction under a [division.extract] span; with a null sink
+   the path reads no clock. *)
+let extract ?(obs = Mpl_obs.Obs.null) (g : Decomp_graph.t) vss =
   Mpl_obs.Obs.span obs "division.extract"
     ~args:
       [
         ("pieces", Mpl_obs.Sink.Int (Array.length vss));
         ("n", Mpl_obs.Sink.Int g.Decomp_graph.n);
       ]
-  @@ fun () ->
-  match extract_s with
-  | None -> Decomp_graph.subgraphs g vss
-  | Some acc ->
-    let t0 = Mpl_util.Timer.now_ns () in
-    let r = Decomp_graph.subgraphs g vss in
-    acc :=
-      !acc
-      +. (Int64.to_float (Int64.sub (Mpl_util.Timer.now_ns ()) t0) /. 1e9);
-    r
+  @@ fun () -> Decomp_graph.subgraphs g vss
 
 (* The division pipeline is a two-phase producer. [plan ~emit g] runs
    ALL structural analysis up front — component scan, peel fixpoint,
@@ -160,8 +150,7 @@ let extract ?(obs = Mpl_obs.Obs.null) ?extract_s (g : Decomp_graph.t) vss =
    are promoted and swept by the major GC, which made the sequential
    [assign] of a 120k-feature synth ~1.35x dearer (DESIGN.md §10). *)
 let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
-    ?(bounded_cuts = true) ?extract_s ?connected:(is_connected = false) ~k
-    ~alpha ~emit
+    ?(bounded_cuts = true) ?connected:(is_connected = false) ~k ~alpha ~emit
     (g : Decomp_graph.t) =
   if k < 2 then invalid_arg "Division.plan: k < 2";
   let stats = match stats with Some s -> s | None -> fresh_stats () in
@@ -222,7 +211,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
         let parts =
           Array.map
             (fun (piece, back) -> (connected piece, back))
-            (extract ~obs ?extract_s sub comps)
+            (extract ~obs sub comps)
         in
         fun () ->
           let colors = Array.make n (-1) in
@@ -277,7 +266,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
           fun () -> colors
         end
         else begin
-          let piece, back = (extract ~obs ?extract_s sub [| core |]).(0) in
+          let piece, back = (extract ~obs sub [| core |]).(0) in
           let th = conquer piece in
           fun () ->
             let colors = Array.make n (-1) in
@@ -334,7 +323,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
         let order =
           Array.map
             (fun (piece, back) -> (connected piece, back))
-            (extract ~obs ?extract_s sub (Array.of_list (List.rev !order)))
+            (extract ~obs sub (Array.of_list (List.rev !order)))
         in
         fun () ->
           let colors = Array.make n (-1) in
@@ -409,7 +398,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
             (List.filter (fun v -> in_a.(v) = flag) (List.init n (fun v -> v)))
         in
         let va = part true and vb = part false in
-        let ab = extract ~obs ?extract_s sub [| va; vb |] in
+        let ab = extract ~obs sub [| va; vb |] in
         let piece_a, back_a = ab.(0) and piece_b, back_b = ab.(1) in
         let th_a = conquer piece_a in
         let th_b = conquer piece_b in
@@ -442,7 +431,7 @@ let plan ?(obs = Mpl_obs.Obs.null) ?(stages = all_stages) ?stats
   if is_connected then connected g else conquer g
 
 (* [plan] with an [emit] that solves inline, then the join. *)
-let assign ?obs ?stages ?stats ?bounded_cuts ?extract_s ~k ~alpha ~solver g =
-  plan ?obs ?stages ?stats ?bounded_cuts ?extract_s ~k ~alpha
+let assign ?obs ?stages ?stats ?bounded_cuts ~k ~alpha ~solver g =
+  plan ?obs ?stages ?stats ?bounded_cuts ~k ~alpha
     ~emit:(fun p -> let c = solver p in fun () -> c)
     g ()

@@ -59,7 +59,6 @@ val plan :
   ?stages:stages ->
   ?stats:stats ->
   ?bounded_cuts:bool ->
-  ?extract_s:float ref ->
   ?connected:bool ->
   k:int ->
   alpha:float ->
@@ -100,7 +99,6 @@ val assign :
   ?stages:stages ->
   ?stats:stats ->
   ?bounded_cuts:bool ->
-  ?extract_s:float ref ->
   k:int ->
   alpha:float ->
   solver:(Decomp_graph.t -> int array) ->
@@ -136,19 +134,17 @@ val assign :
     under a [division.extract] span with [pieces] and [n] (parent size)
     args, so a stage pays O(n + E) for extraction however many pieces
     it sheds. A stage's batch lives only while the stage plans it; with
-    the inline emitter every solved leaf dies at once. With
-    [extract_s], the coordinator wall spent extracting is added to it;
-    without, extraction reads no clock. *)
+    the inline emitter every solved leaf dies at once. With a null
+    sink, extraction reads no clock. *)
 
 val extract :
   ?obs:Mpl_obs.Obs.t ->
-  ?extract_s:float ref ->
   Decomp_graph.t ->
   int array array ->
   (Decomp_graph.t * int array) array
 (** [extract g vss] is {!Decomp_graph.subgraphs}[ g vss] under one
-    [division.extract] span, adding its wall to [extract_s] when given —
-    the form every batched extraction in the decomposer goes through. *)
+    [division.extract] span — the form every batched extraction in the
+    decomposer goes through. *)
 
 val fresh_stats : unit -> stats
 

@@ -112,7 +112,7 @@ let offsets acc =
   done;
   (off, !total)
 
-let scan_window ?(obs = Mpl_obs.Obs.null) ?extract_s ~acc ~min_s ~hp
+let scan_window ?(obs = Mpl_obs.Obs.null) ~acc ~min_s ~hp
     (layout : Layout.t) w =
   let members = w.members in
   let nm = Array.length members in
@@ -123,7 +123,7 @@ let scan_window ?(obs = Mpl_obs.Obs.null) ?extract_s ~acc ~min_s ~hp
     Layout.make ~name:layout.Layout.name layout.Layout.tech
       (Array.to_list (Array.map (fun i -> layout.Layout.features.(i)) members))
   in
-  let split = Stitch.split wl ~min_s in
+  let split = Stitch.split ~obs wl ~min_s in
   let g = Decomp_graph.of_nodes ~obs split ~hp ~min_s in
   let nodes = split.Stitch.nodes in
   let n = g.Decomp_graph.n in
@@ -188,7 +188,7 @@ let scan_window ?(obs = Mpl_obs.Obs.null) ?extract_s ~acc ~min_s ~hp
       end)
     comps;
   (* Only the all-core components are extracted, in one batch. *)
-  Division.extract ~obs ?extract_s g (Array.of_list (List.rev !interior))
+  Division.extract ~obs g (Array.of_list (List.rev !interior))
   |> Array.to_list
   |> List.map (fun (graph, back) ->
          let back_feature =

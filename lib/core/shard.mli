@@ -85,7 +85,6 @@ val fresh_acc : plan -> acc
 
 val scan_window :
   ?obs:Mpl_obs.Obs.t ->
-  ?extract_s:float ref ->
   acc:acc ->
   min_s:int ->
   hp:int ->
@@ -100,7 +99,9 @@ val scan_window :
     canonical segment shapes; components with no core feature belong to
     another window and are dropped. The interior components are cut out
     of the window graph in one {!Division.extract} batch (O(window)
-    however many there are); [extract_s] accumulates its wall. *)
+    however many there are). Under its [shard.window] span, the stitch
+    split and the neighbor search record [graph.stitch_split] and
+    [graph.neighbor_search] spans, as in an unsharded build. *)
 
 val border_pieces : ?obs:Mpl_obs.Obs.t -> acc -> min_s:int -> hp:int -> piece list
 (** After every window has been scanned: the globally merged

@@ -318,16 +318,16 @@ let submit ?(priority = 0) ?cancel t f =
   Mpl_obs.Metrics.incr t.stats.submitted;
   fut
 
-let try_await t fut =
+let await t fut =
   let rec loop () =
     Mutex.lock fut.fm;
     match fut.state with
     | Done v ->
       Mutex.unlock fut.fm;
-      Ok v
+      v
     | Failed (e, bt) ->
       Mutex.unlock fut.fm;
-      Error (e, bt)
+      Printexc.raise_with_backtrace e bt
     | Pending ->
       Mutex.unlock fut.fm;
       (* Help: run a queued task of the pool instead of blocking. *)
@@ -351,11 +351,6 @@ let try_await t fut =
         loop ())
   in
   loop ()
-
-let await t fut =
-  match try_await t fut with
-  | Ok v -> v
-  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 (* Eager sweep: with dequeue-time-only checks a cancelled task would
    sit in the queue until a consumer reaches it (possibly never, on an

@@ -114,12 +114,9 @@ val submit : ?priority:int -> ?cancel:token -> t -> (unit -> 'a) -> 'a future
 val await : t -> 'a future -> 'a
 (** Block until the task finished, running other queued tasks of the
     pool while waiting. Re-raises the task's exception if it failed,
-    preserving the backtrace captured at the original raise site. *)
-
-val try_await : t -> 'a future -> ('a, exn * Printexc.raw_backtrace) result
-(** Like {!await}, but a failed task yields [Error (exn, backtrace)]
-    instead of re-raising — the hook for per-piece failure isolation:
-    one poisoned task no longer aborts the whole batch. *)
+    preserving the backtrace captured at the original raise site. A
+    failure is confined to its own future: other futures of the pool
+    still resolve to their own results. *)
 
 val shutdown : t -> unit
 (** Join all worker domains. Idempotent. Pending never-awaited tasks

@@ -64,8 +64,6 @@ type t = {
   inflight_g : Mpl_obs.Metrics.gauge;
   pool_depth_g : Mpl_obs.Metrics.gauge;
   uptime_g : Mpl_obs.Metrics.gauge;
-  cache_bytes_g : Mpl_obs.Metrics.gauge;
-  cache_entries_g : Mpl_obs.Metrics.gauge;
   lock : Mutex.t;
   drained : Condition.t;
   mutable inflight : int;
@@ -159,8 +157,6 @@ let create config =
       inflight_g = Mpl_obs.Metrics.gauge metrics "server.inflight";
       pool_depth_g = Mpl_obs.Metrics.gauge metrics "pool.queue_depth";
       uptime_g = Mpl_obs.Metrics.gauge metrics "server.uptime_s";
-      cache_bytes_g = Mpl_obs.Metrics.gauge metrics "cache.bytes";
-      cache_entries_g = Mpl_obs.Metrics.gauge metrics "cache.entries";
       lock = Mutex.create ();
       drained = Condition.create ();
       inflight = 0;
@@ -248,14 +244,11 @@ let send_flush cio s =
 
 (* One source of truth for the derived gauges: every snapshot consumer
    (STATS, METRICS, /metrics, /healthz) refreshes them from the live
-   cache/pool/clock immediately before reading the registry, so the
-   text path and the admin plane can never disagree. *)
+   pool/clock immediately before reading the registry, so the text path
+   and the admin plane can never disagree. The cache publishes its own
+   [cache.bytes]/[cache.entries] into the same registry on every size
+   change. *)
 let refresh_gauges t =
-  let cs = Mpl_engine.Cache.stats t.cache in
-  Mpl_obs.Metrics.set t.cache_bytes_g
-    (float_of_int cs.Mpl_engine.Cache.resident_bytes);
-  Mpl_obs.Metrics.set t.cache_entries_g
-    (float_of_int cs.Mpl_engine.Cache.entries);
   Mpl_obs.Metrics.set t.pool_depth_g
     (float_of_int (Mpl_engine.Pool.queue_depth t.pool));
   Mpl_obs.Metrics.set t.uptime_g

@@ -11,6 +11,7 @@ module G = Mpl.Decomp_graph
 module S = Mpl.Shard
 module D = Mpl.Decomposer
 module Div = Mpl.Division
+module Sink = Mpl_obs.Sink
 
 let contact x y =
   Polygon.of_rect (Rect.make ~x0:x ~y0:y ~x1:(x + 20) ~y1:(y + 20))
@@ -239,6 +240,37 @@ let test_synth_generator () =
   in
   Alcotest.(check (array int)) "sharded = unsharded" base.D.colors r.D.colors
 
+(* A traced sharded run attributes each window's stitch split: one
+   [graph.stitch_split] span inside every [shard.window], as an
+   unsharded build records one under [graph.build]. *)
+let test_sharded_stitch_split_span () =
+  let layout =
+    Mpl_layout.Benchgen.generate
+      (Mpl_layout.Benchgen.synth ~seed:11 ~features:2000 ())
+  in
+  let sink = Sink.create () in
+  ignore
+    (D.decompose_sharded
+       ~params:{ D.default_params with windows = 4; trace = Some sink }
+       ~min_s:80 D.Linear layout);
+  let events = Sink.events sink in
+  let named name =
+    List.filter (fun (e : Sink.event) -> e.Sink.name = name) events
+  in
+  let windows = named "shard.window" and splits = named "graph.stitch_split" in
+  Alcotest.(check bool) "windows traced" true (windows <> []);
+  Alcotest.(check int) "one stitch split per window" (List.length windows)
+    (List.length splits);
+  let inside (e : Sink.event) (w : Sink.event) =
+    e.Sink.tid = w.Sink.tid
+    && e.Sink.ts_ns >= w.Sink.ts_ns
+    && Int64.add e.Sink.ts_ns e.Sink.dur_ns
+       <= Int64.add w.Sink.ts_ns w.Sink.dur_ns
+  in
+  Alcotest.(check bool) "each split inside a window" true
+    (List.for_all (fun s -> List.exists (inside s) windows) splits);
+  Alcotest.(check bool) "well nested" true (Test_obs.well_nested events)
+
 (* A window count below 1 plans one window. *)
 let test_sharded_guards () =
   let layout = random_layout 3 10 0 in
@@ -270,4 +302,6 @@ let suite =
     Alcotest.test_case "window-count extremes" `Quick test_window_extremes;
     Alcotest.test_case "synthetic generator" `Quick test_synth_generator;
     Alcotest.test_case "sharded guards" `Quick test_sharded_guards;
+    Alcotest.test_case "sharded run traces each window's stitch split"
+      `Quick test_sharded_stitch_split_span;
   ]

@@ -435,6 +435,18 @@ cmp -s "$synwhole" "$synseq" || {
 }
 rm -f "$synth" "$synwhole" "$synwin" "$synseq"
 
+# The span tree is the one phase clock, so a sharded run must attribute
+# each window's stitch split: -v lists graph.stitch_split as an
+# unsharded run does.
+synth=$(mktemp /tmp/mpld-synth.XXXXXX)
+"$MPLD" gen synth "$synth" --features 16000 --seed 1 > /dev/null
+"$MPLD" decompose "$synth" -a linear --windows 4 -v 2>&1 > /dev/null |
+  awk '$1 == "graph.stitch_split" { found = 1 } END { exit !found }' || {
+  echo "tier1: sharded -v lists no graph.stitch_split span" >&2
+  exit 1
+}
+rm -f "$synth"
+
 # Sharded colorings must be byte-identical to the whole-graph path on
 # real circuits, cached-parallel and sequential-uncached alike.
 shref=$(mktemp /tmp/mpld-shref.XXXXXX)
@@ -479,14 +491,24 @@ dune exec bin/mpld.exe -- decompose "$esynth" -a linear -j 2 \
   --session "$esess" > /dev/null 2>&1
 dune exec bin/mpld.exe -- gen edits "$eedits" --layout "$esynth" \
   --count 40 --seed 5 > /dev/null
+ecoerr=$(mktemp /tmp/mpld-eco-err.XXXXXX)
 ecoout=$(dune exec bin/mpld.exe -- redecompose "$esess" "$eedits" \
   -a linear -j 2 --save-layout "$eedited" --colors "$ecogot" \
-  --session "$esess2" 2>/dev/null)
+  --session "$esess2" -v 2>"$ecoerr")
 echo "$ecoout" | grep -Eq "eco: reused=[1-9]" || {
   echo "tier1: redecompose reused no component" >&2
   echo "$ecoout" >&2
   exit 1
 }
+# redecompose -v prints the span rollup: the run and its dirty marking.
+for span in redecompose eco.dirty; do
+  awk -v s="$span" '$1 == s { found = 1 } END { exit !found }' "$ecoerr" || {
+    echo "tier1: redecompose -v lists no $span span" >&2
+    cat "$ecoerr" >&2
+    exit 1
+  }
+done
+rm -f "$ecoerr"
 dune exec bin/mpld.exe -- decompose "$eedited" -a linear -j 2 \
   --colors "$ecoref" > /dev/null 2>&1
 cmp -s "$ecoref" "$ecogot" || {
