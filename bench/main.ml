@@ -245,15 +245,22 @@ let ablation () =
         } );
     ]
   in
+  (* Division alone, on the stage subset: the decomposer always runs
+     every stage, so the ablation drives the division oracle. *)
   List.iter
     (fun (name, stages) ->
-      let params = { D.default_params with D.stages } in
-      let r = D.assign ~params D.Linear g in
+      let stats = Mpl.Division.fresh_stats () in
+      let colors, secs =
+        Mpl_util.Timer.time (fun () ->
+            Mpl.Division.assign ~stages ~stats ~k:4 ~alpha:C.alpha
+              ~solver:(Mpl.Linear_color.solve ~k:4 ~alpha:C.alpha)
+              g)
+      in
+      let cost = C.evaluate g colors in
       Format.printf
         "%-16s cn#=%-3d st#=%-4d CPU=%.3fs pieces=%d largest=%d@." name
-        r.D.cost.C.conflicts r.D.cost.C.stitches r.D.elapsed_s
-        r.D.division.Mpl.Division.pieces
-        r.D.division.Mpl.Division.largest_piece)
+        cost.C.conflicts cost.C.stitches secs stats.Mpl.Division.pieces
+        stats.Mpl.Division.largest_piece)
     cases;
   Format.printf "@.=== Ablation: color-friendly rule (Linear, k=4) ===@.";
   List.iter
@@ -277,13 +284,12 @@ let ablation () =
   let p = D.default_params in
   List.iter
     (fun (name, mode) ->
-      let options = { Mpl_numeric.Sdp.default_options with mode } in
       let solver (piece : Mpl.Decomp_graph.t) =
         if piece.Mpl.Decomp_graph.n <= 1 then
           Array.make piece.Mpl.Decomp_graph.n 0
         else
           Mpl.Sdp_color.backtrack ~k:p.D.k ~alpha:Mpl.Coloring.alpha
-            (Mpl.Sdp_color.relax ~options ~k:p.D.k ~alpha:Mpl.Coloring.alpha
+            (Mpl.Sdp_color.relax ~mode ~k:p.D.k ~alpha:Mpl.Coloring.alpha
                piece)
             piece
       in
@@ -611,9 +617,10 @@ type parallel_row = {
 }
 
 (* One row from a finished report. Everything but the row's name, its
-   graph-construction time and (for wall clocks measured around more
-   than the assignment) its wall comes from the report and its params. *)
-let row_of_report ~circuit ~build_s ?wall_s (r : D.report) =
+   graph-construction time, its window count (sharded rows) and (for
+   wall clocks measured around more than the assignment) its wall comes
+   from the report and its params. *)
+let row_of_report ~circuit ~build_s ?wall_s ?(windows = 1) (r : D.report) =
   {
     p_circuit = circuit;
     p_algorithm = D.algorithm_name r.D.algorithm;
@@ -632,7 +639,7 @@ let row_of_report ~circuit ~build_s ?wall_s (r : D.report) =
     p_pieces = r.D.division.Mpl.Division.pieces;
     p_degraded = r.D.resilience.D.degraded;
     p_build_s = build_s;
-    p_windows = r.D.params.D.windows;
+    p_windows = windows;
     p_inject = Option.map Mpl_engine.Fault.spec_to_string r.D.params.D.fault;
     p_peak_mb = peak_mb ();
     p_eco =
@@ -848,27 +855,27 @@ let parallel () =
   Format.printf "generated %s: %d features in %.2fs@." synth_name
     (Mpl_layout.Layout.feature_count layout)
     gen_s;
-  let shard_params windows =
-    { D.default_params with D.jobs = 2; cache = false; windows }
-  in
+  let shard_params = { D.default_params with D.jobs = 2; cache = false } in
   let pp_shard_row label (r : D.report) =
     Format.printf
       "%-8s cn#=%-4d st#=%-4d wall=%.3fs peak=%.0fMB@." label
       r.D.cost.C.conflicts r.D.cost.C.stitches r.D.elapsed_s (peak_mb ())
   in
   let r_sh =
-    D.decompose_sharded ~params:(shard_params 8) ~min_s:80 D.Linear layout
+    D.decompose_sharded ~params:shard_params ~windows:8 ~min_s:80 D.Linear
+      layout
   in
   pp_shard_row "win=8" r_sh;
   (* Window graph construction happens inside the windows (it is part
      of the point — no whole-layout graph ever exists), so the sharded
      row has no separate build phase. *)
-  rows := row_of_report ~circuit:synth_name ~build_s:0. r_sh :: !rows;
+  rows :=
+    row_of_report ~circuit:synth_name ~build_s:0. ~windows:8 r_sh :: !rows;
   let g_full, full_build_s =
     Mpl_util.Timer.time (fun () ->
         Mpl.Decomp_graph.of_layout layout ~min_s:80)
   in
-  let r_full = D.assign ~params:(shard_params 1) D.Linear g_full in
+  let r_full = D.assign ~params:shard_params D.Linear g_full in
   pp_shard_row "win=1" r_full;
   rows :=
     row_of_report ~circuit:synth_name ~build_s:full_build_s r_full :: !rows;
@@ -889,7 +896,7 @@ let parallel () =
   Format.printf
     "@.=== ECO: cold vs incremental re-decomposition (1%% edit, Linear, \
      jobs=2) ===@.";
-  let eco_params = shard_params 1 in
+  let eco_params = shard_params in
   let session =
     D.snapshot ~params:eco_params ~min_s:80 D.Linear g_full layout r_full
   in

@@ -217,14 +217,13 @@ let decompose_cmd =
           trace = sink;
           metrics;
           fault = inject;
-          windows;
         }
     in
     Format.printf "%a@." Mpl_layout.Layout.pp_summary layout;
     let report =
       if sharded then begin
         let report =
-          Mpl.Decomposer.decompose_sharded ~params ~min_s algo layout
+          Mpl.Decomposer.decompose_sharded ~params ~windows ~min_s algo layout
         in
         Format.printf
           "sharded: windows=%d vertices=%d peak_heap=%.1fMB (min_s=%d, k=%d)@."

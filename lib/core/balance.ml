@@ -40,8 +40,7 @@ let move_delta ~ws (g : Decomp_graph.t) colors v c =
     !delta
   end
 
-let rebalance ?(max_passes = 5) ?weights ~k ~alpha (g : Decomp_graph.t) colors
-    =
+let rebalance ?weights ~k ~alpha (g : Decomp_graph.t) colors =
   let n = g.Decomp_graph.n in
   let weights =
     match weights with
@@ -56,7 +55,7 @@ let rebalance ?(max_passes = 5) ?weights ~k ~alpha (g : Decomp_graph.t) colors
   let counts = weighted_usage ~k ~weights colors in
   let improved = ref true in
   let passes = ref 0 in
-  while !improved && !passes < max_passes do
+  while !improved && !passes < 5 do
     improved := false;
     incr passes;
     for v = 0 to n - 1 do

@@ -15,14 +15,13 @@ val imbalance : k:int -> Coloring.t -> float
     empty colorings. *)
 
 val rebalance :
-  ?max_passes:int ->
   ?weights:int array ->
   k:int ->
   alpha:float ->
   Decomp_graph.t ->
   Coloring.t ->
   Coloring.t
-(** Greedy zero-cost rebalancing (default 5 passes). With [weights]
+(** Greedy zero-cost rebalancing (at most 5 passes). With [weights]
     (one non-negative weight per vertex; default all 1) the pass
     balances weighted usage — pass node areas to balance pattern
     density instead of vertex counts. The returned coloring has

@@ -10,7 +10,6 @@ let algorithm_name = function
 type params = {
   k : int;
   solver_budget_s : float;
-  stages : Division.stages;
   jobs : int;
   cache : bool;
   trace : Mpl_obs.Sink.t option;
@@ -18,14 +17,12 @@ type params = {
   fault : Mpl_engine.Fault.spec option;
   cancel : Mpl_engine.Pool.token option;
   deadline_s : float option;
-  windows : int;
 }
 
 let default_params =
   {
     k = 4;
     solver_budget_s = 60.;
-    stages = Division.all_stages;
     jobs = 1;
     cache = false;
     trace = None;
@@ -33,7 +30,6 @@ let default_params =
     fault = None;
     cancel = None;
     deadline_s = None;
-    windows = 1;
   }
 
 (* One observability context per run: the caller-supplied span sink (if
@@ -438,17 +434,14 @@ type 'k source = {
 }
 
 (* [f piece back] for every connected component of [g], in index order
-   (the same split the division pipeline performs first; the whole graph
-   as one piece when the component stage is off), extracted in one
-   {!Division.extract} batch. The batch is walked as a list in tail
+   (the same split the division pipeline performs first), extracted in
+   one {!Division.extract} batch. The batch is walked as a list in tail
    position, so each piece is garbage once [f] is done with it, not
    held until the batch is. *)
-let iter_components ~obs ~params (g : Decomp_graph.t) f =
+let iter_components ~obs (g : Decomp_graph.t) f =
   let comps =
-    if params.stages.Division.use_components then
-      Mpl_obs.Obs.span obs "division.components" (fun () ->
-          Mpl_graph.Connectivity.components (Decomp_graph.union_graph g))
-    else [| Array.init g.Decomp_graph.n Fun.id |]
+    Mpl_obs.Obs.span obs "division.components" (fun () ->
+        Mpl_graph.Connectivity.components (Decomp_graph.union_graph g))
   in
   List.iter
     (fun (piece, back) -> f piece back)
@@ -457,9 +450,9 @@ let iter_components ~obs ~params (g : Decomp_graph.t) f =
 (* The components of [g], back maps composed with [remap] into an
    [n]-vertex output. A whole-graph run remaps by the identity; an ECO
    run maps its dirty-region graph into the edited layout. *)
-let graph_source ~obs ~params ~n ~remap g =
+let graph_source ~obs ~n ~remap g =
   {
-    produce = iter_components ~obs ~params g;
+    produce = iter_components ~obs g;
     resolve = (fun () -> Some (n, remap));
   }
 
@@ -485,7 +478,7 @@ let graph_source ~obs ~params ~n ~remap g =
    shared-budget algorithms, Ilp/Exact, may trip their budget at a
    different piece than an unsharded run under time pressure — the
    bit-identity contract is for the self-contained solvers.) *)
-let window_source ~obs ~params ~min_s (layout : Mpl_layout.Layout.t) =
+let window_source ~obs ~windows ~min_s (layout : Mpl_layout.Layout.t) =
   let hp = layout.Mpl_layout.Layout.tech.Mpl_layout.Layout.half_pitch in
   let sh =
     Mpl_obs.Obs.span obs "shard.plan"
@@ -495,7 +488,7 @@ let window_source ~obs ~params ~min_s (layout : Mpl_layout.Layout.t) =
             Mpl_obs.Sink.Int (Array.length layout.Mpl_layout.Layout.features) );
         ]
       (fun () ->
-        Shard.plan ~windows:params.windows ~halo:(min_s + hp) layout)
+        Shard.plan ~windows ~halo:(min_s + hp) layout)
   in
   let m = obs.Mpl_obs.Obs.metrics in
   Mpl_obs.Metrics.add
@@ -607,8 +600,8 @@ let stream_assign ~obs ~params ~(rc : run_ctx) ~ext_pool ~shared_cache
     let plant (piece, _) =
       let local = Division.fresh_stats () in
       let join =
-        Division.plan ~obs ~stages:params.stages ~stats:local ~connected:true
-          ~k:params.k ~alpha:Coloring.alpha ~emit:emit_leaf piece
+        Division.plan ~obs ~stats:local ~connected:true ~k:params.k
+          ~alpha:Coloring.alpha ~emit:emit_leaf piece
       in
       fun () -> (join (), local)
     in
@@ -731,7 +724,7 @@ let assign ?(params = default_params) ?obs ?pool ?shared_cache ?on_component
   let obs = match obs with Some o -> o | None -> make_obs params in
   run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm
     ("n", Mpl_obs.Sink.Int g.Decomp_graph.n)
-    (fun () -> graph_source ~obs ~params ~n:g.Decomp_graph.n ~remap:Fun.id g)
+    (fun () -> graph_source ~obs ~n:g.Decomp_graph.n ~remap:Fun.id g)
 
 let decompose ?(params = default_params) ?pool ?shared_cache ?on_component
     ~min_s algorithm layout =
@@ -742,11 +735,11 @@ let decompose ?(params = default_params) ?pool ?shared_cache ?on_component
   (g, assign ~params ~obs ?pool ?shared_cache ?on_component algorithm g)
 
 let decompose_sharded ?(params = default_params) ?obs ?pool ?shared_cache
-    ?on_component ~min_s algorithm layout =
+    ?on_component ~windows ~min_s algorithm layout =
   let obs = match obs with Some o -> o | None -> make_obs params in
   run_assign ~obs ~params ~pool ~shared_cache ~on_component algorithm
-    ("windows", Mpl_obs.Sink.Int params.windows)
-    (fun () -> window_source ~obs ~params ~min_s layout)
+    ("windows", Mpl_obs.Sink.Int windows)
+    (fun () -> window_source ~obs ~windows ~min_s layout)
 
 let pp_report ppf r =
   Format.fprintf ppf
@@ -801,7 +794,7 @@ let snapshot ?(params = default_params) ?(obs = Mpl_obs.Obs.null) ~min_s
     (fun f -> seg_counts.(f) <- seg_counts.(f) + 1)
     g.Decomp_graph.feature;
   let comps = ref [] in
-  iter_components ~obs ~params g (fun piece vs ->
+  iter_components ~obs g (fun piece vs ->
       let pc = Array.map (fun v -> report.colors.(v)) vs in
       comps :=
         eco_comp
@@ -936,7 +929,7 @@ let redecompose_run ~(params : params) ~obs ~pool ~shared_cache ~on_component
   let colors, cost_d, engine, cache =
     stream_assign ~obs ~params ~rc ~ext_pool:pool ~shared_cache ~on_component
       ~keep
-      (graph_source ~obs ~params ~n:off.(nf_new) ~remap:(Array.map full) g_d)
+      (graph_source ~obs ~n:off.(nf_new) ~remap:(Array.map full) g_d)
   in
   (* --- the clean components: blitted verbatim into the coloring,
      their recorded costs added (no edge ever crosses a component

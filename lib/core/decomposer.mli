@@ -42,7 +42,6 @@ type params = {
       (** total wall-clock budget for exact solvers (Ilp / Exact) across
           all components — shared by all pool workers through an
           atomic-latched deadline; <= 0 means unlimited *)
-  stages : Division.stages;
   jobs : int;
       (** concurrent piece solvers: the pool runs [jobs - 1] worker
           domains plus the calling thread *)
@@ -82,19 +81,14 @@ type params = {
           in-flight ILP/BnB returns its incumbent at the deadline.
           [None] (the default, also <= 0) arms nothing and no deadline
           clock is read *)
-  windows : int;
-      (** {!decompose_sharded}: cut the layout into this many geometric
-          window strips (default 1 = a single window covering the
-          layout). Ignored by {!decompose}/{!assign}. A pure
-          memory/locality knob: the sharded output is bit-identical at
-          every setting *)
 }
 
 val default_params : params
-(** QPLD defaults: k = 4, 60 s exact budget, full division pipeline,
-    jobs = 1, cache off. The paper's other constants are fixed, not
-    parameters: every run solves under {!Coloring.alpha} (0.1),
-    {!Sdp_color.tth} (0.9) and {!Bnb.node_cap}. *)
+(** QPLD defaults: k = 4, 60 s exact budget, jobs = 1, cache off. The
+    paper's flow is fixed, not parameters: every run divides with
+    {!Division.all_stages}, solves under the {!Mpl_numeric.Sdp}
+    constants, and uses {!Coloring.alpha} (0.1), {!Sdp_color.tth} (0.9)
+    and {!Bnb.node_cap}. *)
 
 type piece_failure = {
   piece_n : int;  (** vertex count of the affected piece *)
@@ -213,12 +207,13 @@ val decompose_sharded :
   ?pool:Mpl_engine.Pool.t ->
   ?shared_cache:Division.stats Mpl_engine.Cache.t ->
   ?on_component:(int -> int array -> int array -> unit) ->
+  windows:int ->
   min_s:int ->
   algorithm ->
   Mpl_layout.Layout.t ->
   report
 (** Memory-bounded decomposition for very large layouts: cut the layout
-    into [params.windows] geometric window strips with
+    into [windows] geometric window strips with
     [min_s + half_pitch]-wide halo overlaps
     ({!Shard}), build each window's decomposition graph independently,
     and stream every connected component through the same
@@ -265,9 +260,8 @@ val snapshot :
     {!Decomp_graph.subgraph} extracts) and cost. [params], [min_s],
     [algorithm], [g] and [layout] must be the ones the report came
     from. The components are split as the stream driver splits them
-    (the whole graph as one component when [params.stages] turns the
-    component stage off) and extracted in one {!Division.extract}
-    batch, under a [division.extract] span when [obs] traces. *)
+    and extracted in one {!Division.extract} batch, under a
+    [division.extract] span when [obs] traces. *)
 
 val redecompose :
   ?params:params ->

@@ -13,8 +13,9 @@ let excess_pairs m k =
 (* Max clique by branch-and-bound: candidates ordered by degree; the
    bound is |current| + |candidates| (a greedy-coloring bound would be
    tighter but degree-sorted candidate pruning is enough at
-   post-division component sizes). *)
-let max_clique ?(node_cap = 500_000) g =
+   post-division component sizes). Anytime: past 500,000 expanded
+   nodes the best clique so far stands. *)
+let max_clique g =
   let n = Ugraph.n g in
   let adj =
     Array.init n (fun v ->
@@ -26,7 +27,7 @@ let max_clique ?(node_cap = 500_000) g =
   let nodes = ref 0 in
   let rec extend current candidates =
     incr nodes;
-    if !nodes <= node_cap then begin
+    if !nodes <= 500_000 then begin
       if List.length current > List.length !best then best := current;
       let rec loop = function
         | [] -> ()

@@ -12,10 +12,10 @@ val excess_pairs : int -> int -> int
 (** [excess_pairs m k]: minimum monochromatic pairs when m mutually
     conflicting vertices share k colors; 0 when [m <= k]. *)
 
-val max_clique : ?node_cap:int -> Mpl_graph.Ugraph.t -> int array
+val max_clique : Mpl_graph.Ugraph.t -> int array
 (** A maximum clique of the graph (branch-and-bound with greedy coloring
-    bound; anytime under [node_cap], in which case the best clique found
-    so far is returned). Sorted ascending. *)
+    bound; anytime under 500,000 expanded nodes, past which the best
+    clique found so far is returned). Sorted ascending. *)
 
 val conflict_lower_bound : k:int -> Decomp_graph.t -> int
 (** Certified lower bound on the conflict number of any k-coloring:

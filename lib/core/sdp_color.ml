@@ -1,7 +1,7 @@
 module Sdp = Mpl_numeric.Sdp
 module Dsu = Mpl_graph.Dsu
 
-let relax ?options ~k ~alpha (g : Decomp_graph.t) =
+let relax ?mode ~k ~alpha (g : Decomp_graph.t) =
   let problem =
     {
       Sdp.n = g.Decomp_graph.n;
@@ -11,7 +11,7 @@ let relax ?options ~k ~alpha (g : Decomp_graph.t) =
       alpha;
     }
   in
-  Sdp.solve ?options problem
+  Sdp.solve ?mode problem
 
 let greedy_map ~k (sol : Sdp.solution) (g : Decomp_graph.t) =
   let n = g.Decomp_graph.n in

@@ -4,13 +4,13 @@
     Algorithm 1). *)
 
 val relax :
-  ?options:Mpl_numeric.Sdp.options ->
+  ?mode:Mpl_numeric.Sdp.mode ->
   k:int ->
   alpha:float ->
   Decomp_graph.t ->
   Mpl_numeric.Sdp.solution
 (** Solve the vector-program relaxation for the component
-    ({!Mpl_numeric.Sdp.solve}). *)
+    ({!Mpl_numeric.Sdp.solve}; [mode] defaults to [Auto]). *)
 
 val greedy_map :
   k:int -> Mpl_numeric.Sdp.solution -> Decomp_graph.t -> int array

@@ -103,9 +103,9 @@ let fired t = Atomic.get t.fired_c > 0
 let fire_count t = Atomic.get t.fired_c
 
 (* Busy-wait so the delay works from any domain without a Unix
-   dependency; ~5 ms is enough to perturb work-stealing schedules. *)
-let delay ?(ns = 5_000_000L) () =
+   dependency; 5 ms is enough to perturb work-stealing schedules. *)
+let delay () =
   let t0 = Mpl_util.Timer.now_ns () in
-  while Int64.sub (Mpl_util.Timer.now_ns ()) t0 < ns do
+  while Int64.sub (Mpl_util.Timer.now_ns ()) t0 < 5_000_000L do
     Domain.cpu_relax ()
   done

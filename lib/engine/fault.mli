@@ -71,5 +71,5 @@ val fired : t -> bool
 
 val fire_count : t -> int
 
-val delay : ?ns:int64 -> unit -> unit
-(** Busy-wait (default ~5 ms); the [Worker_delay] payload. *)
+val delay : unit -> unit
+(** Busy-wait 5 ms; the [Worker_delay] payload. *)

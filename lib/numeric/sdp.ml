@@ -13,34 +13,18 @@ type problem = {
 
 type mode = Auto | Projected | Lagrangian
 
-type options = {
-  mode : mode;
-  projected_max : int;
-  pg_iters : int;
-  pg_step : float;
-  dykstra_rounds : int;
-  rank : int option;
-  max_sweeps : int;
-  tol : float;
-  outer_rounds : int;
-  dual_step : float;
-  seed : int;
-}
-
-let default_options =
-  {
-    mode = Auto;
-    projected_max = 150;
-    pg_iters = 60;
-    pg_step = 0.6;
-    dykstra_rounds = 3;
-    rank = None;
-    max_sweeps = 60;
-    tol = 1e-4;
-    outer_rounds = 12;
-    dual_step = 1.0;
-    seed = 2014;
-  }
+(* Fixed solver settings: [Auto]'s switch, the projected method's, then
+   Burer-Monteiro's. *)
+let projected_max = 150
+let pg_iters = 60
+let pg_step = 0.6
+let dykstra_rounds = 3
+let bm_rank k = max (k - 1) 8
+let bm_sweeps = 60
+let bm_tol = 1e-4
+let bm_outer_rounds = 12
+let bm_dual_step = 1.0
+let bm_seed = 2014
 
 type solution = {
   gram : floatarray;
@@ -164,7 +148,7 @@ let dykstra_flat p ~bound ~rounds s =
     done
   done
 
-let solve_projected ~options p =
+let solve_projected p =
   let n = p.n in
   let bound = ideal_offdiag p.k in
   let s = make_scratch n in
@@ -173,23 +157,23 @@ let solve_projected ~options p =
     fset s.cur ((i * n) + i) 1.
   done;
   let grad = sparse_gradient p in
-  for t = 0 to options.pg_iters - 1 do
-    let eta = options.pg_step /. sqrt (float_of_int (t + 1)) in
+  for t = 0 to pg_iters - 1 do
+    let eta = pg_step /. sqrt (float_of_int (t + 1)) in
     Array.iter
       (fun (i, j, g) ->
         let cij = (i * n) + j and cji = (j * n) + i in
         fset s.cur cij (fget s.cur cij -. (eta *. g));
         if cij <> cji then fset s.cur cji (fget s.cur cji -. (eta *. g)))
       grad;
-    dykstra_flat p ~bound ~rounds:options.dykstra_rounds s
+    dykstra_flat p ~bound ~rounds:dykstra_rounds s
   done;
   (* Final cleanup projection so reported Gram entries are near-feasible. *)
-  dykstra_flat p ~bound ~rounds:(2 * options.dykstra_rounds) s;
+  dykstra_flat p ~bound ~rounds:(2 * dykstra_rounds) s;
   {
     gram = FA.copy s.cur;
     gn = n;
     objective = objective_of_flat p s.cur;
-    iterations = options.pg_iters;
+    iterations = pg_iters;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -237,12 +221,12 @@ let sweep p adj vectors coeff g =
   done;
   !moved
 
-let run_inner ~max_sweeps ~tol ~sweeps p adj vectors coeff g =
+let run_inner ~sweeps p adj vectors coeff g =
   let rec go s =
-    if s < max_sweeps then begin
+    if s < bm_sweeps then begin
       let moved = sweep p adj vectors coeff g in
       incr sweeps;
-      if moved > tol then go (s + 1)
+      if moved > bm_tol then go (s + 1)
     end
   in
   go 0
@@ -256,11 +240,9 @@ let flat_gram_of_vectors n vectors =
   done;
   x
 
-let solve_factorized ~options p =
-  let r =
-    match options.rank with Some r -> max 2 r | None -> max (p.k - 1) 8
-  in
-  let rng = Mpl_util.Rng.create options.seed in
+let solve_factorized p =
+  let r = bm_rank p.k in
+  let rng = Mpl_util.Rng.create bm_seed in
   let vectors = Array.init p.n (fun _ -> Vec.random_unit rng r) in
   let adj = build_adj p in
   let bound = ideal_offdiag p.k in
@@ -269,19 +251,17 @@ let solve_factorized ~options p =
   let coeff = Array.make ne 1.0 in
   let sweeps = ref 0 in
   let lambda = Array.make ne 0.0 in
-  for _ = 1 to options.outer_rounds do
-    run_inner ~max_sweeps:options.max_sweeps ~tol:options.tol ~sweeps p adj
-      vectors coeff g;
+  for _ = 1 to bm_outer_rounds do
+    run_inner ~sweeps p adj vectors coeff g;
     Array.iteri
       (fun e (i, j) ->
         let x = Vec.dot vectors.(i) vectors.(j) in
         lambda.(e) <-
-          max 0. (lambda.(e) +. (options.dual_step *. (bound -. x)));
+          max 0. (lambda.(e) +. (bm_dual_step *. (bound -. x)));
         coeff.(e) <- 1. -. lambda.(e))
       p.conflict_edges
   done;
-  run_inner ~max_sweeps:options.max_sweeps ~tol:options.tol ~sweeps p adj
-    vectors coeff g;
+  run_inner ~sweeps p adj vectors coeff g;
   let gram = flat_gram_of_vectors p.n vectors in
   {
     gram;
@@ -290,16 +270,15 @@ let solve_factorized ~options p =
     iterations = !sweeps;
   }
 
-let solve ?(options = default_options) p =
-  if p.n = 0 then { gram = FA.create 0; gn = 0; objective = 0.; iterations = 0 }
-  else begin
-    match options.mode with
-    | Projected -> solve_projected ~options p
-    | Lagrangian -> solve_factorized ~options p
-    | Auto ->
-      if p.n <= options.projected_max then solve_projected ~options p
-      else solve_factorized ~options p
-  end
+let projected ~mode p =
+  mode = Projected || (mode = Auto && p.n <= projected_max)
+
+let empty = { gram = FA.create 0; gn = 0; objective = 0.; iterations = 0 }
+
+let solve ?(mode = Auto) p =
+  if p.n = 0 then empty
+  else if projected ~mode p then solve_projected p
+  else solve_factorized p
 
 let gram s i j =
   let x = FA.get s.gram ((i * s.gn) + j) in
@@ -360,7 +339,7 @@ let dykstra_dense p ~bound ~rounds y =
   done;
   !cur
 
-let solve_projected_dense ~options p =
+let solve_projected_dense p =
   let n = p.n in
   let bound = ideal_offdiag p.k in
   let x =
@@ -377,31 +356,25 @@ let solve_projected_dense ~options p =
       grad.(i).(j) <- grad.(i).(j) -. p.alpha;
       grad.(j).(i) <- grad.(j).(i) -. p.alpha)
     p.stitch_edges;
-  for t = 0 to options.pg_iters - 1 do
-    let eta = options.pg_step /. sqrt (float_of_int (t + 1)) in
+  for t = 0 to pg_iters - 1 do
+    let eta = pg_step /. sqrt (float_of_int (t + 1)) in
     let y =
       Array.mapi
         (fun i row -> Array.mapi (fun j v -> v -. (eta *. grad.(i).(j))) row)
         !x
     in
-    x := dykstra_dense p ~bound ~rounds:options.dykstra_rounds y
+    x := dykstra_dense p ~bound ~rounds:dykstra_rounds y
   done;
-  x := dykstra_dense p ~bound ~rounds:(2 * options.dykstra_rounds) !x;
+  x := dykstra_dense p ~bound ~rounds:(2 * dykstra_rounds) !x;
   let flat = FA.init (n * n) (fun c -> !x.(c / n).(c mod n)) in
   {
     gram = flat;
     gn = n;
     objective = objective_of_gram p !x;
-    iterations = options.pg_iters;
+    iterations = pg_iters;
   }
 
-let solve_dense ?(options = default_options) p =
-  if p.n = 0 then { gram = FA.create 0; gn = 0; objective = 0.; iterations = 0 }
-  else begin
-    match options.mode with
-    | Projected -> solve_projected_dense ~options p
-    | Lagrangian -> solve_factorized ~options p
-    | Auto ->
-      if p.n <= options.projected_max then solve_projected_dense ~options p
-      else solve_factorized ~options p
-  end
+let solve_dense ?(mode = Auto) p =
+  if p.n = 0 then empty
+  else if projected ~mode p then solve_projected_dense p
+  else solve_factorized p

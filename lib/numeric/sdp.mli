@@ -42,25 +42,29 @@ type problem = {
 }
 
 type mode =
-  | Auto  (** [Projected] up to [projected_max] vertices, else [Lagrangian] *)
+  | Auto  (** [Projected] up to {!projected_max} vertices, else [Lagrangian] *)
   | Projected
   | Lagrangian
 
-type options = {
-  mode : mode;
-  projected_max : int;  (** Auto threshold; default 150 *)
-  pg_iters : int;  (** projected-gradient steps; default 60 *)
-  pg_step : float;  (** initial step size (decays 1/sqrt t); default 0.6 *)
-  dykstra_rounds : int;  (** projection rounds per step; default 3 *)
-  rank : int option;  (** BM vector dimension; default max (k-1) 8 *)
-  max_sweeps : int;  (** BM sweeps per inner solve; default 60 *)
-  tol : float;  (** movement tolerance; default 1e-4 *)
-  outer_rounds : int;  (** BM Lagrangian dual updates; default 12 *)
-  dual_step : float;  (** BM dual ascent step; default 1.0 *)
-  seed : int;  (** deterministic initialization *)
-}
+(** Fixed settings, the same for every piece of every run. [Auto]
+    projects up to [projected_max] (150) vertices. [Projected] runs
+    [pg_iters] (60) steps of size [pg_step /. sqrt t] (0.6), each with
+    [dykstra_rounds] (3) projection rounds (twice that in the final
+    cleanup). [Lagrangian] uses [bm_rank k] = [max (k-1) 8] dimensions,
+    up to [bm_sweeps] (60) sweeps per inner solve while a coordinate
+    moves more than [bm_tol] (1e-4), [bm_outer_rounds] (12) dual updates
+    of step [bm_dual_step] (1.0), and random start seed [bm_seed] (2014). *)
 
-val default_options : options
+val projected_max : int
+val pg_iters : int
+val pg_step : float
+val dykstra_rounds : int
+val bm_rank : int -> int
+val bm_sweeps : int
+val bm_tol : float
+val bm_outer_rounds : int
+val bm_dual_step : float
+val bm_seed : int
 
 type solution = {
   gram : floatarray;  (** the solved Gram matrix X, row-major n x n *)
@@ -71,13 +75,13 @@ type solution = {
           Mixing-method sweeps ([Lagrangian]) *)
 }
 
-val solve : ?options:options -> problem -> solution
-(** [solve ?options p] solves the relaxation, starting from the identity
-    ([Projected]) or from seeded random unit vectors ([Lagrangian]). The
-    [Projected] path runs the full step schedule and its output is
-    bit-identical to {!solve_dense}. *)
+val solve : ?mode:mode -> problem -> solution
+(** [solve ?mode p] solves the relaxation ([mode] defaults to [Auto]),
+    starting from the identity ([Projected]) or from seeded random unit
+    vectors ([Lagrangian]). The [Projected] path runs the full step
+    schedule and its output is bit-identical to {!solve_dense}. *)
 
-val solve_dense : ?options:options -> problem -> solution
+val solve_dense : ?mode:mode -> problem -> solution
 (** Reference implementation of the [Projected] kernel on boxed
     [float array array] matrices with per-iteration allocation — the
     original code path, kept for parity testing and [bench kernels].

@@ -68,16 +68,14 @@ let transient_connect_error = function
     true
   | _ -> false
 
-(* Capped exponential backoff with deterministic ±25% jitter: the
-   jitter stream is a fixed-seed SplitMix64, so two runs with the same
-   arguments sleep the same schedule (reproducible tests), while
-   different seeds decorrelate a thundering herd. *)
-let backoff_schedule ?(cap_ms = 2000) ?(seed = 0x6d706c64) ~base_ms ~retries
-    () =
-  let rng = Mpl_util.Rng.create seed in
+(* Exponential backoff capped at 2 s with deterministic ±25% jitter:
+   the jitter stream is a fixed-seed SplitMix64, so two runs with the
+   same arguments sleep the same schedule (reproducible tests). *)
+let backoff_schedule ~base_ms ~retries () =
+  let rng = Mpl_util.Rng.create 0x6d706c64 in
   List.init (max 0 retries) (fun i ->
       let base =
-        Float.min (float_of_int (max 1 cap_ms))
+        Float.min 2000.
           (float_of_int (max 1 base_ms) *. (2. ** float_of_int i))
       in
       let jitter = 0.75 +. (0.5 *. Mpl_util.Rng.float rng 1.0) in

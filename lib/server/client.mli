@@ -56,13 +56,12 @@ val transient_connect_error : exn -> bool
     retrying (connection refused / reset / socket file not there yet)?
     [false] for anything that is not a transient [Unix_error]. *)
 
-val backoff_schedule :
-  ?cap_ms:int -> ?seed:int -> base_ms:int -> retries:int -> unit -> float list
+val backoff_schedule : base_ms:int -> retries:int -> unit -> float list
 (** [backoff_schedule ~base_ms ~retries ()] is the sleep (in seconds)
     before each retry: capped exponential ([base_ms * 2^i], capped at
-    [cap_ms], default 2000) with deterministic ±25% jitter drawn from
-    a SplitMix64 stream seeded by [seed] — identical arguments yield
-    an identical schedule. *)
+    2000 ms) with deterministic ±25% jitter drawn from a fixed-seed
+    SplitMix64 stream — identical arguments yield an identical
+    schedule. *)
 
 val decompose :
   t -> ?request:Proto.request -> string -> (outcome, error) result

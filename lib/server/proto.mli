@@ -47,8 +47,9 @@ type request = {
   k : int;  (** number of masks (default 4) *)
   algo : Mpl.Decomposer.algorithm;  (** default Linear *)
   jobs : int;
-      (** advisory: the server solves on its own shared pool, whose
-          worker count wins; accepted for one-shot compatibility *)
+      (** ignored by the server: every request solves on its one shared
+          pool, whose width is [mpld serve -j]; still parsed and
+          encoded, so a client may state it *)
   min_s : int option;  (** coloring distance; [None] = paper default for k *)
   cache : bool;  (** consult/populate the server's shared cache (default on) *)
   inject : Mpl_engine.Fault.spec option;  (** deterministic fault injection *)

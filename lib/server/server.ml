@@ -530,13 +530,11 @@ let run_pipeline t cio (rp : Proto.request) (tm : req_timing) ~body_len
       {
         Mpl.Decomposer.default_params with
         k = rp.Proto.k;
-        jobs = max 1 rp.Proto.jobs;
         cache = rp.Proto.cache;
         fault = rp.Proto.inject;
         cancel = Some token;
         deadline_s =
           Option.map (fun ms -> float_of_int ms /. 1000.) rp.Proto.deadline_ms;
-        windows = rp.Proto.windows;
       }
     in
     let shared_cache = if rp.Proto.cache then Some t.cache else None in
@@ -710,7 +708,8 @@ let run_request t cio (rp : Proto.request) (tm : req_timing) body =
            window even for very large bodies. *)
         if rp.Proto.windows > 1 then
           ( Mpl.Decomposer.decompose_sharded ~params ~obs:req_obs ~pool:t.pool
-              ?shared_cache ~on_component ~min_s rp.Proto.algo layout,
+              ?shared_cache ~on_component ~windows:rp.Proto.windows ~min_s
+              rp.Proto.algo layout,
             [] )
         else begin
           let g = Mpl.Decomp_graph.of_layout ~obs:req_obs layout ~min_s in

@@ -1,8 +1,6 @@
 type t = { mutable data : int array; mutable len : int }
 
-let create ?(capacity = 16) () =
-  let capacity = if capacity < 1 then 1 else capacity in
-  { data = Array.make capacity 0; len = 0 }
+let create () = { data = Array.make 16 0; len = 0 }
 
 let length t = t.len
 

@@ -8,8 +8,8 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Empty buffer. [capacity] is the initial backing-array size. *)
+val create : unit -> t
+(** Empty buffer, with room for 16 ints before its first growth. *)
 
 val length : t -> int
 val clear : t -> unit

@@ -850,9 +850,8 @@ let test_on_component_stream () =
   in
   let windowed, _ =
     streamed (fun on_component ->
-        D.decompose_sharded
-          ~params:{ (params 1 false) with D.windows = 4 }
-          ~on_component ~min_s D.Linear layout)
+        D.decompose_sharded ~params:(params 1 false) ~on_component
+          ~windows:4 ~min_s D.Linear layout)
   in
   Alcotest.(check bool) "windows stream the same components" true
     (canon windowed = canon reference);

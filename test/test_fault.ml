@@ -55,17 +55,19 @@ let test_firing_window () =
     (F.fires F.none F.Solver_raise)
 
 (* ------------------------------------------------------------------ *)
-(* Fallback ladder on a K4 clique (one leaf solve, no division) *)
+(* Fallback ladder on a K5 clique (one leaf solve) *)
 
-(* Four contacts pairwise closer than min_s = 80: a K4 conflict clique,
-   perfectly 4-colorable. *)
+(* Five contacts pairwise closer than min_s = 80: a K5 conflict clique.
+   Every vertex has conflict degree 4 = k, so the peel keeps all five,
+   and the clique has no cut below k, so division hands the solver the
+   whole clique as one piece. Its optimum at k = 4 is one conflict. *)
 let clique_graph () =
   let contact x y =
     Polygon.of_rect (Rect.make ~x0:x ~y0:y ~x1:(x + 20) ~y1:(y + 20))
   in
   let layout =
     Layout.make Layout.default_tech
-      [ contact 0 0; contact 40 0; contact 0 40; contact 40 40 ]
+      [ contact 0 0; contact 45 0; contact 0 45; contact 45 45; contact 22 90 ]
   in
   G.of_layout layout ~min_s:80
 
@@ -73,14 +75,7 @@ let run_faulted ?(algo = D.Exact) ?site ?(fseed = 0) ?(shots = 1) g =
   let fault =
     Option.map (fun site -> { F.site; seed = fseed; shots }) site
   in
-  let params =
-    {
-      D.default_params with
-      D.stages = Division.no_stages;
-      solver_budget_s = 0.;
-      fault;
-    }
-  in
+  let params = { D.default_params with D.solver_budget_s = 0.; fault } in
   D.assign ~params algo g
 
 let check_legal g (r : D.report) =
@@ -93,8 +88,10 @@ let check_ladder ~algo ~shots ~solved_by ~attempts () =
   let g = clique_graph () in
   let r = run_faulted ~algo ~site:F.Solver_raise ~shots g in
   check_legal g r;
-  (* K4 with k = 4 is conflict-free for every rung of the ladder. *)
-  Alcotest.(check int) "clique stays conflict-free" 0 r.D.cost.C.conflicts;
+  (* Every rung of the ladder finds K5's one-conflict optimum. *)
+  Alcotest.(check int) "one conflict, the clique's optimum" 1
+    r.D.cost.C.conflicts;
+  Alcotest.(check int) "one piece" 1 r.D.division.Division.pieces;
   let res = r.D.resilience in
   Alcotest.(check bool) "fault fired" true res.D.fault_fired;
   Alcotest.(check int) "one degraded piece" 1 res.D.degraded;
@@ -109,7 +106,7 @@ let check_ladder ~algo ~shots ~solved_by ~attempts () =
 
 let test_ladder_exact () =
   (* Exact raises -> SDP+Backtrack and Linear both tried, both tie at
-     cost 0, earliest rung wins. *)
+     one conflict, earliest rung wins. *)
   check_ladder ~algo:D.Exact ~shots:1 ~solved_by:"SDP+Backtrack" ~attempts:3 ()
 
 let test_ladder_sdp () =
@@ -137,8 +134,8 @@ let test_budget_trip () =
   | [ pf ] ->
     Alcotest.(check string) "error names the trip" "budget/node-cap trip"
       pf.D.error;
-    (* The tripped solver's partial result ties the heuristics at cost 0
-       and wins as the earliest candidate. *)
+    (* The tripped solver's partial result ties the heuristics at one
+       conflict and wins as the earliest candidate. *)
     Alcotest.(check string) "partial result kept" "Exact-BnB" pf.D.solved_by;
     Alcotest.(check int) "attempts" 3 pf.D.attempts
   | l -> Alcotest.fail (Printf.sprintf "%d failure records" (List.length l))

@@ -145,34 +145,36 @@ let test_stitch_attraction () =
 let test_modes_agree_on_k4 () =
   List.iter
     (fun mode ->
-      let options = { Sdp.default_options with Sdp.mode } in
-      let sol = Sdp.solve ~options (clique_problem 4 4) in
+      let sol = Sdp.solve ~mode (clique_problem 4 4) in
       Alcotest.(check bool)
         "objective within 20% of -2" true
         (sol.Sdp.objective < -1.6))
     [ Sdp.Projected; Sdp.Lagrangian ]
 
-(* Random SDP instances mixing conflict and stitch edges. *)
+(* A random SDP instance on [n] vertices mixing conflict edges (each
+   pair with probability [p]%) and stitch edges (the next 15%). *)
+let random_problem ~n ~p ~seed =
+  let rng = Mpl_util.Rng.create seed in
+  let ce = ref [] and se = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let r = Mpl_util.Rng.int rng 100 in
+      if r < p then ce := (i, j) :: !ce
+      else if r < p + 15 then se := (i, j) :: !se
+    done
+  done;
+  {
+    Sdp.n;
+    conflict_edges = Array.of_list !ce;
+    stitch_edges = Array.of_list !se;
+    k = 4;
+    alpha = 0.1;
+  }
+
 let sdp_problem_gen =
   QCheck.Gen.(
     triple (int_range 2 12) (int_range 10 70) (int_range 0 9999)
-    >|= fun (n, p, seed) ->
-    let rng = Mpl_util.Rng.create seed in
-    let ce = ref [] and se = ref [] in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let r = Mpl_util.Rng.int rng 100 in
-        if r < p then ce := (i, j) :: !ce
-        else if r < p + 15 then se := (i, j) :: !se
-      done
-    done;
-    {
-      Sdp.n;
-      conflict_edges = Array.of_list !ce;
-      stitch_edges = Array.of_list !se;
-      k = 4;
-      alpha = 0.1;
-    })
+    >|= fun (n, p, seed) -> random_problem ~n ~p ~seed)
 
 let sdp_problem_arb =
   QCheck.make
@@ -182,27 +184,50 @@ let sdp_problem_arb =
         (Array.length p.Sdp.stitch_edges))
     sdp_problem_gen
 
+(* Two solutions agree bit for bit: objective, work and every Gram
+   cell. *)
+let bit_identical (a : Sdp.solution) (b : Sdp.solution) =
+  let bits = Int64.bits_of_float in
+  bits a.Sdp.objective = bits b.Sdp.objective
+  && a.Sdp.iterations = b.Sdp.iterations
+  && a.Sdp.gn = b.Sdp.gn
+  &&
+  let ok = ref true in
+  for c = 0 to Float.Array.length a.Sdp.gram - 1 do
+    let cell s = bits (Float.Array.get s.Sdp.gram c) in
+    if cell a <> cell b then ok := false
+  done;
+  !ok
+
 (* The flat edge-sparse kernel must replicate the dense reference's
    float-operation sequence exactly: not "close", bit-identical. *)
 let prop_flat_matches_dense =
   QCheck.Test.make ~name:"flat SDP kernel bit-identical to dense reference"
     ~count:40 sdp_problem_arb
     (fun p ->
-      let options = { Sdp.default_options with Sdp.mode = Sdp.Projected } in
-      let flat = Sdp.solve ~options p in
-      let dense = Sdp.solve_dense ~options p in
-      Int64.bits_of_float flat.Sdp.objective
-      = Int64.bits_of_float dense.Sdp.objective
-      && flat.Sdp.iterations = dense.Sdp.iterations
-      &&
-      let ok = ref true in
-      for c = 0 to (p.Sdp.n * p.Sdp.n) - 1 do
-        if
-          Int64.bits_of_float (Float.Array.get flat.Sdp.gram c)
-          <> Int64.bits_of_float (Float.Array.get dense.Sdp.gram c)
-        then ok := false
-      done;
-      !ok)
+      bit_identical
+        (Sdp.solve ~mode:Sdp.Projected p)
+        (Sdp.solve_dense ~mode:Sdp.Projected p))
+
+(* [Auto] is [Projected] up to [projected_max] vertices and
+   [Lagrangian] above it. *)
+let test_auto_switch () =
+  let small = random_problem ~n:12 ~p:40 ~seed:3 in
+  Alcotest.(check bool) "small piece below the switch" true
+    (small.Sdp.n <= Sdp.projected_max);
+  let auto = Sdp.solve small in
+  Alcotest.(check bool) "Auto = Projected on a small piece" true
+    (bit_identical auto (Sdp.solve ~mode:Sdp.Projected small));
+  Alcotest.(check bool) "the modes differ on it" false
+    (bit_identical auto (Sdp.solve ~mode:Sdp.Lagrangian small));
+  let large = random_problem ~n:160 ~p:3 ~seed:5 in
+  Alcotest.(check bool) "large piece above the switch" true
+    (large.Sdp.n > Sdp.projected_max);
+  Alcotest.(check bool) "Auto = Lagrangian on a large piece" true
+    (bit_identical (Sdp.solve large) (Sdp.solve ~mode:Sdp.Lagrangian large));
+  Alcotest.(check bool) "dense Auto = Lagrangian on a large piece" true
+    (bit_identical (Sdp.solve_dense large)
+       (Sdp.solve ~mode:Sdp.Lagrangian large))
 
 let test_ideal_offdiag () =
   Alcotest.(check (float 1e-9)) "k=4" (-1. /. 3.) (Sdp.ideal_offdiag 4);
@@ -231,6 +256,8 @@ let suite =
     Alcotest.test_case "all modes reasonable on K4" `Quick
       test_modes_agree_on_k4;
     QCheck_alcotest.to_alcotest prop_flat_matches_dense;
+    Alcotest.test_case "Auto switches to Lagrangian above projected_max"
+      `Quick test_auto_switch;
     Alcotest.test_case "ideal offdiag" `Quick test_ideal_offdiag;
     Alcotest.test_case "empty problem" `Quick test_empty_problem;
   ]

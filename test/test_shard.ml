@@ -101,8 +101,7 @@ let prop_plan_geometry =
           true)
         [ 2; 3; 5 ])
 
-let sharded_params ~windows ~jobs ~cache =
-  { D.default_params with windows; jobs; cache }
+let sharded_params ~jobs ~cache = { D.default_params with jobs; cache }
 
 (* The headline contract: for the self-contained algorithms the sharded
    decomposition is bit-identical to the unsharded one at every
@@ -120,8 +119,8 @@ let prop_sharded_equals_unsharded =
                 (fun cache ->
                   let r =
                     D.decompose_sharded
-                      ~params:(sharded_params ~windows ~jobs ~cache)
-                      ~min_s:80 D.Linear layout
+                      ~params:(sharded_params ~jobs ~cache)
+                      ~windows ~min_s:80 D.Linear layout
                   in
                   r.D.colors = base.D.colors
                   && r.D.cost.Mpl.Coloring.scaled
@@ -140,8 +139,8 @@ let prop_sharded_equals_unsharded_sdp =
         (fun windows ->
           let r =
             D.decompose_sharded
-              ~params:(sharded_params ~windows ~jobs:2 ~cache:true)
-              ~min_s:80 D.Sdp_backtrack layout
+              ~params:(sharded_params ~jobs:2 ~cache:true)
+              ~windows ~min_s:80 D.Sdp_backtrack layout
           in
           r.D.colors = base.D.colors)
         [ 2; 4 ])
@@ -195,9 +194,7 @@ let test_border_component () =
     p.S.back_feature;
   let _, base = D.decompose ~min_s:80 D.Linear layout in
   let r =
-    D.decompose_sharded
-      ~params:{ D.default_params with windows = 2 }
-      ~min_s:80 D.Linear layout
+    D.decompose_sharded ~windows:2 ~min_s:80 D.Linear layout
   in
   Alcotest.(check (array int)) "colors identical" base.D.colors r.D.colors
 
@@ -209,9 +206,7 @@ let test_window_extremes () =
   List.iter
     (fun windows ->
       let r =
-        D.decompose_sharded
-          ~params:{ D.default_params with windows }
-          ~min_s:80 D.Linear layout
+        D.decompose_sharded ~windows ~min_s:80 D.Linear layout
       in
       Alcotest.(check (array int))
         (Printf.sprintf "windows=%d" windows)
@@ -235,8 +230,8 @@ let test_synth_generator () =
   let _, base = D.decompose ~min_s:80 D.Linear l1 in
   let r =
     D.decompose_sharded
-      ~params:{ D.default_params with windows = 6; jobs = 2; cache = true }
-      ~min_s:80 D.Linear l1
+      ~params:{ D.default_params with jobs = 2; cache = true }
+      ~windows:6 ~min_s:80 D.Linear l1
   in
   Alcotest.(check (array int)) "sharded = unsharded" base.D.colors r.D.colors
 
@@ -251,8 +246,8 @@ let test_sharded_stitch_split_span () =
   let sink = Sink.create () in
   ignore
     (D.decompose_sharded
-       ~params:{ D.default_params with windows = 4; trace = Some sink }
-       ~min_s:80 D.Linear layout);
+       ~params:{ D.default_params with trace = Some sink }
+       ~windows:4 ~min_s:80 D.Linear layout);
   let events = Sink.events sink in
   let named name =
     List.filter (fun (e : Sink.event) -> e.Sink.name = name) events
@@ -278,9 +273,7 @@ let test_sharded_guards () =
   List.iter
     (fun windows ->
       let r =
-        D.decompose_sharded
-          ~params:{ D.default_params with windows }
-          ~min_s:80 D.Linear layout
+        D.decompose_sharded ~windows ~min_s:80 D.Linear layout
       in
       Alcotest.(check (array int))
         (Printf.sprintf "windows=%d" windows)

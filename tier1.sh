@@ -30,6 +30,23 @@ dune exec bin/mpld.exe -- decompose C880 -a linear -j 2
 # structure, identical end-to-end colorings).
 dune exec bench/main.exe -- --kernels --check
 
+# Gate: the division-stage ablation. The decomposer always runs all
+# four stages; `bench --ablation` drives Division.assign directly on
+# each stage subset of S38417 (Linear, k=4), and every row must keep its
+# conflicts, stitches, piece count and largest piece.
+abl_want='full pipeline cn#=21 st#=530 pieces=540 largest=48
+no GH-tree cuts cn#=21 st#=541 pieces=3639 largest=48
+no biconnected cn#=21 st#=530 pieces=540 largest=48
+no peeling cn#=21 st#=560 pieces=21083 largest=48
+components only cn#=21 st#=1020 pieces=1911 largest=433'
+abl_got=$(dune exec bench/main.exe -- --ablation | grep ' pieces=' |
+  sed 's/CPU=[0-9.]*s//' | tr -s ' ')
+if [ "$abl_got" != "$abl_want" ]; then
+  echo "tier1: division ablation rows changed" >&2
+  echo "$abl_got" >&2
+  exit 1
+fi
+
 # Smoke: jobs parity on a real S-circuit. jobs is a pure performance
 # knob: the two-domain run (-j 2) must report the identical
 # cn#/st#/pieces line and write the byte-identical coloring as the
