@@ -455,7 +455,9 @@ let kernel_rows () =
           kr_runs = runs;
           kr_ns = time_runs ~runs (fun () -> Sdp.solve p);
         })
-    [ 16; 32 ];
+    (* 6 and 48: the leaf sizes that dominate SDP+Backtrack on the
+       S-circuits. *)
+    [ 6; 16; 32; 48 ];
   List.rev !rows
 
 let print_kernel_rows rows =
@@ -570,7 +572,7 @@ let kernels_check () =
         done
       done;
       if not !exact_cells then fail "FAIL sdp gram: n=%d not bit-identical@." n)
-    [ 2; 5; 9; 16; 24 ];
+    [ 2; 5; 9; 16; 24; 48 ];
   if !failures = 0 then begin
     Format.printf "kernel parity: all checks passed@.";
     true

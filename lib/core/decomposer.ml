@@ -138,6 +138,20 @@ type report = {
   eco : eco_stats option;
 }
 
+(* An SDP attempt on a piece of at least two vertices: the relaxation
+   and its mapping to colors, each a child span of the solve. *)
+let solve_sdp ~obs ~args ~k ~alpha algorithm piece =
+  let span name f = Mpl_obs.Obs.span obs name ~cat:"solve" ~args f in
+  let sol = span "sdp.relax" (fun () -> Sdp_color.relax ~k ~alpha piece) in
+  Mpl_obs.Metrics.observe
+    (Mpl_obs.Metrics.histogram obs.Mpl_obs.Obs.metrics "solver.sdp_iterations")
+    (float_of_int sol.Mpl_numeric.Sdp.iterations);
+  if algorithm = Sdp_greedy then
+    span "sdp.greedy_map" (fun () -> Sdp_color.greedy_map ~k sol piece)
+  else
+    span "sdp.backtrack" (fun () ->
+        Sdp_color.backtrack ~obs ~k ~alpha sol piece)
+
 (* One attempt of one algorithm on one divided piece. Returns the
    coloring plus whether the attempt completed cleanly — [false] means
    the shared budget or the node cap cut the search short and the
@@ -145,15 +159,8 @@ type report = {
 let solve_once ~obs ~params ~budget algorithm (piece : Decomp_graph.t) =
   let k = params.k and alpha = Coloring.alpha in
   let m = obs.Mpl_obs.Obs.metrics in
-  let observe_sdp (sol : Mpl_numeric.Sdp.solution) =
-    Mpl_obs.Metrics.observe
-      (Mpl_obs.Metrics.histogram m "solver.sdp_iterations")
-      (float_of_int sol.Mpl_numeric.Sdp.iterations)
-  in
-  Mpl_obs.Obs.span obs
-    ("solve." ^ algorithm_name algorithm)
-    ~cat:"solve"
-    ~args:[ ("n", Mpl_obs.Sink.Int piece.Decomp_graph.n) ]
+  let args = [ ("n", Mpl_obs.Sink.Int piece.Decomp_graph.n) ] in
+  Mpl_obs.Obs.span obs ("solve." ^ algorithm_name algorithm) ~cat:"solve" ~args
   @@ fun () ->
   match algorithm with
   | Linear -> (Linear_color.solve ~k ~alpha piece, true)
@@ -170,20 +177,9 @@ let solve_once ~obs ~params ~budget algorithm (piece : Decomp_graph.t) =
       let r = Ilp_color.solve ~budget ~k ~alpha piece in
       (r.Ilp_color.colors, r.Ilp_color.optimal)
     end
-  | Sdp_greedy ->
+  | Sdp_greedy | Sdp_backtrack ->
     if piece.Decomp_graph.n <= 1 then (Array.make piece.Decomp_graph.n 0, true)
-    else begin
-      let sol = Sdp_color.relax ~k ~alpha piece in
-      observe_sdp sol;
-      (Sdp_color.greedy_map ~k sol piece, true)
-    end
-  | Sdp_backtrack ->
-    if piece.Decomp_graph.n <= 1 then (Array.make piece.Decomp_graph.n 0, true)
-    else begin
-      let sol = Sdp_color.relax ~k ~alpha piece in
-      observe_sdp sol;
-      (Sdp_color.backtrack ~obs ~k ~alpha sol piece, true)
-    end
+    else (solve_sdp ~obs ~args ~k ~alpha algorithm piece, true)
 
 (* Escalation order when an attempt fails: strictly cheaper, more
    robust algorithms. The terminal greedy rung is handled separately in

@@ -57,23 +57,20 @@ let objective_of_flat p x =
    -1 <= X_ij <= 1. *)
 let project_box_flat p ~bound x =
   let n = p.n in
-  for i = 0 to n - 1 do
-    fset x ((i * n) + i) 1.;
-    for j = 0 to n - 1 do
-      if i <> j then begin
-        let c = (i * n) + j in
-        if fget x c > 1. then fset x c 1.;
-        if fget x c < -1. then fset x c (-1.)
-      end
-    done
+  for c = 0 to (n * n) - 1 do
+    let v = fget x c in
+    if v > 1. then fset x c 1. else if v < -1. then fset x c (-1.)
   done;
-  Array.iter
-    (fun (i, j) ->
-      if fget x ((i * n) + j) < bound then begin
-        fset x ((i * n) + j) bound;
-        fset x ((j * n) + i) bound
-      end)
-    p.conflict_edges
+  for i = 0 to n - 1 do
+    fset x ((i * n) + i) 1.
+  done;
+  for e = 0 to Array.length p.conflict_edges - 1 do
+    let i, j = Array.unsafe_get p.conflict_edges e in
+    if fget x ((i * n) + j) < bound then begin
+      fset x ((i * n) + j) bound;
+      fset x ((j * n) + i) bound
+    end
+  done
 
 (* The objective is linear, so its gradient is a constant supported on
    the edge cells only. Merge per-cell contributions once (conflict +1,
@@ -136,12 +133,12 @@ let dykstra_flat p ~bound ~rounds s =
     Symmetric.project_psd_flat ~n ~src:s.tm ~work:s.work ~v:s.ev ~w:s.ew
       ~dst:s.am;
     for c = 0 to nn - 1 do
-      fset s.pc c (fget s.tm c -. fget s.am c)
+      let tm = fget s.tm c and am = fget s.am c in
+      fset s.pc c (tm -. am);
+      let t = am +. fget s.qc c in
+      fset s.tm c t;
+      fset s.cur c t
     done;
-    for c = 0 to nn - 1 do
-      fset s.tm c (fget s.am c +. fget s.qc c)
-    done;
-    FA.blit s.tm 0 s.cur 0 nn;
     project_box_flat p ~bound s.cur;
     for c = 0 to nn - 1 do
       fset s.qc c (fget s.tm c -. fget s.cur c)

@@ -12,26 +12,20 @@
 
     - [Projected] (default for post-division piece sizes): projected
       subgradient on the Gram matrix X itself, with Dykstra alternating
-      projections between the PSD cone (exact projection by Jacobi
-      eigendecomposition) and the box {diag = 1, X_ij >= -1/(K-1) on CE,
-      |X_ij| <= 1}. The problem is convex, so this converges to the true
-      SDP optimum; at tens of vertices per piece the O(n^3)
-      eigendecompositions are cheap.
+      projections between the PSD cone (exact projection by a
+      Householder + QL eigendecomposition, {!Symmetric}) and the box
+      {diag = 1, X_ij >= -1/(K-1) on CE, |X_ij| <= 1}. The problem is
+      convex, so this converges to the true SDP optimum.
     - [Lagrangian] (fallback for oversized pieces): low-rank
       Burer-Monteiro factorization optimized by Mixing-method coordinate
       descent, with augmented-Lagrangian multipliers for the conflict
       inequality.
 
-    The production kernels run on a flat row-major [floatarray] Gram
-    with edge-sparse gradient accumulation and preallocated scratch (the
-    iteration loop allocates nothing); {!solve_dense} retains the
-    original boxed [float array array] projected kernel as a reference —
-    the flat path executes the identical float-operation sequence, so
-    the two agree bit-for-bit (checked by [bench kernels --check] and
-    the qcheck parity property).
-
-    Consumers only read Gram entries [gram s i j], which is all the
-    paper's backtrack / greedy mapping stages use. *)
+    The production kernel runs on a flat row-major [floatarray] Gram
+    with preallocated scratch (the iteration loop allocates nothing);
+    {!solve_dense} keeps the boxed [float array array] loop as a
+    reference that agrees bit-for-bit ([bench --kernels --check] and the
+    qcheck parity property). *)
 
 type problem = {
   n : int;  (** number of vertices *)
@@ -46,25 +40,16 @@ type mode =
   | Projected
   | Lagrangian
 
-(** Fixed settings, the same for every piece of every run. [Auto]
-    projects up to [projected_max] (150) vertices. [Projected] runs
-    [pg_iters] (60) steps of size [pg_step /. sqrt t] (0.6), each with
-    [dykstra_rounds] (3) projection rounds (twice that in the final
-    cleanup). [Lagrangian] uses [bm_rank k] = [max (k-1) 8] dimensions,
-    up to [bm_sweeps] (60) sweeps per inner solve while a coordinate
-    moves more than [bm_tol] (1e-4), [bm_outer_rounds] (12) dual updates
-    of step [bm_dual_step] (1.0), and random start seed [bm_seed] (2014). *)
-
 val projected_max : int
-val pg_iters : int
-val pg_step : float
-val dykstra_rounds : int
-val bm_rank : int -> int
-val bm_sweeps : int
-val bm_tol : float
-val bm_outer_rounds : int
-val bm_dual_step : float
-val bm_seed : int
+(** 150. The solver's settings are fixed, the same for every piece of
+    every run. [Auto] projects up to [projected_max] vertices.
+    [Projected] runs [pg_iters] (60) steps of size [pg_step /. sqrt t]
+    (0.6), each with [dykstra_rounds] (3) projection rounds (twice that
+    in the final cleanup). [Lagrangian] uses [bm_rank k] =
+    [max (k-1) 8] dimensions, up to [bm_sweeps] (60) sweeps per inner
+    solve while a coordinate moves more than [bm_tol] (1e-4),
+    [bm_outer_rounds] (12) dual updates of step [bm_dual_step] (1.0),
+    and random start seed [bm_seed] (2014). *)
 
 type solution = {
   gram : floatarray;  (** the solved Gram matrix X, row-major n x n *)

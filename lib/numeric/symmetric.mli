@@ -1,31 +1,20 @@
-(** Symmetric-matrix kernels for the projected SDP solver.
-
-    Two families share the same cyclic-Jacobi arithmetic:
-
-    - the dense [float array array] functions — the original reference
-      kernels, kept for tests, parity benchmarks ([bench kernels]) and
-      small one-off uses;
-    - the [_flat] functions — the production hot path, operating on a
-      single row-major [floatarray] (unboxed, contiguous, no per-row
-      indirection) with caller-provided scratch buffers so the solver's
-      iteration loop performs no allocation. They execute the identical
-      operation sequence as the dense kernels, so their results are
-      bit-identical — a guarantee the decomposer relies on to keep
-      colorings reproducible across the kernel swap.
-
-    Sizes here are post-division component sizes (tens of vertices), so
-    O(n^3) cyclic Jacobi is the right tool. *)
+(** Symmetric-matrix kernels for the projected SDP solver: one
+    eigensolver, Householder tridiagonalization and implicit-shift QL
+    (EISPACK [tred2]/[tql2]), O(n^3) with no iteration count to tune,
+    on row-major [floatarray]s in caller-provided buffers. The dense
+    [float array array] functions flatten, call it and unflatten, so
+    the reference solver {!Sdp.solve_dense} runs the same eigensolver
+    as {!Sdp.solve}. *)
 
 val eigh : float array array -> float array * float array array
-(** [eigh a] returns [(w, v)] with eigenvalues [w] and orthonormal
-    eigenvectors as the COLUMNS of [v] ([v.(i).(j)] is component i of
-    eigenvector j), such that [a = v diag(w) v^T]. [a] is not modified. *)
+(** [eigh a] returns [(w, v)] with eigenvalues [w] (in no particular
+    order) and orthonormal eigenvectors as the ROWS of [v] ([v.(j).(i)]
+    is component i of eigenvector j), such that [a = v' diag(w) v].
+    Only the upper triangle of [a] is read; [a] is not modified. *)
 
 val project_psd : float array array -> float array array
 (** Nearest (Frobenius) positive-semidefinite matrix: negative
     eigenvalues clipped to zero. *)
-
-val frobenius_distance : float array array -> float array array -> float
 
 val project_psd_flat :
   n:int ->
@@ -36,8 +25,11 @@ val project_psd_flat :
   dst:floatarray ->
   unit
 (** [dst <- ] nearest-PSD projection of [src] (both n x n row-major).
-    [src] must be exactly symmetric; [dst] is exactly symmetric
-    bit-for-bit (upper triangle accumulated, lower mirrored — exactly
-    as {!project_psd} does). [work] is clobbered (the Jacobi working
-    copy); [v] and [w] receive the eigendecomposition. [dst] must not
-    alias [src] or [work]. Bit-identical to {!project_psd}. *)
+    Only the upper triangle of [src] is read; [dst] is exactly
+    symmetric bit-for-bit (upper triangle mirrored). [work] (n x n,
+    clobbered) holds the tridiagonal reduction, [v] (n x n, clobbered)
+    the eigenvectors as rows and [w] (n) the eigenvalues; the first n
+    cells of [dst] serve as the tridiagonal's off-diagonal before
+    [dst] is rebuilt; no two buffers may alias. Allocates nothing: each
+    QL rotation updates two contiguous rows of [v], and only the
+    eigenvectors the projection uses are back-transformed. *)

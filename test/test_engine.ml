@@ -752,8 +752,9 @@ let test_cache_persist_roundtrip_corruption () =
 (* Phase breakdown *)
 
 (* The span tree is the one phase clock: a traced assignment records
-   its extraction and leaf solves as spans, nested inside [assign], at
-   every jobs setting, and the settings agree on the coloring. *)
+   its extraction and leaf solves as spans, nested inside [assign], and
+   each SDP solve's relaxation and backtrack inside the solve, at every
+   jobs setting, and the settings agree on the coloring. *)
 let test_phases_report () =
   (* Dense-enough layout that solving does real work at both settings. *)
   let spec =
@@ -791,11 +792,33 @@ let test_phases_report () =
         Alcotest.(check bool)
           (Printf.sprintf "%s span at jobs=%d" name jobs)
           true (has name))
-      [ "assign"; "division.extract"; "solve.SDP+Backtrack" ];
+      [
+        "assign";
+        "division.extract";
+        "solve.SDP+Backtrack";
+        "sdp.relax";
+        "sdp.backtrack";
+      ];
     Alcotest.(check bool)
       (Printf.sprintf "spans well nested at jobs=%d" jobs)
       true
       (Test_obs.well_nested events);
+    (* The SDP split sits inside its solve span, on the same thread. *)
+    let within (c : Mpl_obs.Sink.event) (p : Mpl_obs.Sink.event) =
+      c.Mpl_obs.Sink.tid = p.Mpl_obs.Sink.tid
+      && c.Mpl_obs.Sink.ts_ns >= p.Mpl_obs.Sink.ts_ns
+      && Int64.add c.Mpl_obs.Sink.ts_ns c.Mpl_obs.Sink.dur_ns
+         <= Int64.add p.Mpl_obs.Sink.ts_ns p.Mpl_obs.Sink.dur_ns
+    in
+    let named n = List.filter (fun e -> e.Mpl_obs.Sink.name = n) events in
+    List.iter
+      (fun child ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s inside solve.SDP+Backtrack at jobs=%d"
+             child.Mpl_obs.Sink.name jobs)
+          true
+          (List.exists (within child) (named "solve.SDP+Backtrack")))
+      (named "sdp.relax" @ named "sdp.backtrack");
     r
   in
   let seq = run 1 and par = run 2 in

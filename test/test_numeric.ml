@@ -1,5 +1,6 @@
-(* Tests for the numeric substrate: symmetric eigendecomposition, PSD
-   projection, and the coloring SDP solver. *)
+(* Tests for the numeric substrate: symmetric eigendecomposition and
+   PSD projection (checked against the Jacobi oracle in [Jacobi]), and
+   the coloring SDP solver. *)
 
 module Sym = Mpl_numeric.Symmetric
 module Sdp = Mpl_numeric.Sdp
@@ -27,49 +28,172 @@ let test_vec_ops () =
   Vec.normalize z;
   Alcotest.(check (float 1e-9)) "degenerate normalize" 1. (Vec.norm z)
 
+(* Frobenius norm of the residual of [a = v' diag(w) v], eigenvectors
+   as the rows of [v]. *)
+let reconstruction_error a (w, v) =
+  let n = Array.length a in
+  let recon = Array.make_matrix n n 0. in
+  for e = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        recon.(i).(j) <- recon.(i).(j) +. (w.(e) *. v.(e).(i) *. v.(e).(j))
+      done
+    done
+  done;
+  Jacobi.frobenius_distance a recon
+
+let orthonormal v =
+  let n = Array.length v in
+  let ok = ref true in
+  for e = 0 to n - 1 do
+    for f = 0 to n - 1 do
+      let dot = ref 0. in
+      for i = 0 to n - 1 do
+        dot := !dot +. (v.(e).(i) *. v.(f).(i))
+      done;
+      let expect = if e = f then 1. else 0. in
+      if abs_float (!dot -. expect) > 1e-6 then ok := false
+    done
+  done;
+  !ok
+
+(* Oracle tolerance: 1e-10 relative to the matrix's Frobenius norm
+   (absolute below norm 1). *)
+let oracle_tol a =
+  let zero = Array.map (Array.map (fun _ -> 0.)) a in
+  1e-10 *. Float.max 1. (Jacobi.frobenius_distance a zero)
+
+(* Sorted eigenvalues agree with the Jacobi oracle's. *)
+let spectrum_matches_oracle a =
+  let sorted w =
+    let w = Array.copy w in
+    Array.sort compare w;
+    w
+  in
+  let got = sorted (fst (Sym.eigh a)) and want = sorted (fst (Jacobi.eigh a)) in
+  let tol = oracle_tol a in
+  Array.for_all2 (fun x y -> abs_float (x -. y) <= tol) got want
+
+(* [project_psd_flat] agrees cellwise with the Jacobi projection. *)
+let projection_matches_oracle a =
+  let n = Array.length a in
+  let fa = Float.Array.init (n * n) (fun c -> a.(c / n).(c mod n)) in
+  let nn () = Float.Array.make (n * n) 0. in
+  let dst = nn () in
+  Sym.project_psd_flat ~n ~src:fa ~work:(nn ()) ~v:(nn ())
+    ~w:(Float.Array.make n 0.) ~dst;
+  let want = Jacobi.project_psd a and tol = oracle_tol a in
+  let ok = ref true in
+  for c = 0 to (n * n) - 1 do
+    if abs_float (Float.Array.get dst c -. want.(c / n).(c mod n)) > tol then
+      ok := false
+  done;
+  !ok
+
+let sym_arb = QCheck.make QCheck.Gen.(int_range 1 60 >>= sym_gen)
+
 let prop_eigh_reconstructs =
-  QCheck.Test.make ~name:"eigh reconstructs the matrix" ~count:60
-    (QCheck.make QCheck.Gen.(int_range 1 8 >>= sym_gen))
+  QCheck.Test.make ~name:"eigh reconstructs the matrix" ~count:60 sym_arb
     (fun a ->
       let n = Array.length a in
-      let w, v = Sym.eigh a in
-      let recon = Array.make_matrix n n 0. in
-      for e = 0 to n - 1 do
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            recon.(i).(j) <- recon.(i).(j) +. (w.(e) *. v.(i).(e) *. v.(j).(e))
-          done
-        done
-      done;
-      Sym.frobenius_distance a recon < 1e-6 *. float_of_int (n * n))
+      reconstruction_error a (Sym.eigh a) < 1e-6 *. float_of_int (n * n))
 
 let prop_eigh_orthonormal =
-  QCheck.Test.make ~name:"eigh eigenvectors orthonormal" ~count:60
-    (QCheck.make QCheck.Gen.(int_range 1 8 >>= sym_gen))
-    (fun a ->
-      let n = Array.length a in
-      let _, v = Sym.eigh a in
-      let ok = ref true in
-      for e = 0 to n - 1 do
-        for f = 0 to n - 1 do
-          let dot = ref 0. in
-          for i = 0 to n - 1 do
-            dot := !dot +. (v.(i).(e) *. v.(i).(f))
-          done;
-          let expect = if e = f then 1. else 0. in
-          if abs_float (!dot -. expect) > 1e-6 then ok := false
-        done
-      done;
-      !ok)
+  QCheck.Test.make ~name:"eigh eigenvectors orthonormal" ~count:60 sym_arb
+    (fun a -> orthonormal (snd (Sym.eigh a)))
 
 let prop_project_psd =
   QCheck.Test.make ~name:"PSD projection is PSD and idempotent-ish" ~count:60
-    (QCheck.make QCheck.Gen.(int_range 1 7 >>= sym_gen))
+    sym_arb
     (fun a ->
       let p = Sym.project_psd a in
       let w, _ = Sym.eigh p in
       Array.for_all (fun x -> x > -1e-7) w
-      && Sym.frobenius_distance p (Sym.project_psd p) < 1e-6)
+      && Jacobi.frobenius_distance p (Sym.project_psd p) < 1e-6)
+
+let prop_spectrum_oracle =
+  QCheck.Test.make ~name:"eigenvalues match the Jacobi oracle" ~count:60
+    sym_arb spectrum_matches_oracle
+
+let prop_projection_oracle =
+  QCheck.Test.make ~name:"PSD projection matches the Jacobi oracle" ~count:60
+    sym_arb projection_matches_oracle
+
+(* The K-ideal Gram: vertex i takes color i mod k, same-color pairs
+   have inner product 1 and others -1/(k-1). Rank k-1, so eigenvalue 0
+   has multiplicity n-k+1 — the shape the SDP iterates converge to. A
+   symmetric [noise] perturbation splits the zero cluster. *)
+let ideal_gram ~n ~k ~noise =
+  let rng = Mpl_util.Rng.create (n + k) in
+  let a = Array.make_matrix n n 0. in
+  for i = 0 to n - 1 do
+    for j = i to n - 1 do
+      let x = if i mod k = j mod k then 1. else Sdp.ideal_offdiag k in
+      let x = x +. (noise *. (Mpl_util.Rng.float rng 2. -. 1.)) in
+      a.(i).(j) <- x;
+      a.(j).(i) <- x
+    done
+  done;
+  a
+
+let test_structured_spectra () =
+  let check name a =
+    let n = Array.length a in
+    let ((w, v) as wv) = Sym.eigh a in
+    Alcotest.(check int) (name ^ ": n eigenvalues") n (Array.length w);
+    Alcotest.(check bool) (name ^ ": reconstructs") true
+      (reconstruction_error a wv <= oracle_tol a);
+    Alcotest.(check bool) (name ^ ": orthonormal") true (orthonormal v);
+    Alcotest.(check bool) (name ^ ": spectrum = oracle") true
+      (spectrum_matches_oracle a);
+    Alcotest.(check bool) (name ^ ": projection = oracle") true
+      (projection_matches_oracle a)
+  in
+  check "n=1" [| [| -2.5 |] |];
+  check "zero" (Array.make_matrix 7 7 0.);
+  check "repeated diagonal"
+    (Array.init 9 (fun i ->
+         Array.init 9 (fun j -> if i = j then float_of_int (i mod 3) else 0.)));
+  check "2x2 equal diagonal" [| [| 1.; 0.5 |]; [| 0.5; 1. |] |];
+  List.iter
+    (fun (n, k) ->
+      let a = ideal_gram ~n ~k ~noise:1e-9 in
+      check (Printf.sprintf "ideal Gram n=%d k=%d" n k) a;
+      let w, _ = Sym.eigh (ideal_gram ~n ~k ~noise:0.) in
+      let zeros =
+        Array.fold_left (fun c x -> if abs_float x < 1e-9 then c + 1 else c) 0 w
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "ideal Gram n=%d k=%d: zero multiplicity" n k)
+        (n - k + 1) zeros)
+    [ (6, 4); (6, 5); (16, 4); (48, 4); (48, 5) ]
+
+(* A non-finite input must terminate: the small-off-diagonal search is
+   clamped to the last index and the QL steps are capped. *)
+let test_nan_terminates () =
+  let n = 6 in
+  let src = Float.Array.make (n * n) 0.5 in
+  Float.Array.set src 7 Float.nan;
+  let nn () = Float.Array.make (n * n) 0. in
+  let dst = nn () in
+  Sym.project_psd_flat ~n ~src ~work:(nn ()) ~v:(nn ())
+    ~w:(Float.Array.make n 0.) ~dst;
+  Alcotest.(check int) "returned" (n * n) (Float.Array.length dst)
+
+(* The projection is the solver's inner loop: it must not allocate. *)
+let test_projection_allocates_nothing () =
+  let n = 48 in
+  let a = ideal_gram ~n ~k:4 ~noise:1e-3 in
+  let src = Float.Array.init (n * n) (fun c -> a.(c / n).(c mod n)) in
+  let nn () = Float.Array.make (n * n) 0. in
+  let work = nn () and v = nn () and dst = nn () in
+  let w = Float.Array.make n 0. in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Sym.project_psd_flat ~n ~src ~work ~v ~w ~dst
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" 0. (after -. before)
 
 let clique_problem n k =
   let edges = ref [] in
@@ -248,6 +372,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_eigh_reconstructs;
     QCheck_alcotest.to_alcotest prop_eigh_orthonormal;
     QCheck_alcotest.to_alcotest prop_project_psd;
+    QCheck_alcotest.to_alcotest prop_spectrum_oracle;
+    QCheck_alcotest.to_alcotest prop_projection_oracle;
+    Alcotest.test_case "structured spectra" `Quick test_structured_spectra;
+    Alcotest.test_case "NaN input terminates" `Quick test_nan_terminates;
+    Alcotest.test_case "projection allocates nothing" `Quick
+      test_projection_allocates_nothing;
     Alcotest.test_case "clique SDP optima" `Quick test_clique_optima;
     Alcotest.test_case "gram properties" `Quick test_gram_properties;
     Alcotest.test_case "near-feasible constraints" `Quick

@@ -27,7 +27,10 @@ dune exec bin/mpld.exe -- decompose C880 -a linear -j 2
 # Smoke: kernel parity. Exits nonzero if the bounded max-flow, bounded
 # Gomory–Hu tree, or flat SDP kernels ever disagree with their
 # reference implementations (bit-identical grams, identical cut
-# structure, identical end-to-end colorings).
+# structure, identical end-to-end colorings). Both SDP solvers run the
+# one Householder + QL eigensolver, so the flat ≡ dense check pins the
+# solver loop; test/test_numeric.ml pins the eigensolver itself against
+# the Jacobi oracle in test/jacobi.ml.
 dune exec bench/main.exe -- --kernels --check
 
 # Gate: the division-stage ablation. The decomposer always runs all
@@ -115,6 +118,15 @@ dune exec bin/mpld.exe -- trace-check "$trace" \
   --require graph.build --require graph.neighbor_search \
   --require division.components --require division.peel \
   --require division.extract --require engine.batch --require assign
+rm -f "$trace"
+
+# Gate: an SDP+Backtrack solve splits into its relaxation and its
+# backtrack, each a span under the solve.
+trace=$(mktemp /tmp/mpld-trace.XXXXXX.json)
+dune exec bin/mpld.exe -- decompose C432 -a sdp-backtrack --trace "$trace" \
+  > /dev/null
+dune exec bin/mpld.exe -- trace-check "$trace" \
+  --require solve.SDP+Backtrack --require sdp.relax --require sdp.backtrack
 rm -f "$trace"
 
 # Smoke: fault injection degrades gracefully. The injected solver raise
